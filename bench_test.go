@@ -308,7 +308,7 @@ func BenchmarkVersionedWrite(b *testing.B) {
 func BenchmarkObsOverhead(b *testing.B) {
 	sys := mvstm.NewPinned(mvstm.Config{
 		LockTableSize: 1 << 12, DisableBG: true,
-		Obs: obs.NewRecorder(obs.DefaultRingSize),
+		ObsConfig: stm.ObsConfig{Obs: obs.NewRecorder(obs.DefaultRingSize)},
 	}, mvstm.ModeU)
 	defer sys.Close()
 	th := sys.RegisterMV()
@@ -330,7 +330,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 func TestObsOverheadAllocFree(t *testing.T) {
 	sys := mvstm.NewPinned(mvstm.Config{
 		LockTableSize: 1 << 12, DisableBG: true,
-		Obs: obs.NewRecorder(obs.DefaultRingSize),
+		ObsConfig: stm.ObsConfig{Obs: obs.NewRecorder(obs.DefaultRingSize)},
 	}, mvstm.ModeU)
 	defer sys.Close()
 	th := sys.RegisterMV()

@@ -49,10 +49,7 @@ const (
 )
 
 func crashTorture(c crashConfig) bool {
-	switch c.tm {
-	case "multiverse", "multiverse-eager", "tl2", "dctl":
-	default:
-		fmt.Printf("crash    tm=%-12s SKIPPED: backend cannot carry a WAL (want multiverse, multiverse-eager, tl2 or dctl)\n", c.tm)
+	if notDurable("crash", c.tm) {
 		return true
 	}
 	deadline := time.Now().Add(c.dur)

@@ -63,10 +63,7 @@ var faultSites = []faultSite{
 }
 
 func faultdiskTorture(c faultdiskConfig) bool {
-	switch c.tm {
-	case "multiverse", "multiverse-eager", "tl2", "dctl":
-	default:
-		fmt.Printf("faultdisk tm=%-12s SKIPPED: backend cannot carry a WAL (want multiverse, multiverse-eager, tl2 or dctl)\n", c.tm)
+	if notDurable("faultdisk", c.tm) {
 		return true
 	}
 	deadline := time.Now().Add(c.dur)

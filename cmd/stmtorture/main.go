@@ -93,10 +93,21 @@ import (
 	"repro/internal/ds/abtree"
 	"repro/internal/histcheck"
 	"repro/internal/obs"
+	"repro/internal/registry"
 	"repro/internal/stm"
 	"repro/internal/tpcc"
 	"repro/internal/workload"
 )
+
+// notDurable reports (and says so on stdout) that tm cannot run a WAL-backed
+// workload; the registry decides, so the torture matrix and wal.Open agree.
+func notDurable(workload, tm string) bool {
+	if registry.Durable(tm) {
+		return false
+	}
+	fmt.Printf("%-8s tm=%-12s SKIPPED: backend cannot carry a WAL (needs snapshot reads and commit observation)\n", workload, tm)
+	return true
+}
 
 // torRec is the torture-wide flight recorder: the WAL-backed workloads
 // thread it through their logs, and a failed run dumps the ring — the last

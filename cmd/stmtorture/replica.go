@@ -52,10 +52,7 @@ var replicaSites = []faultSite{
 }
 
 func replicaTorture(c replicaConfig) bool {
-	switch c.tm {
-	case "multiverse", "multiverse-eager", "tl2", "dctl":
-	default:
-		fmt.Printf("replica  tm=%-12s SKIPPED: backend cannot carry a WAL (want multiverse, multiverse-eager, tl2 or dctl)\n", c.tm)
+	if notDurable("replica", c.tm) {
 		return true
 	}
 	deadline := time.Now().Add(c.dur)

@@ -55,10 +55,7 @@ var connSites = []faultSite{
 }
 
 func socketTorture(c socketConfig) bool {
-	switch c.tm {
-	case "multiverse", "multiverse-eager", "tl2", "dctl":
-	default:
-		fmt.Printf("socket   tm=%-12s SKIPPED: backend cannot carry a WAL (want multiverse, multiverse-eager, tl2 or dctl)\n", c.tm)
+	if notDurable("socket", c.tm) {
 		return true
 	}
 	deadline := time.Now().Add(c.dur)

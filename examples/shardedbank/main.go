@@ -21,7 +21,7 @@ import (
 
 	"repro/internal/ds"
 	"repro/internal/ds/hashmap"
-	"repro/internal/mvstm"
+	"repro/internal/registry"
 	"repro/internal/shard"
 	"repro/internal/stm"
 	"repro/internal/workload"
@@ -44,13 +44,15 @@ func main() {
 	)
 	flag.Parse()
 
-	sys := shard.New(shard.Config{
-		Shards:  *shards,
-		Backend: shard.Multiverse(mvstm.Config{LockTableSize: 1 << 14}),
-	})
+	backend, err := registry.ShardBackend("multiverse", registry.Params{LockTable: 1 << 14}, nil)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	sys := shard.New(shard.Config{Shards: *shards, Backend: backend})
 	defer sys.Close()
 	bank := shard.NewMap(sys, func(int) ds.Map {
-		return hashmap.New(1024, 4 * *accounts / *shards)
+		return hashmap.New(1024, 4**accounts / *shards)
 	})
 
 	// One settlement account per shard, co-located by probing ShardOf:

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/registry"
 	"repro/internal/tpcc"
 	"repro/internal/workload"
 )
@@ -43,6 +44,22 @@ func (s Scale) rqKeys(frac float64) int {
 		n = 16
 	}
 	return n
+}
+
+// durableTMs keeps the TMs of a -tm list that can sit under internal/shard,
+// the WAL, the server and a replica (registry.Durable), defaulting to the
+// production pairing when the list has none.
+func durableTMs(tms []string) []string {
+	var out []string
+	for _, tm := range tms {
+		if registry.Durable(tm) {
+			out = append(out, tm)
+		}
+	}
+	if len(out) == 0 {
+		out = []string{"multiverse"}
+	}
+	return out
 }
 
 // Experiment regenerates one of the paper's tables or figures.
@@ -282,18 +299,7 @@ func Experiments() map[string]Experiment {
 		ID:    "shards",
 		Title: "sharded multi-instance TM: update-heavy point-op scaling and cross-shard snapshot queries vs shard count",
 		Run: func(s Scale, tms []string, w io.Writer) {
-			// Only the snapshot-capable TMs have sharded backends; default
-			// to the production pairing when the -tm list has none.
-			capable := map[string]bool{"multiverse": true, "multiverse-eager": true, "dctl": true, "tl2": true}
-			var shardTMs []string
-			for _, tm := range tms {
-				if capable[tm] {
-					shardTMs = append(shardTMs, tm)
-				}
-			}
-			if len(shardTMs) == 0 {
-				shardTMs = []string{"multiverse"}
-			}
+			shardTMs := durableTMs(tms)
 			threads := s.Threads[len(s.Threads)-1]
 			counts := s.Shards
 			if len(counts) == 0 {
@@ -334,17 +340,7 @@ func Experiments() map[string]Experiment {
 		ID:    "persist",
 		Title: "durability overhead: fsync policy sweep (none/group/every-commit) over a WAL-backed map, plus a sharded persistence row",
 		Run: func(s Scale, tms []string, w io.Writer) {
-			// Only the WAL-capable (snapshot-capable) TMs can carry a log.
-			capable := map[string]bool{"multiverse": true, "multiverse-eager": true, "dctl": true, "tl2": true}
-			var persistTMs []string
-			for _, tm := range tms {
-				if capable[tm] {
-					persistTMs = append(persistTMs, tm)
-				}
-			}
-			if len(persistTMs) == 0 {
-				persistTMs = []string{"multiverse"}
-			}
+			persistTMs := durableTMs(tms)
 			threads := s.Threads[len(s.Threads)-1]
 			base := Config{
 				DS: "hashmap", Threads: threads,
@@ -385,16 +381,7 @@ func Experiments() map[string]Experiment {
 		ID:    "server",
 		Title: "wire-protocol server: end-to-end throughput and p50/p99/p999 latency, ack=commit vs ack=sync (group-commit pipelining) across pipeline depths",
 		Run: func(s Scale, tms []string, w io.Writer) {
-			capable := map[string]bool{"multiverse": true, "multiverse-eager": true, "dctl": true, "tl2": true}
-			var serverTMs []string
-			for _, tm := range tms {
-				if capable[tm] {
-					serverTMs = append(serverTMs, tm)
-				}
-			}
-			if len(serverTMs) == 0 {
-				serverTMs = []string{"multiverse"}
-			}
+			serverTMs := durableTMs(tms)
 			for _, tm := range serverTMs {
 				fmt.Fprintf(w, "--- server: %s hashmap over loopback TCP, 20%% updates (ack=commit prices the wire, ack=sync adds the covering fsync; depth sweep shows group-commit amortization) ---\n", tm)
 				base := ServerConfig{
@@ -425,16 +412,7 @@ func Experiments() map[string]Experiment {
 		ID:    "replica",
 		Title: "log-shipping read replica: follower apply throughput, record lag, and post-quiesce drain time, direct tail vs TCP channel",
 		Run: func(s Scale, tms []string, w io.Writer) {
-			capable := map[string]bool{"multiverse": true, "multiverse-eager": true, "dctl": true, "tl2": true}
-			var repTMs []string
-			for _, tm := range tms {
-				if capable[tm] {
-					repTMs = append(repTMs, tm)
-				}
-			}
-			if len(repTMs) == 0 {
-				repTMs = []string{"multiverse"}
-			}
+			repTMs := durableTMs(tms)
 			writers := s.Threads[len(s.Threads)-1]
 			for _, tm := range repTMs {
 				fmt.Fprintf(w, "--- replica: %s hashmap 50%% ins / 50%% del leader load, writers=%d (direct = shared-dir tail, channel = Shipper→TCP→Receiver) ---\n", tm, writers)

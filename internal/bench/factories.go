@@ -1,20 +1,10 @@
 package bench
 
 import (
-	"fmt"
-
-	"repro/internal/dctl"
 	"repro/internal/ds"
-	"repro/internal/ds/abtree"
-	"repro/internal/ds/avl"
-	"repro/internal/ds/extbst"
-	"repro/internal/ds/hashmap"
-	"repro/internal/mvstm"
-	"repro/internal/norec"
+	"repro/internal/registry"
 	"repro/internal/shard"
 	"repro/internal/stm"
-	"repro/internal/tinystm"
-	"repro/internal/tl2"
 )
 
 // TMNames lists the systems compared in the paper's plots, in plot order.
@@ -25,38 +15,17 @@ var TMNames = []string{"multiverse", "dctl", "tl2", "tinystm", "norec"}
 // quit" on range queries under updaters.
 const baselineMaxAttempts = 20000
 
-// NewTM builds a TM by name. lockTable sizes the lock (and, for Multiverse,
-// VLT/bloom) tables. Multiverse variants "multiverse-q" and "multiverse-u"
-// pin the mode (paper Fig 8 ablations); "multiverse-nobloom" and
-// "multiverse-nounversion" are ablations of those mechanisms.
-func NewTM(name string, lockTable int) stm.System {
-	switch name {
-	case "multiverse":
-		return mvstm.New(mvstm.Config{LockTableSize: lockTable})
-	case "multiverse-q":
-		return mvstm.NewPinned(mvstm.Config{LockTableSize: lockTable}, mvstm.ModeQ)
-	case "multiverse-u":
-		return mvstm.NewPinned(mvstm.Config{LockTableSize: lockTable}, mvstm.ModeU)
-	case "multiverse-eager":
-		// Minimal versioned-path/mode-switch thresholds: short torture
-		// rounds reach the versioned read path and Mode U machinery that
-		// the paper-default K values only reach under sustained load.
-		return mvstm.New(mvstm.Config{LockTableSize: lockTable, K1: 1, K2: 2, K3: 2, S: 2})
-	case "multiverse-nobloom":
-		return mvstm.New(mvstm.Config{LockTableSize: lockTable, DisableBloom: true})
-	case "multiverse-nounversion":
-		return mvstm.New(mvstm.Config{LockTableSize: lockTable, DisableUnversioning: true})
-	case "dctl":
-		return dctl.New(dctl.Config{LockTableSize: lockTable})
-	case "tl2":
-		return tl2.New(tl2.Config{LockTableSize: lockTable, MaxAttempts: baselineMaxAttempts})
-	case "tinystm":
-		return tinystm.New(tinystm.Config{LockTableSize: lockTable, MaxAttempts: baselineMaxAttempts})
-	case "norec":
-		return norec.New(norec.Config{MaxAttempts: baselineMaxAttempts})
-	default:
-		panic(fmt.Sprintf("bench: unknown TM %q", name))
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic("bench: " + err.Error())
 	}
+	return v
+}
+
+// NewTM builds a TM by registry name. lockTable sizes the lock (and, for
+// Multiverse, VLT/bloom) tables.
+func NewTM(name string, lockTable int) stm.System {
+	return must(registry.NewTM(name, registry.Params{LockTable: lockTable, MaxAttempts: baselineMaxAttempts}))
 }
 
 // NewShardedTM composes shards instances of the named TM behind one
@@ -66,53 +35,20 @@ func NewTM(name string, lockTable int) stm.System {
 // independent clocks-of-contention — lock tables, VLTs, announcement
 // arrays, background threads — not the bytes.
 func NewShardedTM(name string, shards, lockTable int) *shard.System {
-	per := lockTable / shards
-	if per < 1<<12 {
-		per = 1 << 12
-	}
-	var backend shard.Backend
-	switch name {
-	case "multiverse":
-		backend = shard.Multiverse(mvstm.Config{LockTableSize: per})
-	case "multiverse-eager":
-		backend = shard.Multiverse(mvstm.Config{LockTableSize: per, K1: 1, K2: 2, K3: 2, S: 2})
-	case "dctl":
-		backend = shard.DCTL(dctl.Config{LockTableSize: per})
-	case "tl2":
-		backend = shard.TL2(tl2.Config{LockTableSize: per, MaxAttempts: baselineMaxAttempts})
-	default:
-		panic(fmt.Sprintf("bench: TM %q has no sharded backend (want multiverse, multiverse-eager, dctl or tl2)", name))
-	}
+	per := max(lockTable/shards, 1<<12)
+	backend := must(registry.ShardBackend(name, registry.Params{LockTable: per, MaxAttempts: baselineMaxAttempts}, nil))
 	return shard.New(shard.Config{Shards: shards, Backend: backend})
 }
 
 // NewShardedDS builds the hash-partitioned counterpart of NewDS over sys,
 // dividing the capacity hint across shards.
 func NewShardedDS(sys *shard.System, name string, capacity int) ds.Map {
-	per := capacity / sys.NumShards()
-	if per < 1024 {
-		per = 1024
-	}
+	per := max(capacity/sys.NumShards(), 1024)
 	return shard.NewMap(sys, func(int) ds.Map { return NewDS(name, per) })
 }
 
 // DSNames lists the evaluated data structures.
 var DSNames = []string{"abtree", "avl", "extbst", "hashmap"}
 
-// NewDS builds a data structure by name with a key-capacity hint. The
-// hashmap follows the paper: buckets fixed independently of the prefill
-// (scaled to 10× the capacity hint, as 1M buckets vs 100k keys).
-func NewDS(name string, capacity int) ds.Map {
-	switch name {
-	case "abtree":
-		return abtree.New(capacity)
-	case "avl":
-		return avl.New(capacity)
-	case "extbst":
-		return extbst.New(capacity)
-	case "hashmap":
-		return hashmap.New(10*capacity, capacity)
-	default:
-		panic(fmt.Sprintf("bench: unknown data structure %q", name))
-	}
-}
+// NewDS builds a data structure by registry name with a key-capacity hint.
+func NewDS(name string, capacity int) ds.Map { return must(registry.NewDS(name, capacity)) }

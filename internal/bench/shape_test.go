@@ -1,3 +1,5 @@
+//go:build shape
+
 package bench
 
 import (

@@ -10,7 +10,6 @@ package dctl
 import (
 	"runtime"
 
-	"repro/internal/ebr"
 	"repro/internal/gclock"
 	"repro/internal/obs"
 	"repro/internal/stm"
@@ -35,11 +34,7 @@ type Config struct {
 	// (after read-set validation, before the write locks release at the
 	// commit clock). See stm.CommitObserver.
 	OnCommit stm.CommitObserver
-	// Obs, when non-nil, receives abort events with reasons in the flight
-	// recorder; per-reason counters in stm.Counters are kept regardless.
-	Obs *obs.Recorder
-	// ObsID tags this instance's events (shard index under internal/shard).
-	ObsID int
+	stm.ObsConfig
 }
 
 func (c *Config) fill() {
@@ -53,12 +48,10 @@ func (c *Config) fill() {
 
 // System is a DCTL instance.
 type System struct {
+	stm.SysBase
 	cfg   Config
 	clock *gclock.Clock
 	locks *vlock.Table
-	ebr   *ebr.Domain
-	reg   stm.Registry
-	tids  stm.Word
 	irrev stm.Word // 1 while an irrevocable transaction is running
 	_     [48]byte
 }
@@ -66,7 +59,8 @@ type System struct {
 // New creates a DCTL instance.
 func New(cfg Config) *System {
 	cfg.fill()
-	s := &System{cfg: cfg, locks: vlock.NewTable(cfg.LockTableSize), ebr: ebr.NewDomain()}
+	s := &System{cfg: cfg, locks: vlock.NewTable(cfg.LockTableSize)}
+	s.Init(cfg.ObsConfig)
 	if cfg.Clock != nil {
 		s.clock = cfg.Clock // shared; never reset (siblings may have advanced it)
 	} else {
@@ -79,31 +73,17 @@ func New(cfg Config) *System {
 // Name implements stm.System.
 func (s *System) Name() string { return "dctl" }
 
-// Stats implements stm.System.
-func (s *System) Stats() stm.Stats { return s.reg.Aggregate() }
-
-// Close implements stm.System.
-func (s *System) Close() { s.ebr.Drain() }
-
 // Register implements stm.System.
 func (s *System) Register() stm.Thread {
-	for {
-		v := s.tids.Load()
-		if s.tids.CompareAndSwap(v, v+1) {
-			t := &thread{sys: s, tid: int(v%(1<<14-1)) + 1, ebr: s.ebr.Register()}
-			t.txn.t = t
-			s.reg.Add(&t.ctr)
-			return t
-		}
-		runtime.Gosched()
-	}
+	t := &thread{sys: s}
+	t.txn.t = t
+	s.Attach(&t.ThreadBase, &t.txn)
+	return t
 }
 
 type thread struct {
+	stm.ThreadBase
 	sys *System
-	tid int
-	ebr *ebr.Handle
-	ctr stm.Counters
 	txn txn
 }
 
@@ -118,24 +98,17 @@ type txn struct {
 	rClock      uint64
 	readOnly    bool
 	irrevocable bool
-	reason      obs.AbortReason
+	pinTs       uint64 // SnapshotAt's timestamp; 0 reads at the live clock
 	reads       []*vlock.Lock
 	undo        []undoEntry
 	locked      []*vlock.Lock
 }
 
 // Atomic implements stm.Thread.
-func (t *thread) Atomic(fn func(stm.Txn)) bool { return t.run(fn, false) }
+func (t *thread) Atomic(fn func(stm.Txn)) bool { return t.run(fn, false, 0) }
 
 // ReadOnly implements stm.Thread.
-func (t *thread) ReadOnly(fn func(stm.Txn)) bool { return t.run(fn, true) }
-
-// Unregister implements stm.Thread.
-func (t *thread) Unregister() { t.ebr.Unregister() }
-
-// SetTrace implements stm.TraceSetter: it plants a tracing context on the
-// thread's transaction so the retry loop emits per-attempt spans.
-func (t *thread) SetTrace(tr *obs.Tracer, id uint64) { t.txn.SetTrace(tr, id) }
+func (t *thread) ReadOnly(fn func(stm.Txn)) bool { return t.run(fn, true, 0) }
 
 // snapshotAttempts bounds SnapshotAt retries; see the tl2 analogue — DCTL
 // also keeps no versions, so pinned-clock aborts are usually permanent.
@@ -148,132 +121,59 @@ const snapshotAttempts = 3
 // reads has been overwritten at or above ts; unlike Atomic/ReadOnly there
 // is no irrevocable fallback — irrevocability cannot serve a read in the
 // past — so SnapshotAt reports false instead.
-func (t *thread) SnapshotAt(ts uint64, fn func(stm.Txn)) bool {
-	tx := &t.txn
-	for attempt := 1; ; attempt++ {
-		tx.begin(true, false)
-		tx.rClock = ts // pin: begin loaded the current clock, override it
-		t.ebr.Pin()
-		oc := stm.RunAttempt(func() {
-			fn(tx)
-			tx.commit()
-		})
-		t.ebr.Unpin()
-		switch oc {
-		case stm.Committed:
-			tx.TraceAttempt(uint64(t.sys.cfg.ObsID), attempt, 0)
-			tx.RunCommit(t.ebr.Retire)
-			t.ctr.Commits.Add(1)
-			t.ctr.ReadOnlyCommits.Add(1)
-			return true
-		case stm.Cancelled:
-			tx.TraceAttempt(uint64(t.sys.cfg.ObsID), attempt, uint64(tx.reason)+1)
-			tx.rollback()
-			return false
-		}
-		tx.TraceAttempt(uint64(t.sys.cfg.ObsID), attempt, uint64(tx.reason)+1)
-		tx.rollback()
-		t.ctr.Aborts.Add(1)
-		t.ctr.AbortReasons[tx.reason].Add(1)
-		t.sys.cfg.Obs.Record(obs.EvAbort, uint64(t.sys.cfg.ObsID), uint64(tx.reason), uint64(attempt))
-		if attempt >= snapshotAttempts {
-			t.ctr.Starved.Add(1)
-			return false
-		}
-		stm.Backoff(attempt)
+func (t *thread) SnapshotAt(ts uint64, fn func(stm.Txn)) bool { return t.run(fn, true, ts) }
+
+func (t *thread) run(fn func(stm.Txn), readOnly bool, pinTs uint64) bool {
+	t.txn.readOnly, t.txn.pinTs = readOnly, pinTs
+	pol := stm.Policy{Backoff: true} // unbounded: Begin goes irrevocable instead
+	if pinTs != 0 {
+		pol.MaxAttempts = snapshotAttempts
 	}
+	return stm.Drive(&t.ThreadBase, fn, readOnly, pol)
 }
 
-func (t *thread) run(fn func(stm.Txn), readOnly bool) bool {
-	tx := &t.txn
-	for attempt := 1; ; attempt++ {
-		if attempt > t.sys.cfg.IrrevocableAfter {
-			return t.runIrrevocable(fn, readOnly)
+// Begin implements stm.Protocol. Past IrrevocableAfter failed attempts the
+// transaction takes the starvation-free path: at most one irrevocable
+// transaction runs at a time (spin-acquired flag, released by After); it
+// claims locks on reads as well as writes and waits for busy locks instead
+// of aborting, so it cannot be aborted by concurrent transactions.
+func (tx *txn) Begin(attempt int) {
+	sys := tx.t.sys
+	tx.irrevocable = tx.pinTs == 0 && attempt > sys.cfg.IrrevocableAfter
+	if tx.irrevocable {
+		for !sys.irrev.CompareAndSwap(0, 1) {
+			runtime.Gosched()
 		}
-		tx.begin(readOnly, false)
-		t.ebr.Pin()
-		oc := stm.RunAttempt(func() {
-			fn(tx)
-			tx.commit()
-		})
-		t.ebr.Unpin()
-		switch oc {
-		case stm.Committed:
-			tx.TraceAttempt(uint64(t.sys.cfg.ObsID), attempt, 0)
-			tx.RunCommit(t.ebr.Retire)
-			t.ctr.Commits.Add(1)
-			if readOnly {
-				t.ctr.ReadOnlyCommits.Add(1)
-			}
-			return true
-		case stm.Cancelled:
-			tx.TraceAttempt(uint64(t.sys.cfg.ObsID), attempt, uint64(tx.reason)+1)
-			tx.rollback()
-			return false
-		}
-		tx.TraceAttempt(uint64(t.sys.cfg.ObsID), attempt, uint64(tx.reason)+1)
-		tx.rollback()
-		t.ctr.Aborts.Add(1)
-		t.ctr.AbortReasons[tx.reason].Add(1)
-		t.sys.cfg.Obs.Record(obs.EvAbort, uint64(t.sys.cfg.ObsID), uint64(tx.reason), uint64(attempt))
-		stm.Backoff(attempt)
 	}
-}
-
-// runIrrevocable executes fn on the starvation-free path. At most one
-// irrevocable transaction runs at a time (spin-acquired flag); it claims
-// locks on reads as well as writes and waits for busy locks instead of
-// aborting, so it cannot be aborted by concurrent transactions.
-func (t *thread) runIrrevocable(fn func(stm.Txn), readOnly bool) bool {
-	sys := t.sys
-	for !sys.irrev.CompareAndSwap(0, 1) {
-		runtime.Gosched()
-	}
-	tx := &t.txn
-	tx.begin(readOnly, true)
-	t.ebr.Pin()
-	oc := stm.RunAttempt(func() {
-		fn(tx)
-		tx.commit()
-	})
-	t.ebr.Unpin()
-	if oc == stm.Conflicted {
-		// Irrevocable reads and writes never signal conflicts.
-		panic("dctl: irrevocable transaction aborted")
-	}
-	if oc == stm.Cancelled {
-		tx.TraceAttempt(uint64(sys.cfg.ObsID), sys.cfg.IrrevocableAfter+1, uint64(tx.reason)+1)
-		tx.rollback()
-		sys.irrev.Store(0)
-		return false
-	}
-	tx.TraceAttempt(uint64(sys.cfg.ObsID), sys.cfg.IrrevocableAfter+1, 0)
-	tx.RunCommit(t.ebr.Retire)
-	sys.irrev.Store(0)
-	t.ctr.Commits.Add(1)
-	t.ctr.Irrevocable.Add(1)
-	if readOnly {
-		t.ctr.ReadOnlyCommits.Add(1)
-	}
-	return true
-}
-
-func (tx *txn) begin(readOnly, irrevocable bool) {
-	tx.Reset()
-	tx.TraceBegin()
-	tx.readOnly = readOnly
-	tx.irrevocable = irrevocable
-	tx.reason = obs.ReasonUnknown
 	tx.reads = tx.reads[:0]
 	tx.undo = tx.undo[:0]
 	tx.locked = tx.locked[:0]
-	tx.rClock = tx.t.sys.clock.Load()
+	tx.rClock = sys.clock.Load()
+	if tx.pinTs != 0 {
+		tx.rClock = tx.pinTs
+	}
 }
 
-// rollback restores in-place writes and releases write locks with a freshly
-// incremented clock (paper Listing 1 abort: nextClock = gClock.increment();
-// writeSet.unlock(nextClock)). This is the only place DCTL's clock advances.
-func (tx *txn) rollback() {
+// After implements stm.Protocol: an irrevocable attempt hands the flag back.
+func (tx *txn) After(_ int, oc stm.Outcome) {
+	if !tx.irrevocable {
+		return
+	}
+	tx.t.sys.irrev.Store(0)
+	switch oc {
+	case stm.Committed:
+		tx.t.Ctr.Irrevocable.Add(1)
+	case stm.Conflicted:
+		// Irrevocable reads and writes never signal conflicts.
+		panic("dctl: irrevocable transaction aborted")
+	}
+}
+
+// Rollback implements stm.Protocol: it restores in-place writes and releases
+// write locks with a freshly incremented clock (paper Listing 1 abort:
+// nextClock = gClock.increment(); writeSet.unlock(nextClock)). This is the
+// only place DCTL's clock advances.
+func (tx *txn) Rollback() {
 	for i := len(tx.undo) - 1; i >= 0; i-- {
 		tx.undo[i].w.Store(tx.undo[i].old)
 	}
@@ -286,11 +186,10 @@ func (tx *txn) rollback() {
 		l.Release(next)
 	}
 	tx.locked = tx.locked[:0]
-	tx.RunAbort()
 }
 
 func (tx *txn) validate(s vlock.State) bool {
-	if s.Held() && s.TID() == tx.t.tid {
+	if s.Held() && s.TID() == tx.t.TID {
 		return true
 	}
 	if s.Held() {
@@ -299,30 +198,15 @@ func (tx *txn) validate(s vlock.State) bool {
 	return s.Version() < tx.rClock
 }
 
-// abortWith tags the attempt's abort reason and unwinds. Does not return.
-func (tx *txn) abortWith(r obs.AbortReason) {
-	tx.reason = r
-	stm.AbortAttempt()
-}
-
-// lockAbortReason classifies a failed validate: a lock held by another
-// transaction is contention; an advanced version is a stale read clock.
-func lockAbortReason(s vlock.State) obs.AbortReason {
-	if s.Held() {
-		return obs.ReasonLockBusy
-	}
-	return obs.ReasonValidation
-}
-
 // acquire spins until it owns l (irrevocable path only).
 func (tx *txn) acquire(l *vlock.Lock) {
 	for {
 		if s := l.Load(); !s.Held() {
-			if l.CompareAndSwap(s, vlock.Pack(true, false, tx.t.tid, s.Version())) {
+			if l.CompareAndSwap(s, vlock.Pack(true, false, tx.t.TID, s.Version())) {
 				tx.locked = append(tx.locked, l)
 				return
 			}
-		} else if s.TID() == tx.t.tid {
+		} else if s.TID() == tx.t.TID {
 			return
 		}
 		runtime.Gosched()
@@ -338,7 +222,7 @@ func (tx *txn) Read(w *stm.Word) uint64 {
 	}
 	v := w.Load()
 	if s := l.Load(); !tx.validate(s) {
-		tx.abortWith(lockAbortReason(s))
+		tx.AbortWith(s.AbortReason())
 	}
 	// Read-only transactions skip the read set: per-read validation
 	// suffices and tryCommit returns immediately for them (Listing 1
@@ -362,33 +246,34 @@ func (tx *txn) Write(w *stm.Word, v uint64) {
 		return
 	}
 	s := l.Load()
-	if s.Held() && s.TID() == tx.t.tid {
+	if s.Held() && s.TID() == tx.t.TID {
 		tx.undo = append(tx.undo, undoEntry{w, w.Load()})
 		w.Store(v)
 		return
 	}
 	if s.Held() {
-		tx.abortWith(obs.ReasonLockBusy)
+		tx.AbortWith(obs.ReasonLockBusy)
 	}
 	if s.Version() >= tx.rClock {
-		tx.abortWith(obs.ReasonValidation)
+		tx.AbortWith(obs.ReasonValidation)
 	}
-	if !l.CompareAndSwap(s, vlock.Pack(true, false, tx.t.tid, s.Version())) {
-		tx.abortWith(obs.ReasonLockBusy)
+	if !l.CompareAndSwap(s, vlock.Pack(true, false, tx.t.TID, s.Version())) {
+		tx.AbortWith(obs.ReasonLockBusy)
 	}
 	tx.locked = append(tx.locked, l)
 	tx.undo = append(tx.undo, undoEntry{w, w.Load()})
 	w.Store(v)
 }
 
-func (tx *txn) commit() {
+// Commit implements stm.Protocol.
+func (tx *txn) Commit() {
 	if tx.readOnly && !tx.irrevocable {
 		return
 	}
 	if !tx.irrevocable {
 		for _, l := range tx.reads {
 			if s := l.Load(); !tx.validate(s) {
-				tx.abortWith(lockAbortReason(s))
+				tx.AbortWith(s.AbortReason())
 			}
 		}
 	}

@@ -10,15 +10,19 @@ import (
 
 func newSys() *System { return New(Config{LockTableSize: 1 << 10}) }
 
+// newIrrevSys builds a system whose every attempt, the first included, takes
+// the irrevocable path (attempt > IrrevocableAfter).
+func newIrrevSys() *System { return New(Config{LockTableSize: 1 << 10, IrrevocableAfter: -1}) }
+
 func TestIrrevocableCommitsDirectly(t *testing.T) {
-	sys := newSys()
+	sys := newIrrevSys()
 	defer sys.Close()
 	th := sys.Register().(*thread)
 	defer th.Unregister()
 	var w stm.Word
-	ok := th.runIrrevocable(func(tx stm.Txn) {
+	ok := th.Atomic(func(tx stm.Txn) {
 		tx.Write(&w, tx.Read(&w)+41)
-	}, false)
+	})
 	if !ok {
 		t.Fatal("irrevocable txn did not commit")
 	}
@@ -39,16 +43,16 @@ func TestIrrevocableCommitsDirectly(t *testing.T) {
 }
 
 func TestIrrevocableCancelRollsBack(t *testing.T) {
-	sys := newSys()
+	sys := newIrrevSys()
 	defer sys.Close()
 	th := sys.Register().(*thread)
 	defer th.Unregister()
 	var w stm.Word
 	w.Store(5)
-	ok := th.runIrrevocable(func(tx stm.Txn) {
+	ok := th.Atomic(func(tx stm.Txn) {
 		tx.Write(&w, 99)
 		tx.Cancel()
-	}, false)
+	})
 	if ok {
 		t.Fatal("cancelled irrevocable txn reported committed")
 	}
@@ -61,7 +65,7 @@ func TestIrrevocableCancelRollsBack(t *testing.T) {
 }
 
 func TestIrrevocableMutualExclusion(t *testing.T) {
-	sys := newSys()
+	sys := newIrrevSys()
 	defer sys.Close()
 	var inIrrev, maxIrrev atomic.Int64
 	var wg sync.WaitGroup
@@ -73,14 +77,14 @@ func TestIrrevocableMutualExclusion(t *testing.T) {
 			th := sys.Register().(*thread)
 			defer th.Unregister()
 			for i := 0; i < 50; i++ {
-				th.runIrrevocable(func(tx stm.Txn) {
+				th.Atomic(func(tx stm.Txn) {
 					n := inIrrev.Add(1)
 					if n > maxIrrev.Load() {
 						maxIrrev.Store(n)
 					}
 					tx.Write(&w, tx.Read(&w)+1)
 					inIrrev.Add(-1)
-				}, false)
+				})
 			}
 		}()
 	}
@@ -142,16 +146,16 @@ func TestStarvationFreedom(t *testing.T) {
 // lock set (the generic "read-only commits are no-ops" shortcut leaked
 // every lock the transaction touched and wedged the whole system).
 func TestIrrevocableReadOnlyReleasesLocks(t *testing.T) {
-	sys := newSys()
+	sys := newIrrevSys()
 	defer sys.Close()
 	th := sys.Register().(*thread)
 	defer th.Unregister()
 	words := make([]stm.Word, 8)
-	ok := th.runIrrevocable(func(tx stm.Txn) {
+	ok := th.ReadOnly(func(tx stm.Txn) {
 		for i := range words {
 			tx.Read(&words[i])
 		}
-	}, true)
+	})
 	if !ok {
 		t.Fatal("irrevocable read-only txn failed")
 	}

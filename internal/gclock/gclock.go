@@ -31,12 +31,15 @@ func (c *Clock) Increment() uint64 { return c.v.Add(1) }
 // TickGV4 advances the clock by one using TL2's GV4 policy: a failed CAS is
 // treated as success because some concurrent committer already advanced the
 // clock, and its new value can be used as this transaction's commit
-// timestamp. Returns the commit version to use.
-func (c *Clock) TickGV4() uint64 {
+// timestamp. It returns the commit version to use and whether this caller's
+// own CAS won: only a winner may conclude from wv == rv+1 that no commit
+// interleaved since it sampled rv (the loser shares wv with the winner, who
+// committed concurrently).
+func (c *Clock) TickGV4() (wv uint64, won bool) {
 	old := c.v.Load()
 	if c.v.CompareAndSwap(old, old+1) {
-		return old + 1
+		return old + 1, true
 	}
 	// Another committer advanced the clock for us (GV4: "pass on failure").
-	return c.v.Load()
+	return c.v.Load(), false
 }

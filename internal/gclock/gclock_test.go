@@ -2,6 +2,7 @@ package gclock
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -21,9 +22,9 @@ func TestIncrementMonotonic(t *testing.T) {
 func TestTickGV4ReturnsUsableVersion(t *testing.T) {
 	var c Clock
 	c.Set(5)
-	v := c.TickGV4()
-	if v != 6 {
-		t.Fatalf("uncontended GV4 tick = %d want 6", v)
+	v, won := c.TickGV4()
+	if v != 6 || !won {
+		t.Fatalf("uncontended GV4 tick = %d won=%v want 6 true", v, won)
 	}
 	if c.Load() != 6 {
 		t.Fatalf("clock = %d want 6", c.Load())
@@ -33,13 +34,14 @@ func TestTickGV4ReturnsUsableVersion(t *testing.T) {
 func TestTickGV4Concurrent(t *testing.T) {
 	// GV4's point: concurrent committers may share a tick, but every
 	// returned value is a valid commit version (> the pre-tick clock)
-	// and the clock never decreases.
+	// and the clock never decreases. Each advance has exactly one winner.
 	var c Clock
 	c.Set(1)
 	const goroutines = 8
 	const perG = 10000
 	var wg sync.WaitGroup
 	mins := make([]uint64, goroutines)
+	var wins atomic.Uint64
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
@@ -47,7 +49,10 @@ func TestTickGV4Concurrent(t *testing.T) {
 			min := ^uint64(0)
 			for i := 0; i < perG; i++ {
 				before := c.Load()
-				v := c.TickGV4()
+				v, won := c.TickGV4()
+				if won {
+					wins.Add(1)
+				}
 				if v <= before {
 					min = 0 // record violation
 					break
@@ -65,7 +70,11 @@ func TestTickGV4Concurrent(t *testing.T) {
 			t.Fatalf("goroutine %d observed a non-advancing GV4 tick", g)
 		}
 	}
-	if final := c.Load(); final <= 1 || final > 1+goroutines*perG {
+	final := c.Load()
+	if final <= 1 || final > 1+goroutines*perG {
 		t.Fatalf("final clock %d outside (1, %d]", final, 1+goroutines*perG)
+	}
+	if wins.Load() != final-1 {
+		t.Fatalf("%d ticks reported won for %d clock advances", wins.Load(), final-1)
 	}
 }

@@ -122,7 +122,7 @@ func (s *System) noSticky() bool {
 // reclaimTick nudges epoch-based reclamation along even when worker threads
 // are not retiring.
 func (s *System) reclaimTick() {
-	s.ebr.Advance()
+	s.EBR.Advance()
 }
 
 // unversionPass implements §4.4. It first folds the threads' announced
@@ -206,7 +206,7 @@ func (s *System) maybeUnversionBucket(idx, now, threshold uint64) {
 	// independently; their CAS cuts fail harmlessly once the successor
 	// has been recycled.
 	if s.bgHandle == nil {
-		s.bgHandle = s.ebr.Register()
+		s.bgHandle = s.EBR.Register()
 	}
 	for n := head; n != nil; {
 		next := n.next.Load() // RetireNode may collect n this pass's epoch+2 later; read next first

@@ -20,9 +20,9 @@ func TestValidateLockCases(t *testing.T) {
 		state vlock.State
 		want  bool
 	}{
-		{"own lock", vlock.Pack(true, false, th.tid, 0), true},
-		{"own flag", vlock.Pack(false, true, th.tid, 0), true},
-		{"other's lock", vlock.Pack(true, false, th.tid+1, 0), false},
+		{"own lock", vlock.Pack(true, false, th.TID, 0), true},
+		{"own flag", vlock.Pack(false, true, th.TID, 0), true},
+		{"other's lock", vlock.Pack(true, false, th.TID+1, 0), false},
 		{"free below rClock", vlock.Pack(false, false, 0, 0), true},
 		{"free at rClock", vlock.Pack(false, false, 0, tx.rClock), false},
 		{"free above rClock", vlock.Pack(false, false, 0, tx.rClock+5), false},

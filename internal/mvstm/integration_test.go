@@ -36,35 +36,49 @@ func TestLongReadsUnderUpdatersEndToEnd(t *testing.T) {
 		}
 	})
 	init.Unregister()
-	// Invariant: updaters always add the same delta to a whole stripe in
-	// one transaction, keeping the total sum ≡ n (mod n): each update
-	// adds +1 to one word and -1-equivalent... simpler: writers rotate
-	// values but keep the SUM constant by moving a unit between two
-	// words, so every consistent snapshot sums to exactly n.
+	// Invariant: updaters move one unit between two words per transaction,
+	// so every consistent snapshot sums to exactly n.
+	//
+	// The race the test is about is forced, not hoped for: every scan
+	// attempt parks halfway through until each updater has committed a
+	// move inside the half not yet read — a write at or above the scan's
+	// read clock, which an unversioned attempt must abort on and a
+	// versioned one must read around.
+	const updaters = 2
 	var stop atomic.Bool
 	var wg sync.WaitGroup
-	for u := 0; u < 2; u++ {
+	var req, ack [updaters]chan struct{}
+	for u := 0; u < updaters; u++ {
+		req[u], ack[u] = make(chan struct{}), make(chan struct{})
 		wg.Add(1)
-		go func(seed int) {
+		go func(u int) {
 			defer wg.Done()
 			th := s.RegisterMV()
 			defer th.Unregister()
-			i := seed
-			for !stop.Load() {
-				a, b := i%n, (i*7+1)%n
-				if a != b {
-					th.Atomic(func(tx stm.Txn) {
-						av := tx.Read(&words[a])
-						if av == 0 {
-							return
-						}
-						tx.Write(&words[a], av-1)
-						tx.Write(&words[b], tx.Read(&words[b])+1)
-					})
-				}
-				i++
+			move := func(a, b int) (moved bool) {
+				th.Atomic(func(tx stm.Txn) {
+					moved = false
+					av := tx.Read(&words[a])
+					if a == b || av == 0 {
+						return
+					}
+					tx.Write(&words[a], av-1)
+					tx.Write(&words[b], tx.Read(&words[b])+1)
+					moved = true
+				})
+				return moved
 			}
-		}(u + 1)
+			for i := u + 1; !stop.Load(); i++ {
+				select {
+				case <-req[u]:
+					for j := i; !move(n/2+j%(n/2), n/2+(j*7+1)%(n/2)); j++ {
+					}
+					ack[u] <- struct{}{}
+				default:
+					move(i%n, (i*7+1)%n)
+				}
+			}
+		}(u)
 	}
 
 	scans, bad := 0, 0
@@ -74,13 +88,15 @@ func TestLongReadsUnderUpdatersEndToEnd(t *testing.T) {
 		ok := reader.ReadOnly(func(tx stm.Txn) {
 			sum = 0
 			for i := range words {
-				sum += tx.Read(&words[i])
-				if i%8 == 0 {
-					// On a single-core test host goroutines only
-					// interleave at yield points; without this the
-					// "long" read never races the updaters at all.
-					runtime.Gosched()
+				if i == n/2 {
+					for u := range req {
+						req[u] <- struct{}{}
+					}
+					for u := range ack {
+						<-ack[u]
+					}
 				}
+				sum += tx.Read(&words[i])
 			}
 		})
 		if !ok {

@@ -204,7 +204,7 @@ func TestUnversioningRacesVersionedReader(t *testing.T) {
 
 	// Reader pins and captures the list head, simulating an in-flight
 	// traversal.
-	th.ebr.Pin()
+	th.EBR.Pin()
 	head := vl.head.Load()
 
 	for i := 0; i < 5; i++ {
@@ -221,7 +221,7 @@ func TestUnversioningRacesVersionedReader(t *testing.T) {
 	if got, ok := vl.traverse(s.clock.Load()); !ok || got != 7 {
 		t.Fatalf("pinned traversal got (%d,%v) want (7,true)", got, ok)
 	}
-	th.ebr.Unpin()
+	th.EBR.Unpin()
 }
 
 // TestSnapshotIsolationWriteSkew demonstrates §3.5's weaker guarantee: two

@@ -24,7 +24,6 @@ import (
 	"repro/internal/bloom"
 	"repro/internal/ebr"
 	"repro/internal/gclock"
-	"repro/internal/obs"
 	"repro/internal/stm"
 	"repro/internal/vlock"
 )
@@ -131,13 +130,9 @@ type Config struct {
 	// DisableBG suppresses the background thread entirely (unit tests
 	// drive transitions manually).
 	DisableBG bool
-	// Obs, when non-nil, receives flight-recorder events (aborts with
-	// reasons, mode switches). Nil means no event recording; per-reason
-	// abort counters in stm.Counters are maintained regardless.
-	Obs *obs.Recorder
-	// ObsID tags this instance's events (the shard index when the TM sits
-	// behind internal/shard).
-	ObsID int
+	// ObsConfig wires the flight recorder (aborts with reasons, mode
+	// switches) and tags the instance's events and spans.
+	stm.ObsConfig
 }
 
 func (c *Config) fill() {
@@ -169,6 +164,7 @@ func (c *Config) fill() {
 
 // System is a Multiverse instance.
 type System struct {
+	stm.SysBase
 	cfg    Config
 	clock  *gclock.Clock
 	locks  *vlock.Table
@@ -183,9 +179,6 @@ type System struct {
 	minModeUReads   atomic.Uint64 // min read count of versioned txns committed in Mode U
 
 	slots slotList
-	ebr   *ebr.Domain
-	reg   stm.Registry
-	tids  atomic.Uint64
 
 	// Node pools (§4.5): versioned writes and versionAddr draw version
 	// and VLT nodes from per-thread caches over these sharded free
@@ -225,7 +218,8 @@ func NewPinned(cfg Config, mode Mode) *System {
 
 func newSystem(cfg Config) *System {
 	cfg.fill()
-	s := &System{cfg: cfg, ebr: ebr.NewDomain()}
+	s := &System{cfg: cfg}
+	s.Init(cfg.ObsConfig)
 	s.vnPool.newNode = func() *versionNode { return &versionNode{pool: &s.vnPool} }
 	s.vltPool.newNode = func() *vltNode { return &vltNode{pool: &s.vltPool} }
 	if cfg.Clock != nil {
@@ -244,7 +238,7 @@ func newSystem(cfg Config) *System {
 	s.dirty = make([]atomic.Uint64, (n+63)/64)
 	s.minModeUReads.Store(^uint64(0))
 	s.deltas.init(cfg.L, cfg.P)
-	s.reg.Add(&s.bgCtr)
+	s.Reg.Add(&s.bgCtr)
 	if cfg.PinnedMode == PinU {
 		s.modeCounter.Store(uint64(ModeU))
 		s.firstObsModeUTs.Store(s.clock.Load())
@@ -259,9 +253,6 @@ func newSystem(cfg Config) *System {
 // Name implements stm.System.
 func (s *System) Name() string { return "multiverse" }
 
-// Stats implements stm.System.
-func (s *System) Stats() stm.Stats { return s.reg.Aggregate() }
-
 // Mode returns the current global TM mode.
 func (s *System) Mode() Mode { return modeOf(s.modeCounter.Load()) }
 
@@ -269,7 +260,7 @@ func (s *System) Mode() Mode { return modeOf(s.modeCounter.Load()) }
 func (s *System) Close() {
 	s.stop.Store(true)
 	s.bgWG.Wait()
-	s.ebr.Drain()
+	s.SysBase.Close()
 }
 
 // Register implements stm.System.
@@ -280,12 +271,11 @@ func (s *System) Register() stm.Thread { return s.register() }
 func (s *System) RegisterMV() *Thread { return s.register() }
 
 func (s *System) register() *Thread {
-	tid := int(s.tids.Add(1)-1)%(1<<14-1) + 1
-	t := &Thread{sys: s, tid: tid, ebr: s.ebr.Register(), slot: s.slots.add()}
-	t.vnCache.init(&s.vnPool, tid)
-	t.vltCache.init(&s.vltPool, tid)
+	t := &Thread{sys: s, slot: s.slots.add()}
 	t.txn.t = t
-	s.reg.Add(&t.ctr)
+	s.Attach(&t.ThreadBase, &t.txn)
+	t.vnCache.init(&s.vnPool, t.TID)
+	t.vltCache.init(&s.vltPool, t.TID)
 	return t
 }
 

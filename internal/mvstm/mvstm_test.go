@@ -379,7 +379,7 @@ func TestVersioningPersistsAcrossReaderAbort(t *testing.T) {
 	if oc != stm.Conflicted {
 		t.Fatal("read should abort when lock version >= rClock")
 	}
-	tx.abortCleanup()
+	tx.Rollback()
 	// §4.1: the address stays versioned even though the reader aborted.
 	idx := s.locks.IndexOf(&w)
 	if s.getVList(idx, &w) == nil {
@@ -486,7 +486,7 @@ func TestMinModeUReadsRecorded(t *testing.T) {
 		for i := range words {
 			tx.Read(&words[i])
 		}
-		tx.commit()
+		tx.Commit()
 	})
 	if oc != stm.Committed {
 		t.Fatal("versioned mode U txn aborted")

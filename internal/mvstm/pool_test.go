@@ -81,7 +81,7 @@ func TestVersionedReadZeroAllocs(t *testing.T) {
 				for j := range words {
 					tx.Read(&words[j])
 				}
-				tx.commit()
+				tx.Commit()
 			})
 			th.slot.localModeCounter.Store(idleCounter)
 			if oc != stm.Committed {
@@ -110,7 +110,7 @@ func TestPoolRecycleWaitsForGracePeriod(t *testing.T) {
 	writer.Atomic(func(tx stm.Txn) { tx.Write(&w, 1) }) // version w
 
 	// Reader enters a critical section and captures the current head.
-	reader.ebr.Pin()
+	reader.EBR.Pin()
 	vl := s.getVList(s.locks.IndexOf(&w), &w)
 	if vl == nil {
 		t.Fatal("setup: address not versioned")
@@ -132,7 +132,7 @@ func TestPoolRecycleWaitsForGracePeriod(t *testing.T) {
 
 	// Unpin: the backlog may now be reclaimed. Further writes advance the
 	// epochs and collect.
-	reader.ebr.Unpin()
+	reader.EBR.Unpin()
 	for i := 0; i < 1000; i++ {
 		writer.Atomic(func(tx stm.Txn) { tx.Write(&w, uint64(i)) })
 	}
@@ -162,9 +162,9 @@ func TestRetiredHeadNeedsTwoGracePeriods(t *testing.T) {
 	}
 
 	// One grace period: the cut runs, the node is NOT yet recycled.
-	s.ebr.Advance()
-	s.ebr.Advance()
-	th.ebr.Collect()
+	s.EBR.Advance()
+	s.EBR.Advance()
+	th.EBR.Collect()
 	if got := newHead.older.Load(); got != nil {
 		t.Fatal("successor's older link not cut after one grace period")
 	}
@@ -173,9 +173,9 @@ func TestRetiredHeadNeedsTwoGracePeriods(t *testing.T) {
 	}
 
 	// Second grace period: now it returns to the pool.
-	s.ebr.Advance()
-	s.ebr.Advance()
-	th.ebr.Collect()
+	s.EBR.Advance()
+	s.EBR.Advance()
+	th.EBR.Collect()
 	if n := s.vnPool.count(); n == 0 {
 		t.Fatal("node not recycled after its second grace period")
 	}
@@ -207,7 +207,7 @@ func TestUnversioningRecyclesChains(t *testing.T) {
 		}
 	}
 	for i := 0; i < 4; i++ {
-		s.ebr.Advance()
+		s.EBR.Advance()
 	}
 	s.bgStep() // reclaimTick + bgHandle has nothing new; Collect via next retire
 	if s.bgHandle != nil {

@@ -1,9 +1,6 @@
 package mvstm
 
-import (
-	"repro/internal/obs"
-	"repro/internal/stm"
-)
+import "repro/internal/stm"
 
 // snapshotAttempts bounds the retries of one SnapshotAt call. Attempt 1
 // runs on the cheap unversioned read path (an in-place load is the value as
@@ -36,44 +33,5 @@ const snapshotAttempts = 4
 // newer ts and retry; the versioning side effects of the failed attempts
 // make the retry converge even under sustained update load.
 func (t *Thread) SnapshotAt(ts uint64, fn func(stm.Txn)) bool {
-	tx := &t.txn
-	tx.initialVTs = ts
-	for attempt := 1; ; attempt++ {
-		tx.begin(true, attempt > 1, false)
-		tx.rClock = ts // pin: begin loaded the current clock, override it
-		t.ebr.Pin()
-		oc := stm.RunAttempt(func() {
-			fn(tx)
-			tx.commit()
-		})
-		t.ebr.Unpin()
-		switch oc {
-		case stm.Committed:
-			tx.TraceAttempt(uint64(t.sys.cfg.ObsID), attempt, 0)
-			t.slot.localModeCounter.Store(idleCounter)
-			tx.RunCommit(t.ebr.Retire)
-			t.ctr.Commits.Add(1)
-			t.ctr.ReadOnlyCommits.Add(1)
-			if tx.versioned {
-				t.ctr.VersionedCommits.Add(1)
-			}
-			return true
-		case stm.Cancelled:
-			tx.TraceAttempt(uint64(t.sys.cfg.ObsID), attempt, uint64(tx.reason)+1)
-			tx.abortCleanup()
-			t.slot.localModeCounter.Store(idleCounter)
-			return false
-		}
-		tx.TraceAttempt(uint64(t.sys.cfg.ObsID), attempt, uint64(tx.reason)+1)
-		tx.abortCleanup()
-		t.slot.localModeCounter.Store(idleCounter)
-		t.ctr.Aborts.Add(1)
-		t.ctr.AbortReasons[tx.reason].Add(1)
-		t.sys.cfg.Obs.Record(obs.EvAbort, uint64(t.sys.cfg.ObsID), uint64(tx.reason), uint64(attempt))
-		if attempt >= snapshotAttempts {
-			t.ctr.Starved.Add(1)
-			return false
-		}
-		stm.Backoff(attempt)
-	}
+	return t.run(fn, true, false, ts)
 }

@@ -3,7 +3,6 @@ package mvstm
 import (
 	"runtime"
 
-	"repro/internal/ebr"
 	"repro/internal/obs"
 	"repro/internal/stm"
 	"repro/internal/vlock"
@@ -11,11 +10,9 @@ import (
 
 // Thread is a Multiverse worker handle (paper Listing 1's thread locals).
 type Thread struct {
+	stm.ThreadBase
 	sys  *System
-	tid  int
-	ebr  *ebr.Handle
 	slot *slot
-	ctr  stm.Counters
 
 	// Sticky Mode U machinery (paper §4.3).
 	sticky         bool
@@ -48,7 +45,11 @@ type txn struct {
 	si               bool // snapshot-isolation path (§3.5)
 	readCnt          uint64
 	initialVTs       uint64 // initial versioned timestamp (first versioned attempt)
-	reason           obs.AbortReason
+
+	// Whole-transaction state, set by run and steered by After.
+	pinTs             uint64 // SnapshotAt's timestamp; 0 reads at the live clock
+	goVersioned       bool   // the next attempt runs on the versioned path
+	versionedAttempts int
 
 	reads   []*vlock.Lock
 	undo    []undoEntry
@@ -62,91 +63,87 @@ type txn struct {
 }
 
 // Atomic implements stm.Thread: an unversioned update transaction.
-func (t *Thread) Atomic(fn func(stm.Txn)) bool { return t.run(fn, false, false) }
+func (t *Thread) Atomic(fn func(stm.Txn)) bool { return t.run(fn, false, false, 0) }
 
 // ReadOnly implements stm.Thread. Read-only transactions begin unversioned
 // and may switch to the versioned path after repeated aborts.
-func (t *Thread) ReadOnly(fn func(stm.Txn)) bool { return t.run(fn, true, false) }
+func (t *Thread) ReadOnly(fn func(stm.Txn)) bool { return t.run(fn, true, false, 0) }
 
 // AtomicSI runs fn under snapshot isolation (paper §3.5): reads follow the
 // versioned path (a consistent snapshot, possibly in the past) while writes
 // follow the unversioned path (atomic DCTL-style update in the present).
 // Only for applications that tolerate SI's weaker guarantee.
-func (t *Thread) AtomicSI(fn func(stm.Txn)) bool { return t.run(fn, false, true) }
+func (t *Thread) AtomicSI(fn func(stm.Txn)) bool { return t.run(fn, false, true, 0) }
 
 // Unregister implements stm.Thread.
 func (t *Thread) Unregister() {
 	t.slot.dead.Store(true)
 	t.slot.sticky.Store(false)
-	t.ebr.Unregister()
+	t.ThreadBase.Unregister()
 	t.vnCache.drain()
 	t.vltCache.drain()
 }
 
-// SetTrace implements stm.TraceSetter: it plants a tracing context on the
-// thread's transaction so the retry loop emits per-attempt spans.
-func (t *Thread) SetTrace(tr *obs.Tracer, id uint64) { t.txn.SetTrace(tr, id) }
-
-func (t *Thread) run(fn func(stm.Txn), readOnly, si bool) bool {
+// run starts a transaction and hands it to the driver. pinTs != 0 is
+// SnapshotAt: the read clock is pinned and the attempts bounded.
+func (t *Thread) run(fn func(stm.Txn), readOnly, si bool, pinTs uint64) bool {
 	tx := &t.txn
-	sys := t.sys
-	versioned := si
-	versionedAttempts := 0
-	tx.initialVTs = 0
-	for attempt := 1; ; attempt++ {
-		tx.begin(readOnly, versioned, si)
+	tx.readOnly, tx.si, tx.pinTs = readOnly, si, pinTs
+	tx.goVersioned = si
+	tx.versionedAttempts = 0
+	tx.initialVTs = pinTs
+	pol := stm.Policy{Backoff: true}
+	if pinTs != 0 {
+		pol.MaxAttempts = snapshotAttempts
+	}
+	return stm.Drive(&t.ThreadBase, fn, readOnly, pol)
+}
+
+// Begin implements stm.Protocol: the attempt runs on the path the previous
+// attempt's After chose.
+func (tx *txn) Begin(int) {
+	tx.begin(tx.readOnly, tx.goVersioned, tx.si)
+	if tx.versioned {
+		tx.versionedAttempts++
+	}
+	if tx.pinTs != 0 {
+		tx.rClock = tx.pinTs // pin: begin loaded the current clock, override it
+	}
+}
+
+// After implements stm.Protocol. Every finished attempt withdraws its
+// announcement; a commit retires the versions it superseded; an abort runs
+// the heuristics (paper Listing 1 abort, §4.3) that decide whether to switch
+// this transaction to the versioned path and whether to nudge the TM towards
+// Mode U.
+func (tx *txn) After(attempt int, oc stm.Outcome) {
+	t := tx.t
+	t.slot.localModeCounter.Store(idleCounter)
+	switch oc {
+	case stm.Committed:
+		// Closure-free eventual frees: the versions this commit
+		// superseded retire now, on the intrusive path.
+		for i, vn := range tx.retires {
+			t.EBR.RetireNode(vn)
+			tx.retires[i] = nil
+		}
+		tx.retires = tx.retires[:0]
 		if tx.versioned {
-			versionedAttempts++
+			t.Ctr.VersionedCommits.Add(1)
 		}
-		t.ebr.Pin()
-		oc := stm.RunAttempt(func() {
-			fn(tx)
-			tx.commit()
-		})
-		t.ebr.Unpin()
-		switch oc {
-		case stm.Committed:
-			tx.TraceAttempt(uint64(sys.cfg.ObsID), attempt, 0)
-			t.slot.localModeCounter.Store(idleCounter)
-			tx.RunCommit(t.ebr.Retire)
-			// Closure-free eventual frees: the versions this commit
-			// superseded retire now, on the intrusive path.
-			for i, vn := range tx.retires {
-				t.ebr.RetireNode(vn)
-				tx.retires[i] = nil
-			}
-			tx.retires = tx.retires[:0]
-			t.ctr.Commits.Add(1)
-			if readOnly {
-				t.ctr.ReadOnlyCommits.Add(1)
-			}
-			if tx.versioned {
-				t.ctr.VersionedCommits.Add(1)
-			}
-			return true
-		case stm.Cancelled:
-			tx.TraceAttempt(uint64(sys.cfg.ObsID), attempt, uint64(tx.reason)+1)
-			tx.abortCleanup()
-			t.slot.localModeCounter.Store(idleCounter)
-			return false
-		}
-		tx.TraceAttempt(uint64(sys.cfg.ObsID), attempt, uint64(tx.reason)+1)
-		tx.abortCleanup()
-		t.slot.localModeCounter.Store(idleCounter)
-		t.ctr.Aborts.Add(1)
-		t.ctr.AbortReasons[tx.reason].Add(1)
-		sys.cfg.Obs.Record(obs.EvAbort, uint64(sys.cfg.ObsID), uint64(tx.reason), uint64(attempt))
-		// Heuristics (paper Listing 1 abort, §4.3): decide whether to
-		// switch this transaction to the versioned path and whether to
-		// nudge the TM towards Mode U.
-		if readOnly && !si {
-			if !versioned && (attempt >= sys.cfg.K1 ||
+	case stm.Conflicted:
+		switch {
+		case tx.pinTs != 0:
+			// A pinned snapshot retries versioned (see snapshotAttempts).
+			tx.goVersioned = true
+		case tx.readOnly && !tx.si:
+			sys := t.sys
+			if !tx.goVersioned && (attempt >= sys.cfg.K1 ||
 				(attempt >= sys.cfg.K2 && tx.readCnt >= sys.minModeUReads.Load())) {
-				versioned = true
+				tx.goVersioned = true
 			}
-			t.maybeModeCAS(tx, attempt, versionedAttempts)
+			t.maybeModeCAS(tx, attempt, tx.versionedAttempts)
 		}
-		stm.Backoff(attempt)
 	}
 }
 
@@ -175,7 +172,7 @@ func (t *Thread) maybeModeCAS(tx *txn, attempts, versionedAttempts int) {
 	t.slot.sticky.Store(true)
 	t.samplePending = true
 	if sys.modeCounter.CompareAndSwap(c, c+1) {
-		t.ctr.ModeSwitches.Add(1)
+		t.Ctr.ModeSwitches.Add(1)
 		sys.cfg.Obs.Record(obs.EvModeSwitch, uint64(sys.cfg.ObsID), c+1, 0)
 	}
 }
@@ -183,13 +180,10 @@ func (t *Thread) maybeModeCAS(tx *txn, attempts, versionedAttempts int) {
 func (tx *txn) begin(readOnly, versioned, si bool) {
 	t := tx.t
 	sys := t.sys
-	tx.Reset()
-	tx.TraceBegin()
 	tx.readOnly = readOnly
 	tx.versioned = versioned
 	tx.si = si
 	tx.readCnt = 0
-	tx.reason = obs.ReasonUnknown
 	tx.reads = tx.reads[:0]
 	tx.undo = tx.undo[:0]
 	tx.locked = tx.locked[:0]
@@ -223,25 +217,9 @@ func (tx *txn) begin(readOnly, versioned, si bool) {
 	}
 }
 
-// abortWith tags the attempt's abort reason (for stm.Counters.AbortReasons
-// and the flight recorder) and unwinds. It does not return.
-func (tx *txn) abortWith(r obs.AbortReason) {
-	tx.reason = r
-	stm.AbortAttempt()
-}
-
-// lockAbortReason classifies a failed validateLock: a lock held by another
-// transaction is contention; an advanced version is a stale read snapshot.
-func lockAbortReason(s vlock.State) obs.AbortReason {
-	if s.Held() {
-		return obs.ReasonLockBusy
-	}
-	return obs.ReasonValidation
-}
-
 // validateLock is paper Listing 2's validateLock.
 func (tx *txn) validateLock(s vlock.State) bool {
-	if s.Held() && s.TID() == tx.t.tid {
+	if s.Held() && s.TID() == tx.t.TID {
 		return true
 	}
 	if s.Held() {
@@ -270,7 +248,7 @@ func (tx *txn) Read(w *stm.Word) uint64 {
 		s = l.Load()
 	}
 	if !tx.validateLock(s) {
-		tx.abortWith(lockAbortReason(s))
+		tx.AbortWith(s.AbortReason())
 	}
 	if !tx.readOnly {
 		tx.reads = append(tx.reads, l)
@@ -294,7 +272,7 @@ func (tx *txn) modeQRead(w *stm.Word) uint64 {
 		if vl := sys.getVList(idx, w); vl != nil {
 			data, ok := vl.traverse(tx.rClock)
 			if !ok {
-				tx.abortWith(obs.ReasonVersionGone)
+				tx.AbortWith(obs.ReasonVersionGone)
 			}
 			return data
 		}
@@ -317,7 +295,7 @@ func (tx *txn) versionThenRead(idx, hash uint64, w *stm.Word) uint64 {
 			runtime.Gosched()
 			continue
 		}
-		if got, ok := l.TryFlag(tx.t.tid); ok {
+		if got, ok := l.TryFlag(tx.t.TID); ok {
 			pre = got
 			break
 		}
@@ -328,7 +306,7 @@ func (tx *txn) versionThenRead(idx, hash uint64, w *stm.Word) uint64 {
 		l.Release(pre.Version())
 		data, ok := vl.traverse(tx.rClock)
 		if !ok {
-			tx.abortWith(obs.ReasonVersionGone)
+			tx.AbortWith(obs.ReasonVersionGone)
 		}
 		return data
 	}
@@ -338,12 +316,12 @@ func (tx *txn) versionThenRead(idx, hash uint64, w *stm.Word) uint64 {
 		ts = pre.Version()
 	}
 	tx.t.versionAddr(idx, hash, w, data, ts)
-	tx.t.ctr.AddrVersioned.Add(1)
+	tx.t.Ctr.AddrVersioned.Add(1)
 	l.Release(pre.Version())
 	if !(pre.Version() < tx.rClock) {
 		// Validation failed; the address stays versioned but this
 		// transaction must abort (§4.1).
-		tx.abortWith(obs.ReasonValidation)
+		tx.AbortWith(obs.ReasonValidation)
 	}
 	return data
 }
@@ -364,7 +342,7 @@ func (tx *txn) modeURead(w *stm.Word) uint64 {
 			if vl := sys.getVList(idx, w); vl != nil {
 				data, ok := vl.traverse(tx.rClock)
 				if !ok {
-					tx.abortWith(obs.ReasonVersionGone)
+					tx.AbortWith(obs.ReasonVersionGone)
 				}
 				return data
 			}
@@ -391,7 +369,7 @@ func (tx *txn) modeURead(w *stm.Word) uint64 {
 			case !s.Held() && validVer:
 				return lastVal
 			}
-			tx.abortWith(obs.ReasonValidation)
+			tx.AbortWith(obs.ReasonValidation)
 		}
 		if s.Held() {
 			// Locked: snapshot and re-examine once.
@@ -404,7 +382,7 @@ func (tx *txn) modeURead(w *stm.Word) uint64 {
 		if validVer {
 			return val
 		}
-		tx.abortWith(obs.ReasonValidation)
+		tx.AbortWith(obs.ReasonValidation)
 	}
 }
 
@@ -429,21 +407,21 @@ func (tx *txn) Write(w *stm.Word, v uint64) {
 			continue
 		}
 		if s.Locked() {
-			if s.TID() == t.tid {
+			if s.TID() == t.TID {
 				preVersion = s.Version()
 				break
 			}
-			tx.abortWith(obs.ReasonLockBusy)
+			tx.AbortWith(obs.ReasonLockBusy)
 		}
 		if s.Version() >= tx.rClock {
-			tx.abortWith(obs.ReasonValidation)
+			tx.AbortWith(obs.ReasonValidation)
 		}
-		if l.CompareAndSwap(s, vlock.Pack(true, false, t.tid, s.Version())) {
+		if l.CompareAndSwap(s, vlock.Pack(true, false, t.TID, s.Version())) {
 			preVersion = s.Version()
 			tx.locked = append(tx.locked, l)
 			break
 		}
-		tx.abortWith(obs.ReasonLockBusy)
+		tx.AbortWith(obs.ReasonLockBusy)
 	}
 	old := w.Load()
 	tx.undo = append(tx.undo, undoEntry{w, old})
@@ -471,7 +449,7 @@ func (tx *txn) Write(w *stm.Word, v uint64) {
 		// The initial version carries the last consistent value —
 		// the value before this transaction's write (§3.1.1).
 		vl = t.versionAddr(idx, hash, w, old, ts)
-		t.ctr.AddrVersioned.Add(1)
+		t.Ctr.AddrVersioned.Add(1)
 	}
 	tx.versionedWrite(vl, v)
 	w.Store(v)
@@ -509,8 +487,8 @@ func (tx *txn) versionedWrite(vl *versionList, v uint64) {
 	}
 }
 
-// commit is paper Listing 1's tryCommit.
-func (tx *txn) commit() {
+// Commit implements stm.Protocol (paper Listing 1's tryCommit).
+func (tx *txn) Commit() {
 	t := tx.t
 	sys := t.sys
 	if tx.readOnly {
@@ -527,7 +505,7 @@ func (tx *txn) commit() {
 	// empty read set: their reads came from version lists).
 	for _, l := range tx.reads {
 		if s := l.Load(); !tx.validateLock(s) {
-			tx.abortWith(lockAbortReason(s))
+			tx.AbortWith(s.AbortReason())
 		}
 	}
 	commitClock := sys.clock.Load()
@@ -598,11 +576,11 @@ func (t *Thread) noteCommitSize(tx *txn) {
 	}
 }
 
-// abortCleanup is paper Listing 1's abort: roll back versioned writes
-// (deleted timestamps unblock waiting traversals; the nodes are unlinked and
-// retired), roll back in-place writes, revoke eventual frees, and release
-// write locks at a freshly incremented clock.
-func (tx *txn) abortCleanup() {
+// Rollback implements stm.Protocol (paper Listing 1's abort): roll back
+// versioned writes (deleted timestamps unblock waiting traversals; the nodes
+// are unlinked and retired), roll back in-place writes, revoke the buffered
+// version retires, and release write locks at a freshly incremented clock.
+func (tx *txn) Rollback() {
 	t := tx.t
 	// Versioned-write rollback, under the still-held locks. The unlinked
 	// node is unreachable for new readers, so a single grace period (for
@@ -614,7 +592,7 @@ func (tx *txn) abortCleanup() {
 		vl.head.Store(vn.older.Load())
 		vn.cut = nil
 		vn.state = vnRetireFree
-		t.ebr.RetireNode(vn)
+		t.EBR.RetireNode(vn)
 	}
 	tx.vwrites = tx.vwrites[:0]
 	tx.vlists = tx.vlists[:0]
@@ -638,5 +616,4 @@ func (tx *txn) abortCleanup() {
 	}
 	tx.locked = tx.locked[:0]
 	tx.reads = tx.reads[:0]
-	tx.RunAbort() // rollback hooks; revokes the attempt's eventual frees
 }

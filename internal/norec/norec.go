@@ -8,7 +8,7 @@ import (
 	"runtime"
 	"sync/atomic"
 
-	"repro/internal/ebr"
+	"repro/internal/obs"
 	"repro/internal/stm"
 )
 
@@ -16,42 +16,37 @@ import (
 type Config struct {
 	// MaxAttempts bounds retries per transaction; 0 means unlimited.
 	MaxAttempts int
+	stm.ObsConfig
 }
 
 // System is a NOrec STM instance.
 type System struct {
+	stm.SysBase
 	cfg Config
 	seq atomic.Uint64 // global sequence lock; odd = writer committing
-	ebr *ebr.Domain
-	reg stm.Registry
 }
 
 // New creates a NOrec instance.
 func New(cfg Config) *System {
-	return &System{cfg: cfg, ebr: ebr.NewDomain()}
+	s := &System{cfg: cfg}
+	s.Init(cfg.ObsConfig)
+	return s
 }
 
 // Name implements stm.System.
 func (s *System) Name() string { return "norec" }
 
-// Stats implements stm.System.
-func (s *System) Stats() stm.Stats { return s.reg.Aggregate() }
-
-// Close implements stm.System.
-func (s *System) Close() { s.ebr.Drain() }
-
 // Register implements stm.System.
 func (s *System) Register() stm.Thread {
-	t := &thread{sys: s, ebr: s.ebr.Register()}
+	t := &thread{sys: s}
 	t.txn.t = t
-	s.reg.Add(&t.ctr)
+	s.Attach(&t.ThreadBase, &t.txn)
 	return t
 }
 
 type thread struct {
+	stm.ThreadBase
 	sys *System
-	ebr *ebr.Handle
-	ctr stm.Counters
 	txn txn
 }
 
@@ -80,43 +75,13 @@ func (t *thread) Atomic(fn func(stm.Txn)) bool { return t.run(fn, false) }
 // ReadOnly implements stm.Thread.
 func (t *thread) ReadOnly(fn func(stm.Txn)) bool { return t.run(fn, true) }
 
-// Unregister implements stm.Thread.
-func (t *thread) Unregister() { t.ebr.Unregister() }
-
 func (t *thread) run(fn func(stm.Txn), readOnly bool) bool {
-	tx := &t.txn
-	for attempt := 1; ; attempt++ {
-		tx.begin(readOnly)
-		t.ebr.Pin()
-		oc := stm.RunAttempt(func() {
-			fn(tx)
-			tx.commit()
-		})
-		t.ebr.Unpin()
-		switch oc {
-		case stm.Committed:
-			tx.RunCommit(t.ebr.Retire)
-			t.ctr.Commits.Add(1)
-			if readOnly {
-				t.ctr.ReadOnlyCommits.Add(1)
-			}
-			return true
-		case stm.Cancelled:
-			tx.RunAbort()
-			return false
-		}
-		tx.RunAbort()
-		t.ctr.Aborts.Add(1)
-		if m := t.sys.cfg.MaxAttempts; m > 0 && attempt >= m {
-			t.ctr.Starved.Add(1)
-			return false
-		}
-	}
+	t.txn.readOnly = readOnly
+	return stm.Drive(&t.ThreadBase, fn, readOnly, stm.Policy{MaxAttempts: t.sys.cfg.MaxAttempts})
 }
 
-func (tx *txn) begin(readOnly bool) {
-	tx.Reset()
-	tx.readOnly = readOnly
+// Begin implements stm.Protocol.
+func (tx *txn) Begin(int) {
 	tx.reads = tx.reads[:0]
 	tx.writes = tx.writes[:0]
 	// Wait for any in-flight writer, then record the even snapshot.
@@ -130,6 +95,10 @@ func (tx *txn) begin(readOnly bool) {
 	}
 }
 
+// Rollback implements stm.Protocol. Writes are buffered and NOrec holds no
+// locks outside Commit's write-back, so a failed attempt has nothing to undo.
+func (tx *txn) Rollback() {}
+
 // validate re-reads the whole read set by value. On success it returns a new
 // consistent (even) snapshot; on any changed value it aborts.
 func (tx *txn) validate() uint64 {
@@ -141,7 +110,7 @@ func (tx *txn) validate() uint64 {
 		}
 		for _, e := range tx.reads {
 			if e.w.Load() != e.v {
-				stm.AbortAttempt()
+				tx.AbortWith(obs.ReasonValidation)
 			}
 		}
 		if tx.t.sys.seq.Load() == s {
@@ -176,7 +145,8 @@ func (tx *txn) Write(w *stm.Word, v uint64) {
 	tx.writes = append(tx.writes, writeEntry{w, v})
 }
 
-func (tx *txn) commit() {
+// Commit implements stm.Protocol.
+func (tx *txn) Commit() {
 	if tx.readOnly || len(tx.writes) == 0 {
 		return
 	}

@@ -22,7 +22,8 @@ func TestValueBasedValidationToleratesSilentStores(t *testing.T) {
 	reader := sys.Register().(*thread)
 	defer reader.Unregister()
 	tx := &reader.txn
-	tx.begin(true)
+	tx.readOnly = true
+	tx.Begin(1)
 	oc := stm.RunAttempt(func() {
 		if tx.Read(&a) != 7 {
 			t.Error("bad read")
@@ -33,7 +34,7 @@ func TestValueBasedValidationToleratesSilentStores(t *testing.T) {
 		if tx.Read(&b) != 7 { // triggers revalidation against new seq
 			t.Error("bad read of b")
 		}
-		tx.commit()
+		tx.Commit()
 	})
 	if oc != stm.Committed {
 		t.Fatal("silent store aborted a value-validating reader")
@@ -50,12 +51,13 @@ func TestWriterChangesAbortReader(t *testing.T) {
 	reader := sys.Register().(*thread)
 	defer reader.Unregister()
 	tx := &reader.txn
-	tx.begin(true)
+	tx.readOnly = true
+	tx.Begin(1)
 	oc := stm.RunAttempt(func() {
 		_ = tx.Read(&a)
 		th.Atomic(func(inner stm.Txn) { inner.Write(&a, 99) })
 		_ = tx.Read(&b) // must detect the changed value and abort
-		tx.commit()
+		tx.Commit()
 	})
 	if oc != stm.Conflicted {
 		t.Fatal("reader survived a conflicting value change")

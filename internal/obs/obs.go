@@ -35,15 +35,15 @@
 // automatically on an stmtorture violation.
 package obs
 
-// AbortReason classifies why a transaction attempt aborted. The TM backends
-// (mvstm, tl2, dctl) tag each abort with a reason; per-reason counts
-// aggregate through stm.Counters and abort events carry the reason into the
-// flight recorder.
+// AbortReason classifies why a transaction attempt aborted. Every TM backend
+// tags each abort with a reason; per-reason counts aggregate through
+// stm.Counters and abort events carry the reason into the flight recorder.
 type AbortReason uint8
 
 const (
-	// ReasonUnknown: the backend did not classify the abort (baseline TMs,
-	// or an abort raised outside the instrumented sites).
+	// ReasonUnknown: the abort was raised outside a backend's classified
+	// sites (a body calling stm.AbortAttempt itself, as internal/shard's
+	// snapshot path does).
 	ReasonUnknown AbortReason = iota
 	// ReasonLockBusy: an encounter-time or commit-time lock acquisition
 	// found the lock held by another transaction (or lost the CAS race).

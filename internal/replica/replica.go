@@ -43,19 +43,12 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/dctl"
 	"repro/internal/ds"
-	"repro/internal/ds/abtree"
-	"repro/internal/ds/avl"
-	"repro/internal/ds/extbst"
-	"repro/internal/ds/hashmap"
 	"repro/internal/fault"
-	"repro/internal/gclock"
-	"repro/internal/mvstm"
 	"repro/internal/obs"
+	"repro/internal/registry"
 	"repro/internal/shard"
 	"repro/internal/stm"
-	"repro/internal/tl2"
 	"repro/internal/wal"
 )
 
@@ -90,8 +83,8 @@ type Options struct {
 	// Dir is the log directory to tail: the leader's own WAL directory, or
 	// the local copy a Receiver maintains.
 	Dir string
-	// Backend is the follower's TM ("multiverse", "multiverse-eager",
-	// "tl2", "dctl"; default "multiverse").
+	// Backend is the follower's TM, by internal/registry name: any
+	// registry.Durable TM (default "multiverse").
 	Backend string
 	// Shards is the follower's shard count. 0 derives it from the tailed
 	// directory's shard-* layout, so leader-confined transactions stay
@@ -227,9 +220,25 @@ func Open(opts Options) (*Replica, error) {
 	if err := opts.fill(fsys); err != nil {
 		return nil, err
 	}
-	backend, err := backendFor(opts.Backend, opts.LockTable)
+	// The same constructions the WAL uses, minus the commit observer: the
+	// follower's own commits are replays; logging them again would be a
+	// second, diverging history.
+	if !registry.Durable(opts.Backend) {
+		return nil, fmt.Errorf("replica: backend %q cannot follow (needs snapshot reads)", opts.Backend)
+	}
+	backend, err := registry.ShardBackend(opts.Backend, registry.Params{LockTable: opts.LockTable}, nil)
 	if err != nil {
 		return nil, err
+	}
+	per := opts.Capacity / opts.Shards
+	if per < 1024 {
+		per = 1024
+	}
+	maps := make([]ds.Map, opts.Shards)
+	for i := range maps {
+		if maps[i], err = registry.NewDS(opts.DS, per); err != nil {
+			return nil, err
+		}
 	}
 	r := &Replica{
 		opts:   opts,
@@ -242,23 +251,7 @@ func Open(opts Options) (*Replica, error) {
 	}
 	r.lastProgress.Store(time.Now().UnixNano())
 	r.sys = shard.New(shard.Config{Shards: opts.Shards, Backend: backend})
-	per := opts.Capacity / opts.Shards
-	if per < 1024 {
-		per = 1024
-	}
-	var dsErr error
-	r.m = shard.NewMap(r.sys, func(i int) ds.Map {
-		d, err := newDS(opts.DS, per)
-		if err != nil {
-			dsErr = err
-			d, _ = newDS("hashmap", per)
-		}
-		return d
-	})
-	if dsErr != nil {
-		r.sys.Close()
-		return nil, dsErr
-	}
+	r.m = shard.NewMap(r.sys, func(i int) ds.Map { return maps[i] })
 	if opts.Obs != nil {
 		r.registerObs(opts.Obs)
 	}
@@ -584,46 +577,4 @@ func (r *Replica) applyOps(th *shard.Thread, ops []stm.RedoRec) {
 		case <-time.After(100 * time.Microsecond):
 		}
 	}
-}
-
-// newDS mirrors wal's structure factory (replica must not drag bench in).
-func newDS(name string, capacity int) (ds.Map, error) {
-	switch name {
-	case "hashmap":
-		return hashmap.New(10*capacity, capacity), nil
-	case "abtree":
-		return abtree.New(capacity), nil
-	case "avl":
-		return avl.New(capacity), nil
-	case "extbst":
-		return extbst.New(capacity), nil
-	}
-	return nil, fmt.Errorf("replica: unknown data structure %q", name)
-}
-
-// backendFor builds the follower's TM backend — the same constructions the
-// WAL uses, minus the commit observer (the follower's own commits are
-// replays; logging them again would be a second, diverging history).
-func backendFor(name string, lockTable int) (shard.Backend, error) {
-	switch name {
-	case "multiverse", "multiverse-eager":
-		cfg := mvstm.Config{LockTableSize: lockTable}
-		if name == "multiverse-eager" {
-			cfg.K1, cfg.K2, cfg.K3, cfg.S = 1, 2, 2, 2
-		}
-		return func(i int, clock *gclock.Clock) stm.System {
-			c := cfg
-			c.Clock = clock
-			return mvstm.New(c)
-		}, nil
-	case "tl2":
-		return func(i int, clock *gclock.Clock) stm.System {
-			return tl2.New(tl2.Config{LockTableSize: lockTable, Clock: clock})
-		}, nil
-	case "dctl":
-		return func(i int, clock *gclock.Clock) stm.System {
-			return dctl.New(dctl.Config{LockTableSize: lockTable, Clock: clock})
-		}, nil
-	}
-	return nil, fmt.Errorf("replica: backend %q cannot follow (want multiverse, multiverse-eager, tl2 or dctl)", name)
 }

@@ -1,4 +1,4 @@
-package shard
+package shard_test
 
 import (
 	"testing"
@@ -6,6 +6,7 @@ import (
 	"repro/internal/ds"
 	"repro/internal/ds/hashmap"
 	"repro/internal/mvstm"
+	"repro/internal/shard"
 	"repro/internal/stm"
 )
 
@@ -30,9 +31,9 @@ func BenchmarkPointOp(b *testing.B) {
 	})
 	for _, shards := range []int{1, 4} {
 		b.Run(map[int]string{1: "sharded1", 4: "sharded4"}[shards], func(b *testing.B) {
-			sys := New(Config{Shards: shards, Backend: Multiverse(mvstm.Config{LockTableSize: 1 << 16 / shards})})
+			sys := shard.New(shard.Config{Shards: shards, Backend: backend(b, "multiverse", 1<<16/shards)})
 			defer sys.Close()
-			m := NewMap(sys, func(int) ds.Map { return hashmap.New(1<<12/shards, 1<<14/shards) })
+			m := shard.NewMap(sys, func(int) ds.Map { return hashmap.New(1<<12/shards, 1<<14/shards) })
 			th := sys.RegisterSharded()
 			defer th.Unregister()
 			b.ResetTimer()
@@ -45,9 +46,9 @@ func BenchmarkPointOp(b *testing.B) {
 		})
 	}
 	b.Run("sharded4-crossread", func(b *testing.B) {
-		sys := New(Config{Shards: 4, Backend: Multiverse(mvstm.Config{LockTableSize: 1 << 14})})
+		sys := shard.New(shard.Config{Shards: 4, Backend: backend(b, "multiverse", 1<<14)})
 		defer sys.Close()
-		m := NewMap(sys, func(int) ds.Map { return hashmap.New(1<<10, 1<<12) })
+		m := shard.NewMap(sys, func(int) ds.Map { return hashmap.New(1<<10, 1<<12) })
 		th := sys.RegisterSharded()
 		defer th.Unregister()
 		for k := uint64(1); k <= 1024; k++ {

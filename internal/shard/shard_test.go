@@ -1,4 +1,4 @@
-package shard
+package shard_test
 
 import (
 	"fmt"
@@ -8,14 +8,14 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/dctl"
 	"repro/internal/ds"
 	"repro/internal/ds/abtree"
 	"repro/internal/ds/dstest"
 	"repro/internal/ds/hashmap"
 	"repro/internal/mvstm"
+	"repro/internal/registry"
+	"repro/internal/shard"
 	"repro/internal/stm"
-	"repro/internal/tl2"
 	"repro/internal/workload"
 )
 
@@ -23,29 +23,37 @@ import (
 // drives stm.System + ds.Map, and all snapshot-capable TM threads satisfy
 // stm.SnapshotThread.
 var (
-	_ stm.System         = (*System)(nil)
-	_ stm.Thread         = (*Thread)(nil)
-	_ ds.Map             = (*Map)(nil)
-	_ ds.Visitor         = (*Map)(nil)
+	_ stm.System         = (*shard.System)(nil)
+	_ stm.Thread         = (*shard.Thread)(nil)
+	_ ds.Map             = (*shard.Map)(nil)
+	_ ds.Visitor         = (*shard.Map)(nil)
 	_ stm.SnapshotThread = (*mvstm.Thread)(nil)
 )
 
-// eagerMV is the multiverse tuning used across these tests: minimal
-// versioned-path thresholds and a small lock table so short tests reach the
-// versioned machinery and lock collisions.
-func eagerMV() mvstm.Config {
-	return mvstm.Config{LockTableSize: 1 << 10, K1: 1, K2: 2, K3: 2, S: 2}
+// smallTable is a lock table small enough that short tests reach lock
+// collisions.
+const smallTable = 1 << 10
+
+// backend builds the named TM per shard. Most tests run "multiverse-eager":
+// minimal versioned-path thresholds, so they reach the versioned machinery.
+func backend(t testing.TB, name string, lockTable int) shard.Backend {
+	t.Helper()
+	b, err := registry.ShardBackend(name, registry.Params{LockTable: lockTable}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
-func newMV(t testing.TB, shards int) (*System, *Map) {
+func newMV(t testing.TB, shards int) (*shard.System, *shard.Map) {
 	t.Helper()
-	sys := New(Config{Shards: shards, Backend: Multiverse(eagerMV())})
+	sys := shard.New(shard.Config{Shards: shards, Backend: backend(t, "multiverse-eager", smallTable)})
 	t.Cleanup(sys.Close)
-	return sys, NewMap(sys, func(int) ds.Map { return hashmap.New(256, 4096) })
+	return sys, shard.NewMap(sys, func(int) ds.Map { return hashmap.New(256, 4096) })
 }
 
 // keysOnShard returns n distinct keys ≥ from that route to shard s.
-func keysOnShard(sys *System, s int, n int, from uint64) []uint64 {
+func keysOnShard(sys *shard.System, s int, n int, from uint64) []uint64 {
 	keys := make([]uint64, 0, n)
 	for k := from; len(keys) < n; k++ {
 		if sys.ShardOf(k) == s {
@@ -173,17 +181,17 @@ func TestCrossShardReadOnlyEscalates(t *testing.T) {
 func TestConformanceModelAndDifferential(t *testing.T) {
 	backends := []struct {
 		name string
-		bk   Backend
+		bk   shard.Backend
 	}{
-		{"multiverse", Multiverse(eagerMV())},
-		{"tl2", TL2(tl2.Config{LockTableSize: 1 << 10})},
-		{"dctl", DCTL(dctl.Config{LockTableSize: 1 << 10})},
+		{"multiverse", backend(t, "multiverse-eager", smallTable)},
+		{"tl2", backend(t, "tl2", smallTable)},
+		{"dctl", backend(t, "dctl", smallTable)},
 	}
 	for _, b := range backends {
 		for _, shards := range []int{1, 2, 4, 8} {
 			for _, dsn := range []string{"hashmap", "abtree"} {
 				t.Run(fmt.Sprintf("%s/%dshards/%s", b.name, shards, dsn), func(t *testing.T) {
-					sys := New(Config{Shards: shards, Backend: b.bk})
+					sys := shard.New(shard.Config{Shards: shards, Backend: b.bk})
 					defer sys.Close()
 					newMap := func(int) ds.Map {
 						if dsn == "abtree" {
@@ -191,9 +199,9 @@ func TestConformanceModelAndDifferential(t *testing.T) {
 						}
 						return hashmap.New(256, 4096)
 					}
-					dstest.Model(t, sys, NewMap(sys, newMap), 1500, 128, uint64(31+shards))
+					dstest.Model(t, sys, shard.NewMap(sys, newMap), 1500, 128, uint64(31+shards))
 					// Fresh map: Differential tracks its own model from empty.
-					dstest.Differential(t, sys, NewMap(sys, newMap), 600, 64, uint64(77+shards))
+					dstest.Differential(t, sys, shard.NewMap(sys, newMap), 600, 64, uint64(77+shards))
 				})
 			}
 		}
@@ -409,9 +417,9 @@ func TestSnapshotServesPast(t *testing.T) {
 // backends work while the system is quiescent (and starve, rather than
 // return wrong answers, under churn — covered by conformance above).
 func TestTL2BackendQuiescentCrossReads(t *testing.T) {
-	sys := New(Config{Shards: 4, Backend: TL2(tl2.Config{LockTableSize: 1 << 10})})
+	sys := shard.New(shard.Config{Shards: 4, Backend: backend(t, "tl2", smallTable)})
 	defer sys.Close()
-	m := NewMap(sys, func(int) ds.Map { return hashmap.New(256, 1024) })
+	m := shard.NewMap(sys, func(int) ds.Map { return hashmap.New(256, 1024) })
 	th := sys.RegisterSharded()
 	defer th.Unregister()
 	for k := uint64(1); k <= 100; k++ {

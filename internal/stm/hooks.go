@@ -13,15 +13,19 @@ import (
 //
 // Hooks also carries the transaction's tracing context: a caller that
 // sampled the request (the server's worker loop) plants a tracer and trace
-// id via SetTrace before running the transaction, and the TM's retry loop
-// emits one StageAttempt span per attempt through TraceBegin/TraceAttempt.
-// The trace fields outlive Reset — they describe the whole transaction, not
-// one attempt — and are cleared only by the next SetTrace.
+// id via SetTrace before running the transaction, and Drive emits one
+// StageAttempt span per attempt through TraceBegin/TraceAttempt. The trace
+// fields outlive Reset — they describe the whole transaction, not one
+// attempt — and are cleared only by the next SetTrace.
+//
+// Embedding Hooks is also what makes a transaction type a Protocol: it
+// carries the attempt's abort reason (AbortWith) and the default After.
 type Hooks struct {
 	abortFns  []func()
 	commitFns []func()
 	freeFns   []func()
 	redo      []RedoRec
+	reason    obs.AbortReason
 
 	tracer    *obs.Tracer
 	traceID   uint64
@@ -29,7 +33,7 @@ type Hooks struct {
 }
 
 // SetTrace plants (or, with id 0, clears) the transaction's tracing
-// context. Callers set it before the TM's run loop starts and clear it when
+// context. Callers set it before the transaction starts and clear it when
 // the traced request is done, so a reused thread never leaks a trace id
 // into the next request's transaction.
 func (h *Hooks) SetTrace(tr *obs.Tracer, id uint64) {
@@ -42,8 +46,8 @@ func (h *Hooks) SetTrace(tr *obs.Tracer, id uint64) {
 // ObserveCommit so the WAL can stamp it into the redo record header.
 func (h *Hooks) TraceID() uint64 { return h.traceID }
 
-// TraceBegin stamps the attempt's start time. TM begin paths call it once
-// per attempt, right after Reset. No-op when untraced.
+// TraceBegin stamps the attempt's start time. Drive calls it once per
+// attempt, right after the protocol's Begin. No-op when untraced.
 func (h *Hooks) TraceBegin() {
 	if h.tracer == nil || h.traceID == 0 {
 		return
@@ -103,12 +107,25 @@ func (h *Hooks) Redo() []RedoRec { return h.redo }
 // Cancel voluntarily aborts the transaction. It does not return.
 func (h *Hooks) Cancel() { CancelTxn() }
 
-// Reset clears the buffers for a fresh attempt.
+// AbortWith tags the attempt's abort reason (for Counters.AbortReasons, the
+// attempt span and the flight recorder) and unwinds. It does not return.
+func (h *Hooks) AbortWith(r obs.AbortReason) {
+	h.reason = r
+	AbortAttempt()
+}
+
+// After is the Protocol default: no reaction to a finished attempt.
+func (h *Hooks) After(int, Outcome) {}
+
+func (h *Hooks) hooks() *Hooks { return h }
+
+// Reset clears the buffers and the abort reason for a fresh attempt.
 func (h *Hooks) Reset() {
 	h.abortFns = h.abortFns[:0]
 	h.commitFns = h.commitFns[:0]
 	h.freeFns = h.freeFns[:0]
 	h.redo = h.redo[:0]
+	h.reason = obs.ReasonUnknown
 }
 
 // RunAbort executes the abort rollbacks (newest first) and drops everything
@@ -145,9 +162,9 @@ type Counters struct {
 	AddrVersioned    atomic.Uint64
 	Irrevocable      atomic.Uint64
 
-	// AbortReasons breaks Aborts down by obs.AbortReason. Backends that
-	// classify their abort sites increment the matching entry alongside
-	// Aborts; unclassified aborts land in obs.ReasonUnknown.
+	// AbortReasons breaks Aborts down by obs.AbortReason: Drive increments
+	// the entry of the reason the attempt was aborted with (AbortWith)
+	// alongside Aborts; unclassified aborts land in obs.ReasonUnknown.
 	AbortReasons [obs.NumAbortReasons]atomic.Uint64
 }
 

@@ -142,8 +142,8 @@ type Stats struct {
 	Irrevocable      uint64 // irrevocable-path commits (DCTL)
 
 	// AbortReasons breaks Aborts down by obs.AbortReason (index by the
-	// reason value). Entries sum to at most Aborts; the difference sits in
-	// the obs.ReasonUnknown entry for unclassified abort sites.
+	// reason value). Entries sum to Aborts; unclassified abort sites land
+	// in the obs.ReasonUnknown entry.
 	AbortReasons [obs.NumAbortReasons]uint64
 }
 
@@ -220,17 +220,15 @@ func UnwindOutcome(r any) (oc Outcome, ok bool) {
 }
 
 // RunAttempt executes one attempt: body followed by commit, converting
-// AbortAttempt/CancelTxn unwinds into outcomes.
+// AbortAttempt/CancelTxn unwinds into outcomes. It is Drive's unwind; backend
+// tests also use it to run a single hand-built attempt.
 func RunAttempt(attempt func()) (oc Outcome) {
 	defer func() {
-		switch r := recover(); r {
-		case nil:
-		case any(abortSignal{}):
-			oc = Conflicted
-		case any(cancelSignal{}):
-			oc = Cancelled
-		default:
-			panic(r)
+		if r := recover(); r != nil {
+			var ok bool
+			if oc, ok = UnwindOutcome(r); !ok {
+				panic(r)
+			}
 		}
 	}()
 	attempt()

@@ -2,30 +2,112 @@ package stm
 
 import (
 	"errors"
+	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/obs"
 )
 
-func TestRunAttemptOutcomes(t *testing.T) {
-	if oc := RunAttempt(func() {}); oc != Committed {
-		t.Fatalf("clean run = %v want Committed", oc)
-	}
-	if oc := RunAttempt(func() { AbortAttempt() }); oc != Conflicted {
-		t.Fatalf("abort = %v want Conflicted", oc)
-	}
-	if oc := RunAttempt(func() { CancelTxn() }); oc != Cancelled {
-		t.Fatalf("cancel = %v want Cancelled", oc)
+// fakeTxn is a Protocol whose steps only log themselves, so the tests below
+// see exactly what Drive does around an attempt.
+type fakeTxn struct {
+	Hooks
+	log   []string
+	quiet bool // log nothing (allocation test)
+}
+
+func (f *fakeTxn) step(a ...any) {
+	if !f.quiet {
+		f.log = append(f.log, fmt.Sprint(a...))
 	}
 }
 
-func TestRunAttemptPropagatesForeignPanics(t *testing.T) {
+func (f *fakeTxn) Read(*Word) uint64       { return 0 }
+func (f *fakeTxn) Write(*Word, uint64)     {}
+func (f *fakeTxn) Begin(n int)             { f.step("begin", n) }
+func (f *fakeTxn) Commit()                 { f.step("commit") }
+func (f *fakeTxn) Rollback()               { f.step("rollback") }
+func (f *fakeTxn) After(n int, oc Outcome) { f.step("after", n, ":", oc) }
+
+func newFake() (*SysBase, *ThreadBase, *fakeTxn) {
+	sys, th, tx := new(SysBase), new(ThreadBase), new(fakeTxn)
+	sys.Init(ObsConfig{})
+	sys.Attach(th, tx)
+	return sys, th, tx
+}
+
+func TestDriveOutcomes(t *testing.T) {
+	sys, th, tx := newFake()
+	hook := func(s string) func() { return func() { tx.log = append(tx.log, s) } }
+
+	// A clean run commits on the first attempt.
+	if !Drive(th, func(x Txn) { x.OnCommit(hook("oncommit")); x.OnAbort(hook("onabort")) }, true, Policy{}) {
+		t.Fatal("clean run did not commit")
+	}
+	// An aborted attempt is rolled back, its abort hooks run, and the body
+	// retries; a bound that is not reached changes nothing.
+	n := 0
+	if !Drive(th, func(x Txn) {
+		x.OnAbort(hook("onabort"))
+		if n++; n == 1 {
+			tx.AbortWith(obs.ReasonLockBusy)
+		}
+	}, false, Policy{MaxAttempts: 2}) {
+		t.Fatal("retried run did not commit")
+	}
+	// A cancel rolls back and does not retry.
+	if Drive(th, func(x Txn) { x.OnAbort(hook("onabort")); x.Cancel() }, false, Policy{}) {
+		t.Fatal("cancelled run reported committed")
+	}
+	// An exhausted bound gives up.
+	if Drive(th, func(Txn) { AbortAttempt() }, false, Policy{MaxAttempts: 2, Backoff: true}) {
+		t.Fatal("starved run reported committed")
+	}
+	want := []string{
+		"begin1", "commit", "after1:0", "oncommit",
+		"begin1", "rollback", "onabort", "after1:1", "begin2", "commit", "after2:0",
+		"begin1", "rollback", "onabort", "after1:2",
+		"begin1", "rollback", "after1:1", "begin2", "rollback", "after2:1",
+	}
+	if !reflect.DeepEqual(tx.log, want) {
+		t.Fatalf("steps\n got %v\nwant %v", tx.log, want)
+	}
+	st := sys.Stats()
+	wantSt := Stats{Commits: 2, ReadOnlyCommits: 1, Aborts: 3, Starved: 1}
+	wantSt.AbortReasons[obs.ReasonLockBusy] = 1
+	wantSt.AbortReasons[obs.ReasonUnknown] = 2
+	if st != wantSt {
+		t.Fatalf("stats %+v want %+v", st, wantSt)
+	}
+}
+
+func TestDrivePropagatesForeignPanics(t *testing.T) {
+	_, th, _ := newFake()
 	boom := errors.New("boom")
 	defer func() {
 		if r := recover(); r != boom {
 			t.Fatalf("foreign panic swallowed or replaced: %v", r)
 		}
 	}()
-	RunAttempt(func() { panic(boom) })
+	Drive(th, func(Txn) { panic(boom) }, false, Policy{})
+}
+
+// TestDriveCommitPathAllocs: the loop every transaction of every backend
+// crosses allocates nothing, traced or not.
+func TestDriveCommitPathAllocs(t *testing.T) {
+	_, th, tx := newFake()
+	tx.quiet = true
+	body := func(x Txn) { x.Read(nil) }
+	run := func() { Drive(th, body, false, Policy{Backoff: true}) }
+	if n := testing.AllocsPerRun(100, run); n != 0 {
+		t.Fatalf("untraced commit: %v allocs/txn", n)
+	}
+	th.SetTrace(obs.NewTracer(64, 1, nil), 9)
+	if n := testing.AllocsPerRun(100, run); n != 0 {
+		t.Fatalf("traced commit: %v allocs/txn", n)
+	}
 }
 
 func TestHooksOrderAndReset(t *testing.T) {

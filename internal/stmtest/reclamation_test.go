@@ -91,7 +91,7 @@ func TestReclamationRaceWithEBR(t *testing.T) {
 			// self-conflict abort (commit does not advance the
 			// clock, so the released lock version equals the next
 			// attempt's read clock), and every abort's
-			// stm.Backoff yields the sole P to the reader, which
+			// backoff (stm.Drive) yields the sole P to the reader, which
 			// then runs a full scheduler quantum (~10ms) before
 			// preemption. At tens of iterations per second, a
 			// fixed count of 3000 blows the 600s suite timeout;

@@ -8,9 +8,8 @@ import (
 	"repro/internal/ds/abtree"
 	"repro/internal/ds/hashmap"
 	"repro/internal/histcheck"
-	"repro/internal/mvstm"
+	"repro/internal/registry"
 	"repro/internal/shard"
-	"repro/internal/tl2"
 )
 
 // shardedBackends are the TM pairings the sharded conformance matrix runs
@@ -18,18 +17,14 @@ import (
 // what lets cross-shard snapshot scans converge under churn) at both eager
 // and paper-default thresholds, plus TL2 as the non-versioned baseline —
 // its cross-shard queries may starve (discarded ops), never lie.
-func shardedBackends() []struct {
-	Name    string
-	Backend shard.Backend
-} {
-	return []struct {
-		Name    string
-		Backend shard.Backend
-	}{
-		{"multiverse-eager", shard.Multiverse(mvstm.Config{LockTableSize: SmallTables, K1: 1, K2: 2, K3: 2, S: 2})},
-		{"multiverse", shard.Multiverse(mvstm.Config{LockTableSize: SmallTables})},
-		{"tl2", shard.TL2(tl2.Config{LockTableSize: SmallTables})},
+var shardedBackends = []string{"multiverse-eager", "multiverse", "tl2"}
+
+func shardBackend(name string) shard.Backend {
+	b, err := registry.ShardBackend(name, registry.Params{LockTable: SmallTables}, nil)
+	if err != nil {
+		panic(err)
 	}
+	return b
 }
 
 // newShardedMap pairs a sharded system with a backing structure per shard.
@@ -66,15 +61,15 @@ func TestShardedHistoryLinearizable(t *testing.T) {
 	profiles := histcheck.Profiles()
 	structures := []string{"hashmap", "abtree"}
 	combo := 0
-	for _, b := range shardedBackends() {
+	for _, tm := range shardedBackends {
 		for _, shards := range []int{1, 2, 4, 8} {
 			p := profiles[combo%len(profiles)]
 			dsName := structures[combo%len(structures)]
 			seed := uint64(combo*6271 + 11)
 			combo++
-			t.Run(fmt.Sprintf("%s/%dshards/%s/%s", b.Name, shards, dsName, p.Name), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/%dshards/%s/%s", tm, shards, dsName, p.Name), func(t *testing.T) {
 				t.Parallel()
-				sys := shard.New(shard.Config{Shards: shards, Backend: b.Backend})
+				sys := shard.New(shard.Config{Shards: shards, Backend: shardBackend(tm)})
 				defer sys.Close()
 				m := newShardedMap(sys, dsName)
 				h := histcheck.RunHistory(sys, m, p, threads, opsPerThread, seed)
@@ -104,8 +99,7 @@ func TestShardedSnapshotQueriesCommit(t *testing.T) {
 	if !ok {
 		t.Fatal("range-heavy profile missing")
 	}
-	sys := shard.New(shard.Config{Shards: 4,
-		Backend: shard.Multiverse(mvstm.Config{LockTableSize: SmallTables, K1: 1, K2: 2, K3: 2, S: 2})})
+	sys := shard.New(shard.Config{Shards: 4, Backend: shardBackend("multiverse-eager")})
 	defer sys.Close()
 	m := newShardedMap(sys, "abtree")
 	ops := 2000

@@ -4,12 +4,8 @@
 package stmtest
 
 import (
-	"repro/internal/dctl"
-	"repro/internal/mvstm"
-	"repro/internal/norec"
+	"repro/internal/registry"
 	"repro/internal/stm"
-	"repro/internal/tinystm"
-	"repro/internal/tl2"
 )
 
 // SmallTables is the lock-table size used in tests: small enough to force
@@ -17,10 +13,23 @@ import (
 // machine, collision aborts).
 const SmallTables = 1 << 10
 
-// Factory builds a fresh TM instance for a test.
+// Factory builds fresh instances of one TM of the test matrix.
 type Factory struct {
-	Name string
-	New  func() stm.System
+	Name string // matrix name (test and corpus ids)
+	TM   string // internal/registry name
+}
+
+// New builds an instance at SmallTables.
+func (f Factory) New() stm.System { return f.NewWith(registry.Params{}) }
+
+// NewWith is New with the rest of p (bounds, flight recorder) applied.
+func (f Factory) NewWith(p registry.Params) stm.System {
+	p.LockTable = SmallTables
+	sys, err := registry.NewTM(f.TM, p)
+	if err != nil {
+		panic(err)
+	}
+	return sys
 }
 
 // All returns factories for every TM in the repository. The
@@ -30,19 +39,13 @@ type Factory struct {
 // reach under sustained contention.
 func All() []Factory {
 	return []Factory{
-		{"multiverse", func() stm.System { return mvstm.New(mvstm.Config{LockTableSize: SmallTables}) }},
-		{"multiverse-eager", func() stm.System {
-			return mvstm.New(mvstm.Config{LockTableSize: SmallTables, K1: 1, K2: 2, K3: 2, S: 2})
-		}},
-		{"multiverse-pinQ", func() stm.System {
-			return mvstm.NewPinned(mvstm.Config{LockTableSize: SmallTables}, mvstm.ModeQ)
-		}},
-		{"multiverse-pinU", func() stm.System {
-			return mvstm.NewPinned(mvstm.Config{LockTableSize: SmallTables}, mvstm.ModeU)
-		}},
-		{"tl2", func() stm.System { return tl2.New(tl2.Config{LockTableSize: SmallTables}) }},
-		{"dctl", func() stm.System { return dctl.New(dctl.Config{LockTableSize: SmallTables}) }},
-		{"norec", func() stm.System { return norec.New(norec.Config{}) }},
-		{"tinystm", func() stm.System { return tinystm.New(tinystm.Config{LockTableSize: SmallTables}) }},
+		{"multiverse", "multiverse"},
+		{"multiverse-eager", "multiverse-eager"},
+		{"multiverse-pinQ", "multiverse-q"},
+		{"multiverse-pinU", "multiverse-u"},
+		{"tl2", "tl2"},
+		{"dctl", "dctl"},
+		{"norec", "norec"},
+		{"tinystm", "tinystm"},
 	}
 }

@@ -7,8 +7,8 @@
 package tinystm
 
 import (
-	"repro/internal/ebr"
 	"repro/internal/gclock"
+	"repro/internal/obs"
 	"repro/internal/stm"
 	"repro/internal/vlock"
 )
@@ -20,6 +20,7 @@ type Config struct {
 	LockTableSize int
 	// MaxAttempts bounds retries per transaction; 0 means unlimited.
 	MaxAttempts int
+	stm.ObsConfig
 }
 
 func (c *Config) fill() {
@@ -30,18 +31,17 @@ func (c *Config) fill() {
 
 // System is a TinySTM instance.
 type System struct {
+	stm.SysBase
 	cfg   Config
 	clock gclock.Clock
 	locks *vlock.Table
-	ebr   *ebr.Domain
-	reg   stm.Registry
-	tids  stm.Word
 }
 
 // New creates a TinySTM instance.
 func New(cfg Config) *System {
 	cfg.fill()
-	s := &System{cfg: cfg, locks: vlock.NewTable(cfg.LockTableSize), ebr: ebr.NewDomain()}
+	s := &System{cfg: cfg, locks: vlock.NewTable(cfg.LockTableSize)}
+	s.Init(cfg.ObsConfig)
 	s.clock.Set(1)
 	return s
 }
@@ -49,29 +49,17 @@ func New(cfg Config) *System {
 // Name implements stm.System.
 func (s *System) Name() string { return "tinystm" }
 
-// Stats implements stm.System.
-func (s *System) Stats() stm.Stats { return s.reg.Aggregate() }
-
-// Close implements stm.System.
-func (s *System) Close() { s.ebr.Drain() }
-
 // Register implements stm.System.
 func (s *System) Register() stm.Thread {
-	tid := int(s.tids.Load())%(1<<14-1) + 1
-	for !s.tids.CompareAndSwap(uint64(tid-1), uint64(tid)) {
-		tid = int(s.tids.Load())%(1<<14-1) + 1
-	}
-	t := &thread{sys: s, tid: tid, ebr: s.ebr.Register()}
+	t := &thread{sys: s}
 	t.txn.t = t
-	s.reg.Add(&t.ctr)
+	s.Attach(&t.ThreadBase, &t.txn)
 	return t
 }
 
 type thread struct {
+	stm.ThreadBase
 	sys *System
-	tid int
-	ebr *ebr.Handle
-	ctr stm.Counters
 	txn txn
 }
 
@@ -101,54 +89,25 @@ func (t *thread) Atomic(fn func(stm.Txn)) bool { return t.run(fn, false) }
 // ReadOnly implements stm.Thread.
 func (t *thread) ReadOnly(fn func(stm.Txn)) bool { return t.run(fn, true) }
 
-// Unregister implements stm.Thread.
-func (t *thread) Unregister() { t.ebr.Unregister() }
-
 func (t *thread) run(fn func(stm.Txn), readOnly bool) bool {
-	tx := &t.txn
-	for attempt := 1; ; attempt++ {
-		tx.begin(readOnly)
-		t.ebr.Pin()
-		oc := stm.RunAttempt(func() {
-			fn(tx)
-			tx.commit()
-		})
-		t.ebr.Unpin()
-		switch oc {
-		case stm.Committed:
-			tx.RunCommit(t.ebr.Retire)
-			t.ctr.Commits.Add(1)
-			if readOnly {
-				t.ctr.ReadOnlyCommits.Add(1)
-			}
-			return true
-		case stm.Cancelled:
-			tx.rollback()
-			return false
-		}
-		tx.rollback()
-		t.ctr.Aborts.Add(1)
-		if m := t.sys.cfg.MaxAttempts; m > 0 && attempt >= m {
-			t.ctr.Starved.Add(1)
-			return false
-		}
-	}
+	t.txn.readOnly = readOnly
+	return stm.Drive(&t.ThreadBase, fn, readOnly, stm.Policy{MaxAttempts: t.sys.cfg.MaxAttempts})
 }
 
-func (tx *txn) begin(readOnly bool) {
-	tx.Reset()
-	tx.readOnly = readOnly
+// Begin implements stm.Protocol.
+func (tx *txn) Begin(int) {
 	tx.reads = tx.reads[:0]
 	tx.undo = tx.undo[:0]
 	tx.locked = tx.locked[:0]
 	tx.rv = tx.t.sys.clock.Load()
 }
 
-// rollback restores in-place writes (newest first) and releases locks with
-// a freshly incremented clock value. Releasing with the old version would be
-// an ABA hazard: a reader that sampled the lock, then the dirty value, then
-// the (restored) lock word again would validate an inconsistent read.
-func (tx *txn) rollback() {
+// Rollback implements stm.Protocol: it restores in-place writes (newest
+// first) and releases locks with a freshly incremented clock value.
+// Releasing with the old version would be an ABA hazard: a reader that
+// sampled the lock, then the dirty value, then the (restored) lock word again
+// would validate an inconsistent read.
+func (tx *txn) Rollback() {
 	for i := len(tx.undo) - 1; i >= 0; i-- {
 		tx.undo[i].w.Store(tx.undo[i].old)
 	}
@@ -160,7 +119,20 @@ func (tx *txn) rollback() {
 		}
 		tx.locked = tx.locked[:0]
 	}
-	tx.RunAbort()
+}
+
+// revalidate checks that every read still sees the version it observed and
+// no other transaction holds its lock. Aborts otherwise.
+func (tx *txn) revalidate() {
+	for _, e := range tx.reads {
+		s := e.l.Load()
+		if s.Locked() && s.TID() != tx.t.TID {
+			tx.AbortWith(obs.ReasonLockBusy)
+		}
+		if s.Version() != e.seen {
+			tx.AbortWith(obs.ReasonValidation)
+		}
+	}
 }
 
 // extend revalidates the read set against the current clock and, if every
@@ -168,15 +140,7 @@ func (tx *txn) rollback() {
 // timestamp extension). Aborts otherwise.
 func (tx *txn) extend() {
 	now := tx.t.sys.clock.Load()
-	for _, e := range tx.reads {
-		s := e.l.Load()
-		if s.Locked() && s.TID() != tx.t.tid {
-			stm.AbortAttempt()
-		}
-		if s.Version() != e.seen {
-			stm.AbortAttempt()
-		}
-	}
+	tx.revalidate()
 	tx.rv = now
 }
 
@@ -187,10 +151,10 @@ func (tx *txn) Read(w *stm.Word) uint64 {
 	for {
 		s := l.Load()
 		if s.Locked() {
-			if s.TID() == tx.t.tid {
+			if s.TID() == tx.t.TID {
 				return w.Load()
 			}
-			stm.AbortAttempt()
+			tx.AbortWith(obs.ReasonLockBusy)
 		}
 		v := w.Load()
 		if l.Load() != s {
@@ -212,38 +176,31 @@ func (tx *txn) Write(w *stm.Word, v uint64) {
 	}
 	l := tx.t.sys.locks.Of(w)
 	s := l.Load()
-	if s.Locked() && s.TID() == tx.t.tid {
+	if s.Locked() && s.TID() == tx.t.TID {
 		tx.undo = append(tx.undo, undoEntry{w, w.Load()})
 		w.Store(v)
 		return
 	}
 	if s.Held() || s.Version() > tx.rv {
-		stm.AbortAttempt()
+		tx.AbortWith(s.AbortReason())
 	}
-	if !l.CompareAndSwap(s, vlock.Pack(true, false, tx.t.tid, s.Version())) {
-		stm.AbortAttempt()
+	if !l.CompareAndSwap(s, vlock.Pack(true, false, tx.t.TID, s.Version())) {
+		tx.AbortWith(obs.ReasonLockBusy)
 	}
 	tx.locked = append(tx.locked, l)
 	tx.undo = append(tx.undo, undoEntry{w, w.Load()})
 	w.Store(v)
 }
 
-func (tx *txn) commit() {
+// Commit implements stm.Protocol.
+func (tx *txn) Commit() {
 	if tx.readOnly || len(tx.locked) == 0 {
 		return
 	}
 	wv := tx.t.sys.clock.Increment()
 	if wv != tx.rv+1 {
 		// Someone committed since our snapshot: revalidate.
-		for _, e := range tx.reads {
-			s := e.l.Load()
-			if s.Locked() && s.TID() != tx.t.tid {
-				stm.AbortAttempt()
-			}
-			if s.Version() != e.seen {
-				stm.AbortAttempt()
-			}
-		}
+		tx.revalidate()
 	}
 	for _, l := range tx.locked {
 		l.Release(wv)

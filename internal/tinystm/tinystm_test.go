@@ -24,7 +24,8 @@ func TestTimestampExtension(t *testing.T) {
 	writer.Atomic(func(tx stm.Txn) { tx.Write(&a, 1); tx.Write(&b, 1) })
 
 	tx := &reader.txn
-	tx.begin(true)
+	tx.readOnly = true
+	tx.Begin(1)
 	oc := stm.RunAttempt(func() {
 		_ = tx.Read(&a)
 		// A disjoint writer advances the clock and stamps b's lock
@@ -35,7 +36,7 @@ func TestTimestampExtension(t *testing.T) {
 		if v := tx.Read(&b); v != 2 {
 			t.Errorf("post-extension read = %d want 2", v)
 		}
-		tx.commit()
+		tx.Commit()
 	})
 	if oc != stm.Committed {
 		t.Fatal("extension should have saved this reader from aborting")
@@ -52,14 +53,15 @@ func TestExtensionFailsWhenReadSetChanged(t *testing.T) {
 
 	var a, b stm.Word
 	tx := &reader.txn
-	tx.begin(true)
+	tx.readOnly = true
+	tx.Begin(1)
 	oc := stm.RunAttempt(func() {
 		_ = tx.Read(&a)
 		// The writer touches BOTH words: a's version changes, so the
 		// extension triggered by reading b must fail.
 		writer.Atomic(func(inner stm.Txn) { inner.Write(&a, 9); inner.Write(&b, 9) })
 		_ = tx.Read(&b)
-		tx.commit()
+		tx.Commit()
 	})
 	if oc != stm.Conflicted {
 		t.Fatal("reader observed a torn snapshot without aborting")

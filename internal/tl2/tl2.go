@@ -5,9 +5,6 @@
 package tl2
 
 import (
-	"runtime"
-
-	"repro/internal/ebr"
 	"repro/internal/gclock"
 	"repro/internal/obs"
 	"repro/internal/stm"
@@ -32,11 +29,7 @@ type Config struct {
 	// (after validation and write-back, before the write locks release at
 	// wv). See stm.CommitObserver.
 	OnCommit stm.CommitObserver
-	// Obs, when non-nil, receives abort events with reasons in the flight
-	// recorder; per-reason counters in stm.Counters are kept regardless.
-	Obs *obs.Recorder
-	// ObsID tags this instance's events (shard index under internal/shard).
-	ObsID int
+	stm.ObsConfig
 }
 
 func (c *Config) fill() {
@@ -47,18 +40,17 @@ func (c *Config) fill() {
 
 // System is a TL2 STM instance.
 type System struct {
+	stm.SysBase
 	cfg   Config
 	clock *gclock.Clock
 	locks *vlock.Table
-	ebr   *ebr.Domain
-	reg   stm.Registry
-	tids  tidAllocator
 }
 
 // New creates a TL2 instance.
 func New(cfg Config) *System {
 	cfg.fill()
-	s := &System{cfg: cfg, locks: vlock.NewTable(cfg.LockTableSize), ebr: ebr.NewDomain()}
+	s := &System{cfg: cfg, locks: vlock.NewTable(cfg.LockTableSize)}
+	s.Init(cfg.ObsConfig)
 	if cfg.Clock != nil {
 		s.clock = cfg.Clock // shared; never reset (siblings may have advanced it)
 	} else {
@@ -71,17 +63,11 @@ func New(cfg Config) *System {
 // Name implements stm.System.
 func (s *System) Name() string { return "tl2" }
 
-// Stats implements stm.System.
-func (s *System) Stats() stm.Stats { return s.reg.Aggregate() }
-
-// Close implements stm.System.
-func (s *System) Close() { s.ebr.Drain() }
-
 // Register implements stm.System.
 func (s *System) Register() stm.Thread {
-	t := &thread{sys: s, tid: s.tids.next(), ebr: s.ebr.Register()}
+	t := &thread{sys: s}
 	t.txn.t = t
-	s.reg.Add(&t.ctr)
+	s.Attach(&t.ThreadBase, &t.txn)
 	return t
 }
 
@@ -91,10 +77,8 @@ type writeEntry struct {
 }
 
 type thread struct {
+	stm.ThreadBase
 	sys *System
-	tid int
-	ebr *ebr.Handle
-	ctr stm.Counters
 	txn txn
 }
 
@@ -103,24 +87,17 @@ type txn struct {
 	t        *thread
 	rv       uint64
 	readOnly bool
-	reason   obs.AbortReason
+	pinTs    uint64 // SnapshotAt's timestamp; 0 reads at the live clock
 	reads    []*vlock.Lock
 	writes   []writeEntry
 	locked   []*vlock.Lock
 }
 
 // Atomic implements stm.Thread.
-func (t *thread) Atomic(fn func(stm.Txn)) bool { return t.run(fn, false) }
+func (t *thread) Atomic(fn func(stm.Txn)) bool { return t.run(fn, false, 0) }
 
 // ReadOnly implements stm.Thread.
-func (t *thread) ReadOnly(fn func(stm.Txn)) bool { return t.run(fn, true) }
-
-// Unregister implements stm.Thread.
-func (t *thread) Unregister() { t.ebr.Unregister() }
-
-// SetTrace implements stm.TraceSetter: it plants a tracing context on the
-// thread's transaction so the retry loop emits per-attempt spans.
-func (t *thread) SetTrace(tr *obs.Tracer, id uint64) { t.txn.SetTrace(tr, id) }
+func (t *thread) ReadOnly(fn func(stm.Txn)) bool { return t.run(fn, true, 0) }
 
 // snapshotAttempts bounds SnapshotAt retries: with no version lists to fall
 // back on, an address written at or above the pinned rv can never validate
@@ -134,103 +111,35 @@ const snapshotAttempts = 3
 // has been overwritten at or above ts — under sustained update load
 // SnapshotAt starves exactly the way the paper describes TL2 starving on
 // long range queries.
-func (t *thread) SnapshotAt(ts uint64, fn func(stm.Txn)) bool {
-	tx := &t.txn
-	for attempt := 1; ; attempt++ {
-		tx.begin(true)
-		tx.rv = ts - 1 // pin: Read validates version <= rv, i.e. < ts
-		t.ebr.Pin()
-		oc := stm.RunAttempt(func() {
-			fn(tx)
-			tx.commit()
-		})
-		t.ebr.Unpin()
-		switch oc {
-		case stm.Committed:
-			tx.TraceAttempt(uint64(t.sys.cfg.ObsID), attempt, 0)
-			tx.RunCommit(t.ebr.Retire)
-			t.ctr.Commits.Add(1)
-			t.ctr.ReadOnlyCommits.Add(1)
-			return true
-		case stm.Cancelled:
-			tx.TraceAttempt(uint64(t.sys.cfg.ObsID), attempt, uint64(tx.reason)+1)
-			tx.rollback()
-			return false
-		}
-		tx.TraceAttempt(uint64(t.sys.cfg.ObsID), attempt, uint64(tx.reason)+1)
-		tx.rollback()
-		t.ctr.Aborts.Add(1)
-		t.ctr.AbortReasons[tx.reason].Add(1)
-		t.sys.cfg.Obs.Record(obs.EvAbort, uint64(t.sys.cfg.ObsID), uint64(tx.reason), uint64(attempt))
-		if attempt >= snapshotAttempts {
-			t.ctr.Starved.Add(1)
-			return false
-		}
-		runtime.Gosched()
+func (t *thread) SnapshotAt(ts uint64, fn func(stm.Txn)) bool { return t.run(fn, true, ts) }
+
+func (t *thread) run(fn func(stm.Txn), readOnly bool, pinTs uint64) bool {
+	t.txn.readOnly, t.txn.pinTs = readOnly, pinTs
+	pol := stm.Policy{MaxAttempts: t.sys.cfg.MaxAttempts}
+	if pinTs != 0 {
+		pol = stm.Policy{MaxAttempts: snapshotAttempts, Backoff: true}
 	}
+	return stm.Drive(&t.ThreadBase, fn, readOnly, pol)
 }
 
-func (t *thread) run(fn func(stm.Txn), readOnly bool) bool {
-	tx := &t.txn
-	for attempt := 1; ; attempt++ {
-		tx.begin(readOnly)
-		t.ebr.Pin()
-		oc := stm.RunAttempt(func() {
-			fn(tx)
-			tx.commit()
-		})
-		t.ebr.Unpin()
-		switch oc {
-		case stm.Committed:
-			tx.TraceAttempt(uint64(t.sys.cfg.ObsID), attempt, 0)
-			tx.RunCommit(t.ebr.Retire)
-			t.ctr.Commits.Add(1)
-			if readOnly {
-				t.ctr.ReadOnlyCommits.Add(1)
-			}
-			return true
-		case stm.Cancelled:
-			tx.TraceAttempt(uint64(t.sys.cfg.ObsID), attempt, uint64(tx.reason)+1)
-			tx.rollback()
-			return false
-		}
-		tx.TraceAttempt(uint64(t.sys.cfg.ObsID), attempt, uint64(tx.reason)+1)
-		tx.rollback()
-		t.ctr.Aborts.Add(1)
-		t.ctr.AbortReasons[tx.reason].Add(1)
-		t.sys.cfg.Obs.Record(obs.EvAbort, uint64(t.sys.cfg.ObsID), uint64(tx.reason), uint64(attempt))
-		if m := t.sys.cfg.MaxAttempts; m > 0 && attempt >= m {
-			t.ctr.Starved.Add(1)
-			return false
-		}
-	}
-}
-
-func (tx *txn) begin(readOnly bool) {
-	tx.Reset()
-	tx.TraceBegin()
-	tx.readOnly = readOnly
-	tx.reason = obs.ReasonUnknown
+// Begin implements stm.Protocol.
+func (tx *txn) Begin(int) {
 	tx.reads = tx.reads[:0]
 	tx.writes = tx.writes[:0]
 	tx.locked = tx.locked[:0]
 	tx.rv = tx.t.sys.clock.Load()
+	if tx.pinTs != 0 {
+		tx.rv = tx.pinTs - 1 // pin: Read validates version <= rv, i.e. < ts
+	}
 }
 
-// rollback releases any commit-time locks (restoring their pre-lock
-// version) and runs the abort hooks.
-func (tx *txn) rollback() {
+// Rollback implements stm.Protocol: it releases any commit-time locks,
+// restoring their pre-lock version.
+func (tx *txn) Rollback() {
 	for _, l := range tx.locked {
 		l.Release(l.Load().Version())
 	}
 	tx.locked = tx.locked[:0]
-	tx.RunAbort()
-}
-
-// abortWith tags the attempt's abort reason and unwinds. Does not return.
-func (tx *txn) abortWith(r obs.AbortReason) {
-	tx.reason = r
-	stm.AbortAttempt()
 }
 
 // Read implements stm.Txn. TL2 read protocol: consult the redo log, then
@@ -246,14 +155,14 @@ func (tx *txn) Read(w *stm.Word) uint64 {
 	l := tx.t.sys.locks.Of(w)
 	s1 := l.Load()
 	if s1.Held() {
-		tx.abortWith(obs.ReasonLockBusy)
+		tx.AbortWith(obs.ReasonLockBusy)
 	}
 	if s1.Version() > tx.rv {
-		tx.abortWith(obs.ReasonValidation)
+		tx.AbortWith(obs.ReasonValidation)
 	}
 	v := w.Load()
 	if l.Load() != s1 {
-		tx.abortWith(obs.ReasonValidation)
+		tx.AbortWith(obs.ReasonValidation)
 	}
 	// Read-only TL2 transactions need no read set: per-read validation
 	// against rv suffices and commit is a no-op.
@@ -271,7 +180,8 @@ func (tx *txn) Write(w *stm.Word, v uint64) {
 	tx.writes = append(tx.writes, writeEntry{w, v})
 }
 
-func (tx *txn) commit() {
+// Commit implements stm.Protocol.
+func (tx *txn) Commit() {
 	if tx.readOnly || len(tx.writes) == 0 {
 		return
 	}
@@ -286,27 +196,29 @@ func (tx *txn) commit() {
 		}
 		s := l.Load()
 		if s.Held() {
-			tx.abortWith(obs.ReasonLockBusy)
+			tx.AbortWith(obs.ReasonLockBusy)
 		}
 		if s.Version() > tx.rv {
-			tx.abortWith(obs.ReasonValidation)
+			tx.AbortWith(obs.ReasonValidation)
 		}
-		if !l.CompareAndSwap(s, vlock.Pack(true, false, t.tid, s.Version())) {
-			tx.abortWith(obs.ReasonLockBusy)
+		if !l.CompareAndSwap(s, vlock.Pack(true, false, t.TID, s.Version())) {
+			tx.AbortWith(obs.ReasonLockBusy)
 		}
 		tx.locked = append(tx.locked, l)
 	}
-	wv := sys.clock.TickGV4()
-	// GV4 special case: if wv == rv+1 no concurrent commit interleaved,
-	// so the read set is trivially still valid.
-	if wv != tx.rv+1 {
+	wv, won := sys.clock.TickGV4()
+	// GV4 special case: if this thread's own CAS took the clock from rv to
+	// rv+1, no commit interleaved and the read set is trivially still
+	// valid. A pass-on-failure tick proves nothing: the winner it adopted
+	// wv from committed concurrently.
+	if !won || wv != tx.rv+1 {
 		for _, l := range tx.reads {
 			s := l.Load()
 			if s.Held() && !tx.owns(l) {
-				tx.abortWith(obs.ReasonLockBusy)
+				tx.AbortWith(obs.ReasonLockBusy)
 			}
 			if s.Version() > tx.rv {
-				tx.abortWith(obs.ReasonValidation)
+				tx.AbortWith(obs.ReasonValidation)
 			}
 		}
 	}
@@ -334,17 +246,4 @@ func (tx *txn) owns(l *vlock.Lock) bool {
 		}
 	}
 	return false
-}
-
-// tidAllocator hands out small thread ids for the lock tid field.
-type tidAllocator struct{ n stm.Word }
-
-func (a *tidAllocator) next() int {
-	for {
-		v := a.n.Load()
-		if a.n.CompareAndSwap(v, v+1) {
-			return int(v%(1<<14-1)) + 1
-		}
-		runtime.Gosched()
-	}
 }

@@ -18,6 +18,7 @@ package vlock
 import (
 	"sync/atomic"
 
+	"repro/internal/obs"
 	"repro/internal/stm"
 )
 
@@ -59,6 +60,16 @@ func (s State) TID() int { return int((uint64(s) & tidMask) >> tidShift) }
 
 // Version returns the release timestamp.
 func (s State) Version() uint64 { return uint64(s) & VersionMax }
+
+// AbortReason classifies a failed validation against s: a lock held by
+// another transaction is contention; an advanced version is a stale read
+// clock.
+func (s State) AbortReason() obs.AbortReason {
+	if s.Held() {
+		return obs.ReasonLockBusy
+	}
+	return obs.ReasonValidation
+}
 
 // Lock is one slot of the lock table.
 type Lock struct{ v atomic.Uint64 }

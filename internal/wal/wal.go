@@ -55,19 +55,12 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/dctl"
 	"repro/internal/ds"
-	"repro/internal/ds/abtree"
-	"repro/internal/ds/avl"
-	"repro/internal/ds/extbst"
-	"repro/internal/ds/hashmap"
 	"repro/internal/fault"
-	"repro/internal/gclock"
-	"repro/internal/mvstm"
 	"repro/internal/obs"
+	"repro/internal/registry"
 	"repro/internal/shard"
 	"repro/internal/stm"
-	"repro/internal/tl2"
 )
 
 // SyncPolicy selects when the log reaches stable storage.
@@ -211,8 +204,9 @@ var (
 type Options struct {
 	// Dir is the log directory (created if absent). Required.
 	Dir string
-	// Backend is the TM under the log: "multiverse" (default),
-	// "multiverse-eager", "tl2" or "dctl" — the snapshot-capable TMs.
+	// Backend is the TM under the log, by internal/registry name:
+	// "multiverse" (default) or any other registry.Durable TM (the
+	// Multiverse variants, "tl2", "dctl").
 	Backend string
 	// Shards is the number of TM instances / log streams (default 1).
 	Shards int
@@ -320,49 +314,6 @@ func (o *Options) fill() error {
 	return nil
 }
 
-// newDS mirrors bench.NewDS for the structures the log supports (bench
-// depends on wal, so wal keeps its own small factory).
-func newDS(name string, capacity int) (ds.Map, error) {
-	switch name {
-	case "hashmap":
-		return hashmap.New(10*capacity, capacity), nil
-	case "abtree":
-		return abtree.New(capacity), nil
-	case "avl":
-		return avl.New(capacity), nil
-	case "extbst":
-		return extbst.New(capacity), nil
-	}
-	return nil, fmt.Errorf("wal: unknown data structure %q", name)
-}
-
-// backendFor builds shard i's TM with the stream observer installed.
-func backendFor(o Options, streams []*stream) (shard.Backend, error) {
-	switch o.Backend {
-	case "multiverse", "multiverse-eager":
-		cfg := mvstm.Config{LockTableSize: o.LockTable}
-		if o.Backend == "multiverse-eager" {
-			cfg.K1, cfg.K2, cfg.K3, cfg.S = 1, 2, 2, 2
-		}
-		return func(i int, clock *gclock.Clock) stm.System {
-			c := cfg
-			c.Clock = clock
-			c.OnCommit = streams[i]
-			c.Obs, c.ObsID = o.Rec, i
-			return mvstm.New(c)
-		}, nil
-	case "tl2":
-		return func(i int, clock *gclock.Clock) stm.System {
-			return tl2.New(tl2.Config{LockTableSize: o.LockTable, Clock: clock, OnCommit: streams[i], Obs: o.Rec, ObsID: i})
-		}, nil
-	case "dctl":
-		return func(i int, clock *gclock.Clock) stm.System {
-			return dctl.New(dctl.Config{LockTableSize: o.LockTable, Clock: clock, OnCommit: streams[i], Obs: o.Rec, ObsID: i})
-		}, nil
-	}
-	return nil, fmt.Errorf("wal: backend %q cannot carry a log (want multiverse, multiverse-eager, tl2 or dctl)", o.Backend)
-}
-
 // Stats is a snapshot of the log's counters.
 type Stats struct {
 	Records        uint64 // commit records appended (buffered or written)
@@ -460,6 +411,9 @@ func OpenWith(opts Options) (m ds.Map, l *Log, err error) {
 	if err := opts.fill(); err != nil {
 		return nil, nil, err
 	}
+	if !registry.Durable(opts.Backend) {
+		return nil, nil, fmt.Errorf("wal: backend %q cannot carry a log (needs snapshot reads and commit observation)", opts.Backend)
+	}
 	fsys := opts.FS
 	if err := fsys.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, nil, err
@@ -507,7 +461,9 @@ func OpenWith(opts Options) (m ds.Map, l *Log, err error) {
 
 	// Phase 3: the sharded system, clock restarted above every persisted
 	// timestamp so new commits extend the log's timestamp order.
-	backend, err := backendFor(opts, l.streams)
+	backend, err := registry.ShardBackend(opts.Backend,
+		registry.Params{LockTable: opts.LockTable, ObsConfig: stm.ObsConfig{Obs: opts.Rec}},
+		func(i int) stm.CommitObserver { return l.streams[i] })
 	if err != nil {
 		return nil, nil, err
 	}
@@ -521,27 +477,16 @@ func OpenWith(opts Options) (m ds.Map, l *Log, err error) {
 		per = 1024
 	}
 	l.perDS = make([]ds.Map, opts.Shards)
-	var dsErr error
-	l.inner = shard.NewMap(l.sys, func(i int) ds.Map {
-		d, err := newDS(opts.DS, per)
-		if err != nil {
-			dsErr = err
-			d, _ = newDS("hashmap", per)
-		}
-		l.perDS[i] = d
-		return d
-	})
-	if dsErr != nil {
-		l.sys.Close()
-		return nil, nil, dsErr
-	}
-	for i := 0; i < opts.Shards; i++ {
-		st, ok := l.sys.Shard(i).Register().(stm.SnapshotThread)
-		if !ok {
+	for i := range l.perDS {
+		if l.perDS[i], err = registry.NewDS(opts.DS, per); err != nil {
 			l.sys.Close()
-			return nil, nil, fmt.Errorf("wal: backend %q has no snapshot support", opts.Backend)
+			return nil, nil, err
 		}
-		l.snapThs = append(l.snapThs, st)
+	}
+	l.inner = shard.NewMap(l.sys, func(i int) ds.Map { return l.perDS[i] })
+	for i := 0; i < opts.Shards; i++ {
+		// registry.Durable vouched for the assertion.
+		l.snapThs = append(l.snapThs, l.sys.Shard(i).Register().(stm.SnapshotThread))
 	}
 
 	// Phase 4: load the recovered image. Raw inserts on the inner map
