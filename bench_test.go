@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/bench"
+	"repro/internal/gclock"
 	"repro/internal/mvstm"
 	"repro/internal/obs"
 	"repro/internal/stm"
@@ -356,26 +357,80 @@ func TestObsOverheadAllocFree(t *testing.T) {
 	}
 }
 
-// BenchmarkVersionedRead measures Multiverse's versioned read path against
-// its unversioned path on the same pre-versioned data.
+// BenchmarkVersionedRead prices an 8-word read transaction over words a
+// Mode U writer has versioned, on each path a read can take: unversioned
+// (ReadOnly; a lone thread never aborts, so it never escalates), versioned
+// with every word untouched since the read clock (AtomicSI: versioned from
+// the first attempt, every read served in place) and versioned with every
+// word overwritten above the read clock (SnapshotAt pinned below the
+// overwrite: one unversioned attempt that fails validation, then a versioned
+// one whose every read walks bloom, VLT and version list). All three must
+// report 0 allocs/op.
 func BenchmarkVersionedRead(b *testing.B) {
-	sys := mvstm.NewPinned(mvstm.Config{LockTableSize: 1 << 12}, mvstm.ModeU)
+	clk := new(gclock.Clock)
+	clk.Set(1)
+	sys := mvstm.NewPinned(mvstm.Config{LockTableSize: 1 << 12, DisableBG: true, Clock: clk}, mvstm.ModeU)
 	defer sys.Close()
 	th := sys.RegisterMV()
 	defer th.Unregister()
 	var words [8]stm.Word
-	// Version every word by writing it in Mode U.
-	th.Atomic(func(tx stm.Txn) {
-		for j := range words {
-			tx.Write(&words[j], uint64(j))
-		}
-	})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		th.ReadOnly(func(tx stm.Txn) {
+	write := func(base uint64) {
+		th.Atomic(func(tx stm.Txn) {
 			for j := range words {
-				tx.Read(&words[j])
+				tx.Write(&words[j], base+uint64(j))
 			}
 		})
 	}
+	var sink uint64
+	read := func(tx stm.Txn) {
+		for j := range words {
+			sink += tx.Read(&words[j])
+		}
+	}
+	// Version every word by writing it in Mode U, then move the clock past
+	// that commit: from here on the words validate in place.
+	write(0)
+	clk.Increment()
+	b.Run("unversioned", func(b *testing.B) {
+		b.ReportAllocs()
+		before := sys.Stats().VersionedCommits
+		for i := 0; i < b.N; i++ {
+			th.ReadOnly(read)
+		}
+		if n := sys.Stats().VersionedCommits - before; n != 0 {
+			b.Fatalf("%d of %d transactions committed versioned", n, b.N)
+		}
+	})
+	b.Run("versioned/in-place", func(b *testing.B) {
+		b.ReportAllocs()
+		before := sys.Stats()
+		for i := 0; i < b.N; i++ {
+			th.AtomicSI(read)
+		}
+		st := sys.Stats()
+		st.Sub(before)
+		if st.VersionedCommits != uint64(b.N) || st.VersionListReads != 0 {
+			b.Fatalf("%d versioned commits, %d list reads in %d transactions: not the in-place path",
+				st.VersionedCommits, st.VersionListReads, b.N)
+		}
+	})
+	b.Run("versioned/list", func(b *testing.B) {
+		// Pin below an overwrite. Eight retires are fewer than the
+		// reclaimer's batch, so the pinned versions stay in their lists.
+		ts := clk.Load()
+		write(100)
+		b.ReportAllocs()
+		b.ResetTimer()
+		before := sys.Stats()
+		for i := 0; i < b.N; i++ {
+			if !th.SnapshotAt(ts, read) {
+				b.Fatal("pinned snapshot not servable")
+			}
+		}
+		st := sys.Stats()
+		st.Sub(before)
+		if want := uint64(b.N * len(words)); st.VersionListReads != want {
+			b.Fatalf("%d list reads want %d: not every read traversed", st.VersionListReads, want)
+		}
+	})
 }

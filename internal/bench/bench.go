@@ -98,6 +98,7 @@ type Result struct {
 	Aborts       uint64
 	Starved      uint64 // operations abandoned at the TM's attempt bound
 	Versioned    uint64 // versioned-path commits (Multiverse)
+	ListReads    uint64 // versioned reads that needed a version list (Multiverse, Mode U)
 	ModeSwitches uint64
 	MaxHeapKB    uint64  // peak observed heap during measurement
 	CPUSeconds   float64 // process CPU time consumed (energy proxy)
@@ -159,6 +160,7 @@ func Run(cfg Config) Result {
 		agg.Aborts += r.Aborts
 		agg.Starved += r.Starved
 		agg.Versioned += r.Versioned
+		agg.ListReads += r.ListReads
 		agg.ModeSwitches += r.ModeSwitches
 		agg.CPUSeconds += r.CPUSeconds
 		agg.AllocsPerOp += r.AllocsPerOp
@@ -489,6 +491,7 @@ func runTrial(cfg Config, seed uint64) Result {
 	res.Commits = st.Commits - statsBefore.Commits
 	res.Aborts = st.Aborts - statsBefore.Aborts
 	res.Versioned = st.VersionedCommits - statsBefore.VersionedCommits
+	res.ListReads = st.VersionListReads - statsBefore.VersionListReads
 	res.ModeSwitches = st.ModeSwitches - statsBefore.ModeSwitches
 	res.CPUSeconds = processCPUTime() - cpuBefore
 	if res.CPUSeconds > 0 {
@@ -597,8 +600,8 @@ func (r Result) ShardRows() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "    shared clock end=%d (moves on aborts and snapshot freezes)\n", r.ClockEnd)
 	for i, st := range r.ShardStats {
-		fmt.Fprintf(&b, "    shard %-2d commits=%-9d aborts=%-7d versioned=%-7d modeSw=%-4d unversion=%-5d addrVer=%d\n",
-			i, st.Commits, st.Aborts, st.VersionedCommits, st.ModeSwitches, st.Unversionings, st.AddrVersioned)
+		fmt.Fprintf(&b, "    shard %-2d commits=%-9d aborts=%-7d versioned=%-7d listReads=%-7d modeSw=%-4d unversion=%-5d addrVer=%d\n",
+			i, st.Commits, st.Aborts, st.VersionedCommits, st.VersionListReads, st.ModeSwitches, st.Unversionings, st.AddrVersioned)
 	}
 	return b.String()
 }

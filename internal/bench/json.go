@@ -28,6 +28,7 @@ type RunRecord struct {
 	Aborts       uint64  `json:"aborts"`
 	Starved      uint64  `json:"starved"`
 	Versioned    uint64  `json:"versioned_commits"`
+	ListReads    uint64  `json:"version_list_reads"`
 	ModeSwitches uint64  `json:"mode_switches"`
 	MaxHeapKB    uint64  `json:"max_heap_kb"`
 	OpsPerCPUSec float64 `json:"ops_per_cpu_sec"`
@@ -107,6 +108,7 @@ func emitJSON(r Result) {
 		Aborts:       r.Aborts,
 		Starved:      r.Starved,
 		Versioned:    r.Versioned,
+		ListReads:    r.ListReads,
 		ModeSwitches: r.ModeSwitches,
 		MaxHeapKB:    r.MaxHeapKB,
 		OpsPerCPUSec: r.OpsPerCPUSec,

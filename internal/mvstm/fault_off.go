@@ -11,9 +11,11 @@ const FaultInjected = false
 // faultTBDRead, when true, makes version-list traversals serve uncommitted
 // TBD heads — a dirty read that breaks opacity. faultLaxTraverse accepts
 // versions whose commit clock equals the read clock ("<=" instead of the
-// strict "<"), breaking the paper's §3.4 disjointness argument. Constant
-// false here so the branches in traverse are dead code.
+// strict "<"), breaking the paper's §3.4 disjointness argument.
+// faultLaxInPlace does the same to modeURead's in-place acceptance. Constant
+// false here so the branches in traverse and modeURead are dead code.
 const (
 	faultTBDRead     = false
 	faultLaxTraverse = false
+	faultLaxInPlace  = false
 )

@@ -13,7 +13,11 @@ const FaultInjected = true
 // faultLaxTraverse weakens the strict "version < rClock" acceptance to
 // "<=": a versioned reader can then observe a same-clock writer through
 // version lists that its unversioned reads exclude, tearing the snapshot.
+// faultLaxInPlace weakens modeURead's in-place acceptance the same way: a
+// lock released at the reader's own read clock validates, so a Mode U
+// versioned reader serves the in-place value of a same-clock writer.
 const (
 	faultTBDRead     = true
 	faultLaxTraverse = true
+	faultLaxInPlace  = true
 )

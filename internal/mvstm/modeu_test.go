@@ -1,6 +1,7 @@
 package mvstm
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -38,6 +39,198 @@ func TestModeURead_UnlockedValid(t *testing.T) {
 	}
 	if s.getVList(s.locks.IndexOf(&w), &w) != nil {
 		t.Fatal("mode U read versioned the address")
+	}
+}
+
+// readU runs one modeURead of w as tx's whole attempt and finishes the attempt
+// the way the driver would, so the per-attempt list-read count reaches the
+// counters. It returns the value, the outcome, and how many of the attempt's
+// reads consulted a version list.
+func readU(s *System, tx *txn, w *stm.Word) (val uint64, oc stm.Outcome, listReads uint64) {
+	before := s.Stats().VersionListReads
+	oc = stm.RunAttempt(func() { val = tx.modeURead(w) })
+	tx.After(1, oc)
+	return val, oc, s.Stats().VersionListReads - before
+}
+
+// commitWrite commits w := v from a second thread (in Mode U this versions w).
+func commitWrite(t *testing.T, s *System, w *stm.Word, v uint64) {
+	t.Helper()
+	wr := s.RegisterMV()
+	defer wr.Unregister()
+	if !wr.Atomic(func(tx stm.Txn) { tx.Write(w, v) }) {
+		t.Fatal("setup: write did not commit")
+	}
+}
+
+// TestModeURead_VersionedUntouchedReadsInPlace: an address that is versioned
+// but has not been written since the read clock is served by the in-place
+// load; its version list is not consulted.
+func TestModeURead_VersionedUntouchedReadsInPlace(t *testing.T) {
+	s, _, tx := pinnedU(t)
+	var w stm.Word
+	commitWrite(t, s, &w, 7)
+	if s.getVList(s.locks.IndexOf(&w), &w) == nil {
+		t.Fatal("setup: a Mode U write did not version the address")
+	}
+	s.clock.Increment() // the write's commit clock is now below the read clock
+	tx.begin(true, true, false)
+	v, oc, lists := readU(s, tx, &w)
+	if oc != stm.Committed || v != 7 {
+		t.Fatalf("got (%d, outcome %v) want (7, committed)", v, oc)
+	}
+	if lists != 0 {
+		t.Fatalf("VersionListReads moved by %d for an address untouched since rClock", lists)
+	}
+}
+
+// TestModeURead_OverwrittenAfterBeginTraverses: an address overwritten and
+// committed after the reader began fails the in-place rule and is served,
+// at the pre-overwrite value, from its version list.
+func TestModeURead_OverwrittenAfterBeginTraverses(t *testing.T) {
+	s, _, tx := pinnedU(t)
+	var w stm.Word
+	commitWrite(t, s, &w, 7)
+	s.clock.Increment()
+	tx.begin(true, true, false)
+	commitWrite(t, s, &w, 9) // commits at the reader's own read clock
+	v, oc, lists := readU(s, tx, &w)
+	if oc != stm.Committed || v != 7 {
+		t.Fatalf("got (%d, outcome %v) want the pre-overwrite 7, committed", v, oc)
+	}
+	if lists != 1 {
+		t.Fatalf("VersionListReads moved by %d want 1", lists)
+	}
+}
+
+// TestModeURead_SlotCollisionAfterBegin: a different word sharing w's lock
+// slot is written after the reader began, so the slot's version is no longer
+// below the read clock although w itself is untouched. The in-place rule
+// declines; the slow path must still return w's value without aborting —
+// straight from memory when w is unversioned, from its list when it is.
+func TestModeURead_SlotCollisionAfterBegin(t *testing.T) {
+	for _, versioned := range []bool{false, true} {
+		s, _, tx := pinnedU(t)
+		// 257 words over 256 slots: two must share one.
+		words := make([]stm.Word, s.locks.Len()+1)
+		seen := map[uint64]*stm.Word{}
+		var w, other *stm.Word
+		for i := range words {
+			idx := s.locks.IndexOf(&words[i])
+			if prev, ok := seen[idx]; ok {
+				w, other = prev, &words[i]
+				break
+			}
+			seen[idx] = &words[i]
+		}
+		w.Store(3)
+		var wantLists uint64
+		if versioned {
+			commitWrite(t, s, w, 3)
+			wantLists = 1
+		}
+		s.clock.Increment()
+		tx.begin(true, true, false)
+		commitWrite(t, s, other, 8)
+		if ver := s.locks.Of(w).Load().Version(); ver < tx.rClock {
+			t.Fatalf("setup: slot version %d still below rClock %d", ver, tx.rClock)
+		}
+		v, oc, lists := readU(s, tx, w)
+		if oc != stm.Committed || v != 3 {
+			t.Fatalf("versioned=%v: got (%d, outcome %v) want (3, committed)", versioned, v, oc)
+		}
+		if lists != wantLists {
+			t.Fatalf("versioned=%v: VersionListReads moved by %d want %d", versioned, lists, wantLists)
+		}
+	}
+}
+
+// TestModeURead_FlaggedTakesStateMachine: a lock flagged for versioning at
+// the first load is "held", so the in-place rule declines and Listing 5's
+// state machine decides: same version, same value, valid Mode U bound — the
+// first value stands.
+func TestModeURead_FlaggedTakesStateMachine(t *testing.T) {
+	s, _, tx := pinnedU(t)
+	var w stm.Word
+	w.Store(77)
+	l := s.locks.Of(&w)
+	pre, ok := l.TryFlag(999)
+	if !ok {
+		t.Fatal("setup: flag")
+	}
+	defer l.Release(pre.Version())
+	s.clock.Increment()
+	tx.begin(true, true, false)
+	v, oc, lists := readU(s, tx, &w)
+	if oc != stm.Committed || v != 77 {
+		t.Fatalf("got (%d, outcome %v) want (77, committed)", v, oc)
+	}
+	if lists != 0 {
+		t.Fatalf("VersionListReads moved by %d for an unversioned address", lists)
+	}
+}
+
+// conflictOnce runs a read-only transaction over words on rd; every
+// unversioned attempt first lets a second thread commit a write to words[0],
+// which that attempt's read of it must then fail to validate. It returns
+// whether each attempt ran versioned.
+func conflictOnce(t *testing.T, s *System, rd *Thread, words []stm.Word) (versioned []bool) {
+	t.Helper()
+	ok := rd.ReadOnly(func(tx stm.Txn) {
+		versioned = append(versioned, rd.txn.versioned)
+		if !rd.txn.versioned {
+			commitWrite(t, s, &words[0], uint64(len(versioned)))
+		}
+		for i := range words {
+			tx.Read(&words[i])
+		}
+	})
+	if !ok {
+		t.Fatal("read-only transaction did not commit")
+	}
+	return versioned
+}
+
+// TestModeUEscalatesOnFirstAbort: in Mode U one conflict is enough — the
+// second attempt runs versioned and commits. Nothing it read needed a version
+// list (the conflicting write is below the retry's read clock), so the commit
+// must leave the minimum Mode U read count alone: a 10-read transaction that
+// was merely unlucky is not one Mode U saved.
+func TestModeUEscalatesOnFirstAbort(t *testing.T) {
+	s := NewPinned(testConfig(), ModeU)
+	defer s.Close()
+	rd := s.RegisterMV()
+	defer rd.Unregister()
+	minBefore := s.minModeUReads.Load()
+	got := conflictOnce(t, s, rd, make([]stm.Word, 10))
+	if want := []bool{false, true}; !slices.Equal(got, want) {
+		t.Fatalf("attempts ran versioned=%v want %v", got, want)
+	}
+	st := s.Stats()
+	if st.VersionedCommits != 1 || st.VersionListReads != 0 {
+		t.Fatalf("VersionedCommits=%d VersionListReads=%d want 1, 0", st.VersionedCommits, st.VersionListReads)
+	}
+	if min := s.minModeUReads.Load(); min != minBefore {
+		t.Fatalf("minModeUReads moved %d -> %d on a versioned commit with no list read", minBefore, min)
+	}
+}
+
+// TestModeQStillWaitsForK1: the first-abort escalation is Mode U's alone. The
+// same conflict in pinned Mode Q runs K1 unversioned attempts before the
+// versioned one.
+func TestModeQStillWaitsForK1(t *testing.T) {
+	cfg := testConfig()
+	cfg.K1 = 3
+	s := NewPinned(cfg, ModeQ)
+	defer s.Close()
+	rd := s.RegisterMV()
+	defer rd.Unregister()
+	got := conflictOnce(t, s, rd, make([]stm.Word, 10))
+	if want := []bool{false, false, false, true}; !slices.Equal(got, want) {
+		t.Fatalf("attempts ran versioned=%v want %v", got, want)
+	}
+	if vc := s.Stats().VersionedCommits; vc != 1 {
+		t.Fatalf("VersionedCommits=%d want 1", vc)
 	}
 }
 

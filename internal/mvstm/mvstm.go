@@ -10,6 +10,16 @@
 // useful. Four global TM modes (Q, QtoU, U, UtoQ) move the versioning duty
 // between readers (Mode Q) and writers (Mode U) to fit the workload.
 //
+// In Mode U a versioned read is an unversioned read that cannot fail: it
+// loads the word in place and accepts it under the unversioned validation
+// rule (lock free, lock version below the read clock), and only an address
+// written since the snapshot is looked up in its version list (modeURead).
+// Because of that, and because Mode U writers version whatever they write, a
+// read-only transaction that conflicts in Mode U goes versioned on its first
+// abort instead of after K1 — a deviation from the paper, confined to Mode U.
+// The minimum Mode U read count is fed only by versioned commits that needed
+// a version list, and Stats.VersionListReads counts those reads.
+//
 // Locks, version lists and bloom filters live in three parallel tables of
 // identical size sharing one address mapping, so an address's versioned lock
 // also protects its version list and the program's memory layout is never
@@ -84,7 +94,8 @@ type Config struct {
 	// nil (the default) gives the instance a private clock.
 	Clock *gclock.Clock
 	// K1: failed attempts before a read-only transaction switches to
-	// the versioned path.
+	// the versioned path (in Mode U the first failed attempt does it, see
+	// the package comment).
 	K1 int
 	// K2: failed attempts after which a read-only transaction attempts
 	// the Q→QtoU CAS iff its read count is at least the minimum Mode U
@@ -176,7 +187,7 @@ type System struct {
 
 	modeCounter     atomic.Uint64
 	firstObsModeUTs atomic.Uint64 // clock observed right after entering Mode U; 0 = invalid
-	minModeUReads   atomic.Uint64 // min read count of versioned txns committed in Mode U
+	minModeUReads   atomic.Uint64 // min read count of versioned txns committed in Mode U that read a version list
 
 	slots slotList
 

@@ -474,17 +474,24 @@ func TestReadOnlyBecomesVersionedAfterK1(t *testing.T) {
 	}
 }
 
+// TestMinModeUReadsRecorded: a versioned Mode U commit that needed a version
+// list lowers the minimum Mode U read count to its size (the commit that
+// needed none is TestModeUEscalatesOnFirstAbort).
 func TestMinModeUReadsRecorded(t *testing.T) {
 	s := NewPinned(Config{LockTableSize: 1 << 8, DisableBG: true}, ModeU)
 	defer s.Close()
 	th := s.RegisterMV()
 	defer th.Unregister()
 	words := make([]stm.Word, 5)
+	s.clock.Increment() // the initial versions (at the Mode U timestamp) fall below rClock
 	tx := &th.txn
 	tx.begin(true, true, false)
+	commitWrite(t, s, &words[0], 1) // after begin: this read must come from the list
 	oc := stm.RunAttempt(func() {
 		for i := range words {
-			tx.Read(&words[i])
+			if v := tx.Read(&words[i]); v != 0 {
+				t.Errorf("words[%d]=%d want the snapshot's 0", i, v)
+			}
 		}
 		tx.Commit()
 	})

@@ -44,6 +44,7 @@ type txn struct {
 	versioned        bool
 	si               bool // snapshot-isolation path (§3.5)
 	readCnt          uint64
+	listReads        uint64 // this attempt's reads that needed a version list (modeURead's slow path)
 	initialVTs       uint64 // initial versioned timestamp (first versioned attempt)
 
 	// Whole-transaction state, set by run and steered by After.
@@ -116,9 +117,19 @@ func (tx *txn) Begin(int) {
 // the heuristics (paper Listing 1 abort, §4.3) that decide whether to switch
 // this transaction to the versioned path and whether to nudge the TM towards
 // Mode U.
+//
+// Deviation from the paper's K1, Mode U only: a read-only transaction that
+// conflicts in Mode U goes versioned on its first abort. Writers already
+// version everything they write there, so the version it lost to is in a
+// list, and a versioned attempt costs what an unversioned one does (see
+// modeURead); K1 - 1 more unversioned attempts could only fail the same way.
+// K1/K2/K3 keep the paper's meaning in every other mode.
 func (tx *txn) After(attempt int, oc stm.Outcome) {
 	t := tx.t
 	t.slot.localModeCounter.Store(idleCounter)
+	if tx.listReads > 0 {
+		t.Ctr.VersionListReads.Add(tx.listReads)
+	}
 	switch oc {
 	case stm.Committed:
 		// Closure-free eventual frees: the versions this commit
@@ -138,7 +149,7 @@ func (tx *txn) After(attempt int, oc stm.Outcome) {
 			tx.goVersioned = true
 		case tx.readOnly && !tx.si:
 			sys := t.sys
-			if !tx.goVersioned && (attempt >= sys.cfg.K1 ||
+			if !tx.goVersioned && (tx.localMode == ModeU || attempt >= sys.cfg.K1 ||
 				(attempt >= sys.cfg.K2 && tx.readCnt >= sys.minModeUReads.Load())) {
 				tx.goVersioned = true
 			}
@@ -184,6 +195,7 @@ func (tx *txn) begin(readOnly, versioned, si bool) {
 	tx.versioned = versioned
 	tx.si = si
 	tx.readCnt = 0
+	tx.listReads = 0
 	tx.reads = tx.reads[:0]
 	tx.undo = tx.undo[:0]
 	tx.locked = tx.locked[:0]
@@ -326,20 +338,39 @@ func (tx *txn) versionThenRead(idx, hash uint64, w *stm.Word) uint64 {
 	return data
 }
 
-// modeURead is paper Listing 5's modeU_versionedRead. In Mode U every
-// address written since the mode change is versioned, so an unversioned
-// address has a stable value; the retry state machine disambiguates lock
-// holders from lock-table collisions without versioning anything.
+// modeURead is a Mode U versioned read. It reads in place first: a lock that
+// is not held and whose version is below the read clock means no transaction
+// has written under it since the snapshot, so the in-place value *is* the
+// snapshot value. This is the unversioned path's validation rule
+// (validateLock), sound for the same reason and at a pinned clock too, and
+// it holds whether or not the address is versioned. Only the addresses that
+// fail it — written, or sharing a lock with a word written, since rClock —
+// pay for the bloom/VLT/version-list walk in modeUReadSlow.
 func (tx *txn) modeURead(w *stm.Word) uint64 {
 	sys := tx.t.sys
 	hash := sys.locks.Hash(w)
 	idx := hash & sys.locks.Mask()
 	l := sys.locks.At(idx)
+	val := w.Load()
+	if s := l.Load(); !s.Held() &&
+		(s.Version() < tx.rClock || (faultLaxInPlace && s.Version() == tx.rClock)) {
+		return val
+	}
+	return tx.modeUReadSlow(w, idx, hash, l)
+}
+
+// modeUReadSlow is paper Listing 5's modeU_versionedRead. In Mode U every
+// address written since the mode change is versioned, so an unversioned
+// address has a stable value; the retry state machine disambiguates lock
+// holders from lock-table collisions without versioning anything.
+func (tx *txn) modeUReadSlow(w *stm.Word, idx, hash uint64, l *vlock.Lock) uint64 {
+	sys := tx.t.sys
 	var lastVer, lastVal uint64
 	didRetry := false
 	for {
 		if sys.bloomContains(idx, hash) {
 			if vl := sys.getVList(idx, w); vl != nil {
+				tx.listReads++
 				data, ok := vl.traverse(tx.rClock)
 				if !ok {
 					tx.AbortWith(obs.ReasonVersionGone)
@@ -540,7 +571,11 @@ func (tx *txn) Commit() {
 func (t *Thread) onVersionedCommit(tx *txn) {
 	delta := t.sys.clock.Load() - tx.initialVTs
 	t.slot.delta.Store(delta + 1)
-	if tx.localMode == ModeU {
+	// The minimum Mode U read count is the size of the smallest transaction
+	// Mode U saved: one that needed a version list to commit. A versioned
+	// commit that read everything in place (a short transaction escalated by
+	// one unlucky abort) says nothing about what versioning buys.
+	if tx.localMode == ModeU && tx.listReads > 0 {
 		for {
 			cur := t.sys.minModeUReads.Load()
 			if tx.readCnt >= cur || t.sys.minModeUReads.CompareAndSwap(cur, tx.readCnt) {

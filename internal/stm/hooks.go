@@ -157,6 +157,7 @@ type Counters struct {
 	Starved          atomic.Uint64
 	ReadOnlyCommits  atomic.Uint64
 	VersionedCommits atomic.Uint64
+	VersionListReads atomic.Uint64
 	ModeSwitches     atomic.Uint64
 	Unversionings    atomic.Uint64
 	AddrVersioned    atomic.Uint64
@@ -176,6 +177,7 @@ func (c *Counters) Snapshot() Stats {
 		Starved:          c.Starved.Load(),
 		ReadOnlyCommits:  c.ReadOnlyCommits.Load(),
 		VersionedCommits: c.VersionedCommits.Load(),
+		VersionListReads: c.VersionListReads.Load(),
 		ModeSwitches:     c.ModeSwitches.Load(),
 		Unversionings:    c.Unversionings.Load(),
 		AddrVersioned:    c.AddrVersioned.Load(),

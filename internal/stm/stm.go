@@ -136,6 +136,7 @@ type Stats struct {
 	Starved          uint64 // transactions that hit MaxAttempts and gave up
 	ReadOnlyCommits  uint64 // commits of read-only transactions
 	VersionedCommits uint64 // commits on the versioned code path (Multiverse)
+	VersionListReads uint64 // Mode U versioned reads that had to consult a version list (Multiverse)
 	ModeSwitches     uint64 // global TM mode transitions (Multiverse)
 	Unversionings    uint64 // VLT buckets unversioned (Multiverse)
 	AddrVersioned    uint64 // addresses switched to versioned state (Multiverse)
@@ -154,6 +155,7 @@ func (s *Stats) Add(o Stats) {
 	s.Starved += o.Starved
 	s.ReadOnlyCommits += o.ReadOnlyCommits
 	s.VersionedCommits += o.VersionedCommits
+	s.VersionListReads += o.VersionListReads
 	s.ModeSwitches += o.ModeSwitches
 	s.Unversionings += o.Unversionings
 	s.AddrVersioned += o.AddrVersioned
@@ -170,6 +172,7 @@ func (s *Stats) Sub(o Stats) {
 	s.Starved -= o.Starved
 	s.ReadOnlyCommits -= o.ReadOnlyCommits
 	s.VersionedCommits -= o.VersionedCommits
+	s.VersionListReads -= o.VersionListReads
 	s.ModeSwitches -= o.ModeSwitches
 	s.Unversionings -= o.Unversionings
 	s.AddrVersioned -= o.AddrVersioned

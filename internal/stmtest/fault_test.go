@@ -24,21 +24,25 @@ import (
 	"repro/internal/stm"
 )
 
-// TestFaultInjectionCaughtByChecker drives a deterministic dirty-read
-// schedule through the weakened TM and asserts the linearizability checker
-// rejects the recorded history.
-//
-// Schedule: a word (standing for key 7's value) is initialized to 1 and
-// versioned via a snapshot-isolation read (SI reads take the versioned path
-// from their first attempt, making the test deterministic — no abort
-// thresholds involved). A writer transaction then installs a TBD version
-// holding 2 and pauses before cancelling; the weakened traverse serves that
-// uncommitted 2 to a concurrent versioned reader. The writer cancels, so no
-// committed operation ever wrote 2 — no linearization can explain the read.
+// TestFaultInjectionCaughtByChecker drives one deterministic schedule per
+// read path the faults weaken through the weakened TM and asserts both
+// linearizability checkers reject the recorded history.
 func TestFaultInjectionCaughtByChecker(t *testing.T) {
 	if !mvstm.FaultInjected {
 		t.Fatal("built without the mvstmfault tag")
 	}
+	t.Run("modeQ-tbd-dirty-read", faultTBDDirtyRead)
+	t.Run("modeU-lax-in-place", faultLaxInPlaceTornRange)
+}
+
+// faultTBDDirtyRead is the version-list schedule: a word (standing for key
+// 7's value) is initialized to 1 and versioned via a snapshot-isolation read
+// (SI reads take the versioned path from their first attempt, making the
+// test deterministic — no abort thresholds involved). A writer transaction then installs a TBD version
+// holding 2 and pauses before cancelling; the weakened traverse serves that
+// uncommitted 2 to a concurrent versioned reader. The writer cancels, so no
+// committed operation ever wrote 2 — no linearization can explain the read.
+func faultTBDDirtyRead(t *testing.T) {
 	sys := mvstm.NewPinned(mvstm.Config{LockTableSize: SmallTables, DisableBG: true}, mvstm.ModeQ)
 	defer sys.Close()
 
@@ -128,10 +132,100 @@ func TestFaultInjectionCaughtByChecker(t *testing.T) {
 	}
 }
 
+// faultLaxInPlaceTornRange is the Mode U in-place schedule. Two words stand
+// for the presence of keys 1 and 2; key 1 starts present. A versioned reader
+// (SI, so versioned from its first attempt) range-scans both keys: it reads
+// key 1's word — present — and then, before it reads key 2's, one writer
+// deletes key 1 and, after that returned, inserts key 2. Neither write
+// aborts, so both commit at the reader's own read clock. A sound read sends
+// key 2's word to its version list (lock version not below the read clock)
+// and finds it absent at the snapshot; the weakened in-place rule accepts
+// the lock version that equals the read clock and serves the insert. The
+// scan reports both keys present, a state that never existed: the delete
+// returned before the insert was invoked.
+func faultLaxInPlaceTornRange(t *testing.T) {
+	sys := mvstm.NewPinned(mvstm.Config{LockTableSize: 1 << 12, DisableBG: true}, mvstm.ModeU)
+	defer sys.Close()
+
+	const k1, k2 = 1, 2
+	var present [2]stm.Word
+	h := histcheck.NewHistory(2, 4)
+	wrec, rrec := h.Recorder(0), h.Recorder(1)
+
+	writer, reader := sys.RegisterMV(), sys.RegisterMV()
+	defer writer.Unregister()
+	defer reader.Unregister()
+	set := func(kind histcheck.Kind, key uint64, w *stm.Word, v uint64) {
+		tok := wrec.Invoke(kind, key, key)
+		if !writer.Atomic(func(tx stm.Txn) { tx.Write(w, v) }) {
+			t.Fatal("writer txn failed")
+		}
+		wrec.Return(tok, true, 0, 0, 0)
+	}
+	set(histcheck.Insert, k1, &present[0], 1)
+	// A rollback advances the clock: the reader's read clock is then above
+	// the Mode U timestamp the initial versions carry, so a sound build
+	// serves this schedule from the lists on the first attempt.
+	writer.Atomic(func(tx stm.Txn) { tx.Cancel() })
+
+	var count int
+	attempts := 0
+	tok := rrec.Invoke(histcheck.Range, k1, k2)
+	if !reader.AtomicSI(func(tx stm.Txn) {
+		attempts++
+		count = int(tx.Read(&present[0]))
+		if attempts == 1 {
+			set(histcheck.Delete, k1, &present[0], 0)
+			set(histcheck.Insert, k2, &present[1], 1)
+		}
+		count += int(tx.Read(&present[1]))
+	}) {
+		t.Fatal("reader SI txn failed")
+	}
+	// The injected fault must actually have fired, and on the in-place
+	// path: no read of the scan reached a version list.
+	if count != 2 || attempts != 1 {
+		t.Fatalf("fault injection did not tear the scan: count %d after %d attempts, want 2 after 1", count, attempts)
+	}
+	rrec.Return(tok, true, 0, count, k1+k2)
+	if n := sys.Stats().VersionListReads; n != 0 {
+		t.Fatalf("%d reads went to a version list; the torn value must come from the in-place path", n)
+	}
+
+	ops := h.Ops()
+	if res := histcheck.Check(ops, 0); res.Ok {
+		t.Fatalf("checker accepted a torn-scan history: %v", ops)
+	} else {
+		t.Logf("checker correctly rejected the weakened history: %s", res.Reason)
+	}
+	if res := histcheck.CheckPartitioned(ops, 0); res.Ok {
+		t.Fatalf("partitioned checker accepted a torn-scan history: %v", ops)
+	} else {
+		t.Logf("partitioned checker also rejected it: %s", res.Reason)
+	}
+
+	// Control: the same schedule with the snapshot a sound read returns
+	// (key 1 alone) is linearizable.
+	fixed := make([]histcheck.Op, len(ops))
+	copy(fixed, ops)
+	for i := range fixed {
+		if fixed[i].Kind == histcheck.Range {
+			fixed[i].RCount, fixed[i].RSum = 1, k1
+		}
+	}
+	if res := histcheck.Check(fixed, 0); !res.Ok {
+		t.Fatalf("control history rejected: %s", res.Reason)
+	}
+	if res := histcheck.CheckPartitioned(fixed, 0); !res.Ok {
+		t.Fatalf("control history rejected by partitioned checker: %s", res.Reason)
+	}
+}
+
 // TestFaultInjectionCaughtAtSoakScale proves the partitioned checker keeps
 // its teeth at the history sizes the monolithic gate could never reach:
 // the fuzzer drives soak-size recorded rounds through the weakened TM
-// (both injected faults live — TBD dirty reads and the lax "<=" traverse)
+// (all injected faults live — TBD dirty reads and the lax "<=" acceptance in
+// traverse and in the Mode U in-place read)
 // and must catch a non-linearizable history well within the deadline. The
 // eager thresholds (K1=1) put every round on the versioned read path the
 // faults corrupt, and the rounds hammer the combinations whose long

@@ -552,6 +552,7 @@ func RegisterShardStats(emit func(name string, v uint64), sys *shard.System) {
 		emit(prefix+"starved", ss.Starved)
 		emit(prefix+"read_only_commits", ss.ReadOnlyCommits)
 		emit(prefix+"versioned_commits", ss.VersionedCommits)
+		emit(prefix+"version_list_reads", ss.VersionListReads)
 		emit(prefix+"mode_switches", ss.ModeSwitches)
 		total.Add(ss)
 	}
