@@ -4,12 +4,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/ds"
+	"repro/internal/fault"
 	"repro/internal/histcheck"
 	"repro/internal/wal"
 	"repro/internal/workload"
@@ -142,7 +143,7 @@ func crashRound(c crashConfig, mode string, shards int, policy wal.SyncPolicy, d
 			l.Close()
 			return false, ckptStarved
 		}
-		syncedWant = exportRecovered(l, m)
+		syncedWant, _ = ds.ExportSorted(l.System(), m)
 		l.Crash()
 	default: // hard, torn: sever mid-traffic, then abandon the live system
 		l.Crash()
@@ -160,12 +161,12 @@ func crashRound(c crashConfig, mode string, shards int, policy wal.SyncPolicy, d
 		fmt.Printf("  crash round %d: recovery failed: %v\n", round, err)
 		return false, ckptStarved
 	}
-	recovered := exportRecovered(l2, m2)
+	recovered, _ := ds.ExportSorted(l2.System(), m2)
 	l2.Crash()
 	l2.Close()
 
 	if mode == "synced" {
-		if !kvEqual(recovered, syncedWant) {
+		if !slices.Equal(recovered, syncedWant) {
 			fmt.Printf("  synced crash lost or invented data: recovered %d pairs want %d\n",
 				len(recovered), len(syncedWant))
 			return false, ckptStarved
@@ -273,41 +274,20 @@ func maxThread(ops []histcheck.Op) int {
 	return m
 }
 
-func exportRecovered(l *wal.Log, m ds.Map) []ds.KV {
-	th := l.System().Register()
-	defer th.Unregister()
-	pairs, _ := ds.Export(th, m.(ds.Visitor), 1, ^uint64(0))
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].Key < pairs[j].Key })
-	return pairs
-}
-
-func kvEqual(a, b []ds.KV) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // tearNewestSegment truncates a random trailing chunk off the newest
 // segment of a random shard stream — the on-disk shape of a crash that
 // tore a partially flushed record.
 func tearNewestSegment(dir string, seed uint64) {
 	r := workload.NewRng(seed ^ 0xdeadbeef)
-	dirs, _ := filepath.Glob(filepath.Join(dir, "shard-*"))
-	if len(dirs) == 0 {
+	ls, _ := wal.ListDir(fault.OS, dir)
+	if len(ls.Shards) == 0 {
 		return
 	}
-	segs, _ := filepath.Glob(filepath.Join(dirs[r.Intn(len(dirs))], "wal-*.seg"))
-	if len(segs) == 0 {
+	sd := ls.Shards[r.Intn(len(ls.Shards))]
+	if len(sd.Segs) == 0 {
 		return
 	}
-	sort.Strings(segs)
-	path := segs[len(segs)-1]
+	path := filepath.Join(dir, sd.Name, sd.Segs[len(sd.Segs)-1])
 	fi, err := os.Stat(path)
 	if err != nil || fi.Size() <= 16 {
 		return

@@ -3,10 +3,12 @@ package main
 import (
 	"fmt"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/ds"
 	"repro/internal/fault"
 	"repro/internal/histcheck"
 	"repro/internal/wal"
@@ -181,7 +183,7 @@ func faultdiskRound(c faultdiskConfig, site faultSite, mode string, dmode wal.De
 			}
 			time.Sleep(time.Millisecond)
 		}
-		acked := exportRecovered(l, m)
+		acked, _ := ds.ExportSorted(l.System(), m)
 		l.Crash()
 		l.Close()
 
@@ -202,10 +204,10 @@ func faultdiskRound(c faultdiskConfig, site faultSite, mode string, dmode wal.De
 			fmt.Printf("  faultdisk round %d: recovery failed: %v\n", round, err)
 			return false, false, ckptRefused
 		}
-		recovered := exportRecovered(l2, m2)
+		recovered, _ := ds.ExportSorted(l2.System(), m2)
 		l2.Crash()
 		l2.Close()
-		if !kvEqual(recovered, acked) {
+		if !slices.Equal(recovered, acked) {
 			fmt.Printf("  no-silent-loss violated: recovered %d pairs, acked %d after nil Sync\n",
 				len(recovered), len(acked))
 			return false, false, ckptRefused
@@ -222,7 +224,7 @@ func faultdiskRound(c faultdiskConfig, site faultSite, mode string, dmode wal.De
 		fmt.Printf("  faultdisk round %d: recovery failed: %v\n", round, err)
 		return false, false, ckptRefused
 	}
-	recovered := exportRecovered(l2, m2)
+	recovered, _ := ds.ExportSorted(l2.System(), m2)
 	l2.Crash()
 	l2.Close()
 	return auditPrefixConsistent(hist, recovered, round), false, ckptRefused

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"net"
 	"os"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -142,17 +142,6 @@ func shipFeed(leaderDir, followerDir string, inj *fault.Injector, stop chan stru
 	return &wg
 }
 
-func exportReplicaState(r *replica.Replica) []ds.KV {
-	th := r.System().Register()
-	defer th.Unregister()
-	pairs, ok := ds.Export(th, r.Map().(ds.Visitor), 1, ^uint64(0))
-	if !ok {
-		return nil // starved scan; the caller's poll loop retries
-	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].Key < pairs[j].Key })
-	return pairs
-}
-
 // replicaRound runs one load → ship-under-faults → (drain|sever) → promote →
 // audit cycle and reports whether every audit held.
 func replicaRound(c replicaConfig, site faultSite, mode string, shards int, dsName string, seed uint64, round int) bool {
@@ -219,7 +208,7 @@ func replicaRound(c replicaConfig, site faultSite, mode string, shards int, dsNa
 		}
 		return false
 	}
-	acked := exportRecovered(l, m)
+	acked, _ := ds.ExportSorted(l.System(), m)
 
 	if mode == "drained" {
 		// The channel keeps running against the quiesced leader: the follower
@@ -234,7 +223,8 @@ func replicaRound(c replicaConfig, site faultSite, mode string, shards int, dsNa
 		}
 		converged := false
 		for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); {
-			if kvEqual(exportReplicaState(r), acked) {
+			// A starved scan (ok=false) is not a verdict; the loop retries.
+			if got, ok := ds.ExportSorted(r.System(), r.Map()); ok && slices.Equal(got, acked) {
 				converged = true
 				break
 			}
@@ -255,8 +245,8 @@ func replicaRound(c replicaConfig, site faultSite, mode string, shards int, dsNa
 			fmt.Printf("  replica round %d: promote over drained copy: %v\n", round, err)
 			return false
 		}
-		promoted := exportRecovered(pl, pm)
-		if !kvEqual(promoted, acked) {
+		promoted, _ := ds.ExportSorted(pl.System(), pm)
+		if !slices.Equal(promoted, acked) {
 			fmt.Printf("  log-shipping no-silent-loss violated: promoted %d pairs, leader acked %d\n",
 				len(promoted), len(acked))
 			pl.Close()
@@ -282,7 +272,7 @@ func replicaRound(c replicaConfig, site faultSite, mode string, shards int, dsNa
 		fmt.Printf("  replica round %d: promote over severed copy: %v\n", round, err)
 		return false
 	}
-	promoted := exportRecovered(pl, pm)
+	promoted, _ := ds.ExportSorted(pl.System(), pm)
 	ok := auditPrefixConsistent(hist, promoted, round) && promotedAcceptsWrites(pl, pm, round)
 	pl.Close()
 	return ok

@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/ds"
 	"repro/internal/fault"
 	"repro/internal/histcheck"
 	"repro/internal/server"
@@ -157,7 +159,7 @@ func socketRound(c socketConfig, site faultSite, policy wal.SyncPolicy,
 		return false, severed.Load()
 	}
 
-	acked := exportRecovered(l, m)
+	acked, _ := ds.ExportSorted(l.System(), m)
 	l.Crash()
 	l.Close()
 
@@ -166,10 +168,10 @@ func socketRound(c socketConfig, site faultSite, policy wal.SyncPolicy,
 		fmt.Printf("  socket round %d: recovery failed: %v\n", round, err)
 		return false, severed.Load()
 	}
-	recovered := exportRecovered(l2, m2)
+	recovered, _ := ds.ExportSorted(l2.System(), m2)
 	l2.Crash()
 	l2.Close()
-	if !kvEqual(recovered, acked) {
+	if !slices.Equal(recovered, acked) {
 		fmt.Printf("  acked-but-lost across the wire: recovered %d pairs, drained server held %d\n",
 			len(recovered), len(acked))
 		return false, severed.Load()

@@ -18,6 +18,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -136,6 +137,9 @@ func fetchLive(addr string, warm int, d time.Duration) ([]byte, error) {
 			}
 		}
 		blob, err := cl.TraceBlob()
+		if errors.Is(err, client.ErrTooLarge) {
+			err = fmt.Errorf("%w: the span ring does not fit one wire frame — restart stmserve with a lower -trace-ring, or scrape /debug/obs/trace over its -obs port", err)
+		}
 		ch <- result{blob, err}
 	}()
 	select {

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"net"
 	"os"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -105,7 +105,7 @@ func RunReplicaBench(c ReplicaConfig) (Result, error) {
 	agg.OpsPerSec /= float64(c.Trials)
 	agg.Replica.AppliedRecsPerSec /= float64(c.Trials)
 	agg.Replica.DrainMs /= float64(c.Trials)
-	sort.Slice(lags, func(i, j int) bool { return lags[i] < lags[j] })
+	slices.Sort(lags)
 	if n := len(lags); n > 0 {
 		agg.Replica.LagP50 = lags[n/2]
 		agg.Replica.LagP99 = lags[n*99/100]
@@ -265,7 +265,7 @@ func runReplicaTrial(c ReplicaConfig, seed uint64) (replicaTrial, error) {
 	// cheap applied-record counter first — full-map export scans at a high
 	// rate starve the applier's transactions and would inflate the very
 	// drain they measure — then confirm with exports at a low cadence.
-	acked := exportPairs(l, m)
+	acked, _ := ds.ExportSorted(l.System(), m)
 	drainStart := time.Now()
 	wantRecs := l.Stats().Records - recsBefore
 	for r.Stats().AppliedRecs-appliedBefore < wantRecs {
@@ -275,7 +275,7 @@ func runReplicaTrial(c ReplicaConfig, seed uint64) (replicaTrial, error) {
 		time.Sleep(200 * time.Microsecond)
 	}
 	for {
-		if pairs := exportReplica(r); pairs != nil && kvPairsEqual(pairs, acked) {
+		if pairs, ok := ds.ExportSorted(r.System(), r.Map()); ok && slices.Equal(pairs, acked) {
 			break
 		}
 		if time.Since(drainStart) > 60*time.Second {
@@ -295,37 +295,6 @@ func runReplicaTrial(c ReplicaConfig, seed uint64) (replicaTrial, error) {
 		tr.shippedBytes = sh.SentBytes()
 	}
 	return tr, nil
-}
-
-func exportPairs(l *wal.Log, m ds.Map) []ds.KV {
-	th := l.System().Register()
-	defer th.Unregister()
-	pairs, _ := ds.Export(th, m.(ds.Visitor), 1, ^uint64(0))
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].Key < pairs[j].Key })
-	return pairs
-}
-
-func exportReplica(r *replica.Replica) []ds.KV {
-	th := r.System().Register()
-	defer th.Unregister()
-	pairs, ok := ds.Export(th, r.Map().(ds.Visitor), 1, ^uint64(0))
-	if !ok {
-		return nil
-	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].Key < pairs[j].Key })
-	return pairs
-}
-
-func kvPairsEqual(a, b []ds.KV) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // ReplicaRow renders the replication-only columns next to Result.String.

@@ -5,7 +5,12 @@
 // index-based arenas, so a single implementation runs unchanged on every TM.
 package ds
 
-import "repro/internal/stm"
+import (
+	"cmp"
+	"slices"
+
+	"repro/internal/stm"
+)
 
 // Map is a transactional ordered (except hashmap) key-value map over uint64
 // keys (key 0 is reserved). The *Tx methods run inside a caller-provided
@@ -60,6 +65,19 @@ func ExportCap(th stm.Thread, m Visitor, lo, hi uint64, capHint int) (pairs []KV
 			pairs = append(pairs, KV{k, v})
 		})
 	})
+	return pairs, ok
+}
+
+// ExportSorted snapshots every pair of m, through a thread registered on
+// sys for the call, in ascending key order: the form in which two maps —
+// a leader and its follower, a state and its recovery — compare with
+// slices.Equal. ok=false means the scan starved; a caller polling for
+// convergence just polls again.
+func ExportSorted(sys stm.System, m Map) (pairs []KV, ok bool) {
+	th := sys.Register()
+	defer th.Unregister()
+	pairs, ok = Export(th, m.(Visitor), 1, ^uint64(0))
+	slices.SortFunc(pairs, func(a, b KV) int { return cmp.Compare(a.Key, b.Key) })
 	return pairs, ok
 }
 

@@ -1,7 +1,7 @@
 // The shipping channel: byte-level replication of a leader's log directory
-// over a single connection, reusing the wire protocol's CRC framing so a
-// flipped bit in transit surfaces as ErrCorruptFrame, never as silently
-// divergent follower bytes.
+// over a single connection, in internal/frame's CRC framing so a flipped bit
+// in transit surfaces as a corrupt frame, never as silently divergent
+// follower bytes. The message vocabulary is shipmsg.go's.
 //
 // The design leans entirely on the WAL's own file discipline. Every file in
 // a log directory is append-only or truncate-only — segments grow, seals
@@ -23,7 +23,7 @@
 // parse validation rejects. Nothing readable ever has a gap.
 //
 // Flow control is a windowed cumulative ack: the Receiver acks every frame
-// with its sequence number, and the Shipper stalls once more than Window
+// with its sequence number, and the Shipper stalls once more than shipWindow
 // frames are unacknowledged. A stalled ack stream (fault.Injector Delay on
 // the conn's reads) therefore back-pressures shipping instead of ballooning
 // memory, and AckedSeq gives tests an exact "the follower has applied
@@ -31,30 +31,18 @@
 package replica
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
 	"net"
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/server/wire"
-)
-
-// Frame kinds on the shipping channel. Each frame is one wire.AppendFrame
-// payload beginning with the kind byte.
-const (
-	frameHello    = 1 // follower -> leader: manifest of (path, size) pairs
-	frameAppend   = 2 // leader -> follower: u16 pathLen | path | u64 offset | bytes
-	frameTruncate = 3 // leader -> follower: u16 pathLen | path | u64 size
-	frameDelete   = 4 // leader -> follower: u16 pathLen | path
-	frameAck      = 5 // follower -> leader: u64 cumulative sequence
-	frameClock    = 6 // leader -> follower: u64 leader wall clock (UnixNano)
+	"repro/internal/fault"
+	"repro/internal/wal"
 )
 
 // clockInterval is how often a Shipper restates its wall clock. The
@@ -63,30 +51,23 @@ const (
 // what shifts replica-apply spans into the leader's timebase.
 const clockInterval = 200 * time.Millisecond
 
+const (
+	// chunkBytes caps one append message's data (well under
+	// wire.MaxFramePayload, with headroom for the path header).
+	chunkBytes = 256 << 10
+	// shipWindow is the maximum number of unacknowledged frames in flight.
+	shipWindow = 64
+)
+
 // ShipperOptions tunes the leader side of the channel.
 type ShipperOptions struct {
 	// Interval is the directory scan cadence (default 1ms).
 	Interval time.Duration
-	// ChunkBytes caps one append frame's data (default 256KiB; must stay
-	// under wire.MaxFramePayload with headroom for the path header).
-	ChunkBytes int
-	// Window is the maximum number of unacknowledged frames in flight
-	// (default 64).
-	Window int
 }
 
 func (o *ShipperOptions) fill() {
 	if o.Interval == 0 {
 		o.Interval = time.Millisecond
-	}
-	if o.ChunkBytes == 0 {
-		o.ChunkBytes = 256 << 10
-	}
-	if o.ChunkBytes > wire.MaxFramePayload-1024 {
-		o.ChunkBytes = wire.MaxFramePayload - 1024
-	}
-	if o.Window == 0 {
-		o.Window = 64
 	}
 }
 
@@ -105,6 +86,7 @@ type Shipper struct {
 
 	frames atomic.Uint64
 	bytes  atomic.Uint64
+	wbuf   []byte // frame under construction; send runs on Run's goroutine only
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -174,10 +156,6 @@ func (s *Shipper) Run() error {
 
 func (s *Shipper) finish(err error) error {
 	s.Stop()
-	select {
-	case <-s.stop:
-	default:
-	}
 	if err != nil {
 		return fmt.Errorf("replica: shipper: %w", err)
 	}
@@ -188,25 +166,15 @@ func (s *Shipper) finish(err error) error {
 // resumes where the last session's acked bytes left off instead of
 // re-shipping the directory.
 func (s *Shipper) readHello() error {
-	payload, err := wire.ReadFrame(s.conn, nil)
+	m, _, err := readShipMsg(s.conn, nil)
 	if err != nil {
 		return fmt.Errorf("reading hello: %w", err)
 	}
-	if len(payload) < 5 || payload[0] != frameHello {
-		return fmt.Errorf("expected hello frame, got kind %d", payload[0])
+	if m.kind != msgHello {
+		return fmt.Errorf("expected hello, got ship message kind %d", m.kind)
 	}
-	n := int(binary.LittleEndian.Uint32(payload[1:]))
-	p := 5
-	for i := 0; i < n; i++ {
-		path, size, next, err := parsePathSize(payload, p)
-		if err != nil {
-			return fmt.Errorf("hello entry %d: %w", i, err)
-		}
-		if err := checkShipPath(path); err != nil {
-			return fmt.Errorf("hello entry %d: %w", i, err)
-		}
-		s.sent[path] = int64(size)
-		p = next
+	for _, f := range m.files {
+		s.sent[f.path] = int64(f.size)
 	}
 	return nil
 }
@@ -215,20 +183,19 @@ func (s *Shipper) readHello() error {
 func (s *Shipper) readAcks(out chan<- error) {
 	var buf []byte
 	for {
-		payload, err := wire.ReadFrame(s.conn, buf)
+		m, next, err := readShipMsg(s.conn, buf)
 		if err != nil {
 			out <- fmt.Errorf("reading ack: %w", err)
 			return
 		}
-		buf = payload[:0]
-		if len(payload) != 9 || payload[0] != frameAck {
-			out <- fmt.Errorf("expected ack frame, got %d bytes kind %d", len(payload), payload[0])
+		buf = next
+		if m.kind != msgAck {
+			out <- fmt.Errorf("expected ack, got ship message kind %d", m.kind)
 			return
 		}
-		seq := binary.LittleEndian.Uint64(payload[1:])
 		for {
 			cur := s.acked.Load()
-			if seq <= cur || s.acked.CompareAndSwap(cur, seq) {
+			if m.n <= cur || s.acked.CompareAndSwap(cur, m.n) {
 				break
 			}
 		}
@@ -238,16 +205,12 @@ func (s *Shipper) readAcks(out chan<- error) {
 // round ships one scan's delta. Order is the invariant (see package
 // comment): segments, then checkpoints, then deletions last.
 func (s *Shipper) round() error {
+	ls, err := wal.ListDir(fault.OS, s.dir)
+	if err != nil {
+		return err
+	}
 	onDisk := make(map[string]bool)
-	segs, err := s.scanSegments()
-	if err != nil {
-		return err
-	}
-	ckpts, err := s.scanCheckpoints()
-	if err != nil {
-		return err
-	}
-	for _, rel := range append(segs, ckpts...) {
+	for _, rel := range ls.Rels() {
 		onDisk[rel] = true
 		if err := s.shipFile(rel); err != nil {
 			return err
@@ -261,54 +224,12 @@ func (s *Shipper) round() error {
 	}
 	sort.Strings(gone)
 	for _, rel := range gone {
-		if err := s.sendDelete(rel); err != nil {
+		if err := s.send(&shipMsg{kind: msgDelete, path: rel}); err != nil {
 			return err
 		}
 		delete(s.sent, rel)
 	}
 	return nil
-}
-
-func (s *Shipper) scanSegments() ([]string, error) {
-	ents, err := os.ReadDir(s.dir)
-	if err != nil {
-		return nil, err
-	}
-	var out []string
-	for _, e := range ents {
-		if !e.IsDir() || !strings.HasPrefix(e.Name(), "shard-") {
-			continue
-		}
-		segs, err := os.ReadDir(filepath.Join(s.dir, e.Name()))
-		if err != nil {
-			if os.IsNotExist(err) {
-				continue
-			}
-			return nil, err
-		}
-		for _, seg := range segs {
-			if ok, _ := filepath.Match("wal-*.seg", seg.Name()); ok {
-				out = append(out, e.Name()+"/"+seg.Name())
-			}
-		}
-	}
-	sort.Strings(out)
-	return out, nil
-}
-
-func (s *Shipper) scanCheckpoints() ([]string, error) {
-	ents, err := os.ReadDir(s.dir)
-	if err != nil {
-		return nil, err
-	}
-	var out []string
-	for _, e := range ents {
-		if ok, _ := filepath.Match("ck-*.ckpt", e.Name()); ok {
-			out = append(out, e.Name())
-		}
-	}
-	sort.Strings(out)
-	return out, nil
 }
 
 // shipFile sends whatever of rel the follower lacks: a truncate if the file
@@ -324,17 +245,14 @@ func (s *Shipper) shipFile(rel string) error {
 	}
 	cur, have := int64(len(data)), s.sent[rel]
 	if cur < have {
-		if err := s.sendTruncate(rel, cur); err != nil {
+		if err := s.send(&shipMsg{kind: msgTruncate, path: rel, n: uint64(cur)}); err != nil {
 			return err
 		}
 		have = cur
 	}
 	for off := have; off < cur; {
-		end := off + int64(s.opts.ChunkBytes)
-		if end > cur {
-			end = cur
-		}
-		if err := s.sendAppend(rel, off, data[off:end]); err != nil {
+		end := min(off+chunkBytes, cur)
+		if err := s.send(&shipMsg{kind: msgAppend, path: rel, n: uint64(off), data: data[off:end]}); err != nil {
 			return err
 		}
 		off = end
@@ -343,108 +261,30 @@ func (s *Shipper) shipFile(rel string) error {
 	return nil
 }
 
-func (s *Shipper) sendAppend(rel string, off int64, chunk []byte) error {
-	payload := make([]byte, 0, 11+len(rel)+len(chunk))
-	payload = appendPathHeader(payload, frameAppend, rel)
-	payload = binary.LittleEndian.AppendUint64(payload, uint64(off))
-	payload = append(payload, chunk...)
-	return s.send(payload)
-}
-
-func (s *Shipper) sendTruncate(rel string, size int64) error {
-	payload := appendPathHeader(nil, frameTruncate, rel)
-	payload = binary.LittleEndian.AppendUint64(payload, uint64(size))
-	return s.send(payload)
-}
-
-func (s *Shipper) sendDelete(rel string) error {
-	return s.send(appendPathHeader(nil, frameDelete, rel))
-}
-
 // sendClock restates the leader's wall clock (read as late as possible —
 // right before the frame is written — so queueing in send never inflates
 // the follower's offset estimate by more than the window stall).
 func (s *Shipper) sendClock() error {
-	payload := make([]byte, 9)
-	payload[0] = frameClock
-	binary.LittleEndian.PutUint64(payload[1:], uint64(time.Now().UnixNano()))
-	return s.send(payload)
+	return s.send(&shipMsg{kind: msgClock, n: uint64(time.Now().UnixNano())})
 }
 
 // send waits for window space, then writes one frame.
-func (s *Shipper) send(payload []byte) error {
-	for s.seq.Load()-s.acked.Load() >= uint64(s.opts.Window) {
+func (s *Shipper) send(m *shipMsg) error {
+	for s.seq.Load()-s.acked.Load() >= shipWindow {
 		select {
 		case <-s.stop:
 			return fmt.Errorf("stopped while awaiting acks")
 		case <-time.After(100 * time.Microsecond):
 		}
 	}
-	frame := wire.AppendFrame(nil, payload)
-	if _, err := s.conn.Write(frame); err != nil {
+	var err error
+	if s.wbuf, err = writeShipMsg(s.conn, s.wbuf, m); err != nil {
 		return err
 	}
 	s.seq.Add(1)
 	s.frames.Add(1)
-	s.bytes.Add(uint64(len(frame)))
+	s.bytes.Add(uint64(len(s.wbuf)))
 	return nil
-}
-
-func appendPathHeader(dst []byte, kind byte, rel string) []byte {
-	dst = append(dst, kind)
-	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(rel)))
-	return append(dst, rel...)
-}
-
-// parsePathSize reads a u16-length path followed by a u64 out of payload at
-// offset p.
-func parsePathSize(payload []byte, p int) (path string, size uint64, next int, err error) {
-	path, p, err = parsePath(payload, p)
-	if err != nil {
-		return "", 0, 0, err
-	}
-	if len(payload)-p < 8 {
-		return "", 0, 0, fmt.Errorf("truncated size field")
-	}
-	return path, binary.LittleEndian.Uint64(payload[p:]), p + 8, nil
-}
-
-func parsePath(payload []byte, p int) (string, int, error) {
-	if len(payload)-p < 2 {
-		return "", 0, fmt.Errorf("truncated path length")
-	}
-	n := int(binary.LittleEndian.Uint16(payload[p:]))
-	p += 2
-	if len(payload)-p < n {
-		return "", 0, fmt.Errorf("truncated path")
-	}
-	return string(payload[p : p+n]), p + n, nil
-}
-
-// checkShipPath admits exactly the two shapes a log directory contains —
-// "shard-*/wal-*.seg" and "ck-*.ckpt" — and nothing else. The receiver
-// writes with os permissions wherever its directory lives; a path escaping
-// it (absolute, dot-dot, or just unexpected) is a protocol violation that
-// kills the session, not a file to create.
-func checkShipPath(rel string) error {
-	if rel == "" || filepath.IsAbs(rel) || strings.Contains(rel, "..") ||
-		strings.ContainsAny(rel, "\\\x00") {
-		return fmt.Errorf("illegal shipped path %q", rel)
-	}
-	parts := strings.Split(rel, "/")
-	switch len(parts) {
-	case 1:
-		if ok, _ := filepath.Match("ck-*.ckpt", parts[0]); ok {
-			return nil
-		}
-	case 2:
-		dirOK, _ := filepath.Match("shard-*", parts[0])
-		segOK, _ := filepath.Match("wal-*.seg", parts[1])
-		if dirOK && segOK {
-			return nil
-		}
-	}
-	return fmt.Errorf("illegal shipped path %q", rel)
 }
 
 // Receiver applies a Shipper's frames into a local directory, keeping it a
@@ -504,27 +344,29 @@ func (r *Receiver) Run() error {
 		return fmt.Errorf("replica: receiver: %w", err)
 	}
 	var seq uint64
-	var buf []byte
+	var rbuf, wbuf []byte
+	fail := func(err error) error {
+		r.Stop()
+		return fmt.Errorf("replica: receiver: %w", err)
+	}
 	for {
-		payload, err := wire.ReadFrame(r.conn, buf)
+		m, payload, err := readShipMsg(r.conn, rbuf)
+		if err == io.EOF {
+			r.Stop()
+			return nil // clean shutdown at a frame boundary
+		}
+		if err == nil {
+			err = r.apply(&m)
+		}
 		if err != nil {
-			r.Stop()
-			if err == io.EOF {
-				return nil // clean shutdown at a frame boundary
-			}
-			return fmt.Errorf("replica: receiver: %w", err)
+			return fail(err)
 		}
-		buf = payload[:0]
-		if err := r.apply(payload); err != nil {
-			r.Stop()
-			return fmt.Errorf("replica: receiver: %w", err)
-		}
+		rbuf = payload
 		r.frames.Add(1)
 		r.bytes.Add(uint64(len(payload)))
 		seq++
-		if err := r.sendAck(seq); err != nil {
-			r.Stop()
-			return fmt.Errorf("replica: receiver: %w", err)
+		if wbuf, err = writeShipMsg(r.conn, wbuf, &shipMsg{kind: msgAck, n: seq}); err != nil {
+			return fail(err)
 		}
 	}
 }
@@ -532,63 +374,30 @@ func (r *Receiver) Run() error {
 // sendHello reports every replicated file's current size so the shipper
 // resumes instead of re-shipping.
 func (r *Receiver) sendHello() error {
-	var rels []string
-	if ents, err := os.ReadDir(r.dir); err == nil {
-		for _, e := range ents {
-			if ok, _ := filepath.Match("ck-*.ckpt", e.Name()); ok {
-				rels = append(rels, e.Name())
-			}
-			if e.IsDir() && strings.HasPrefix(e.Name(), "shard-") {
-				segs, err := os.ReadDir(filepath.Join(r.dir, e.Name()))
-				if err != nil {
-					continue
-				}
-				for _, seg := range segs {
-					if ok, _ := filepath.Match("wal-*.seg", seg.Name()); ok {
-						rels = append(rels, e.Name()+"/"+seg.Name())
-					}
-				}
-			}
-		}
+	ls, err := wal.ListDir(fault.OS, r.dir)
+	if err != nil {
+		return err
 	}
-	sort.Strings(rels)
-	payload := []byte{frameHello}
-	payload = binary.LittleEndian.AppendUint32(payload, uint32(len(rels)))
-	for _, rel := range rels {
+	hello := shipMsg{kind: msgHello}
+	for _, rel := range ls.Rels() {
 		fi, err := os.Stat(filepath.Join(r.dir, filepath.FromSlash(rel)))
 		if err != nil {
 			return err
 		}
-		payload = binary.LittleEndian.AppendUint16(payload, uint16(len(rel)))
-		payload = append(payload, rel...)
-		payload = binary.LittleEndian.AppendUint64(payload, uint64(fi.Size()))
+		hello.files = append(hello.files, fileSize{path: rel, size: uint64(fi.Size())})
 	}
-	_, err := r.conn.Write(wire.AppendFrame(nil, payload))
-	return err
-}
-
-func (r *Receiver) sendAck(seq uint64) error {
-	payload := make([]byte, 9)
-	payload[0] = frameAck
-	binary.LittleEndian.PutUint64(payload[1:], seq)
-	_, err := r.conn.Write(wire.AppendFrame(nil, payload))
+	_, err = writeShipMsg(r.conn, nil, &hello)
 	return err
 }
 
 // apply executes one shipped mutation. Offsets must meet the file's current
 // size exactly — a gap means frames were lost, which framing makes
 // impossible on a live connection, so it is a protocol violation.
-func (r *Receiver) apply(payload []byte) error {
-	if len(payload) < 1 {
-		return fmt.Errorf("empty frame")
-	}
-	kind := payload[0]
-	if kind == frameClock {
-		if len(payload) != 9 {
-			return fmt.Errorf("bad clock frame (%d bytes)", len(payload))
-		}
-		sent := int64(binary.LittleEndian.Uint64(payload[1:]))
-		off := time.Now().UnixNano() - sent
+func (r *Receiver) apply(m *shipMsg) error {
+	path := filepath.Join(r.dir, filepath.FromSlash(m.path)) // parse vetted m.path
+	switch m.kind {
+	case msgClock:
+		off := time.Now().UnixNano() - int64(m.n)
 		if !r.clockSet.Load() || off < r.clockOff.Load() {
 			r.clockOff.Store(off)
 			r.clockSet.Store(true)
@@ -597,22 +406,7 @@ func (r *Receiver) apply(payload []byte) error {
 			r.OnClock(r.clockOff.Load())
 		}
 		return nil
-	}
-	rel, p, err := parsePath(payload, 1)
-	if err != nil {
-		return err
-	}
-	if err := checkShipPath(rel); err != nil {
-		return err
-	}
-	path := filepath.Join(r.dir, filepath.FromSlash(rel))
-	switch kind {
-	case frameAppend:
-		if len(payload)-p < 8 {
-			return fmt.Errorf("truncated append header for %q", rel)
-		}
-		off := int64(binary.LittleEndian.Uint64(payload[p:]))
-		chunk := payload[p+8:]
+	case msgAppend:
 		if err := os.MkdirAll(filepath.Dir(path), 0o777); err != nil {
 			return err
 		}
@@ -625,29 +419,25 @@ func (r *Receiver) apply(payload []byte) error {
 		if err != nil {
 			return err
 		}
-		if off > fi.Size() {
-			return fmt.Errorf("append gap in %q: offset %d past size %d", rel, off, fi.Size())
+		if off := int64(m.n); off > fi.Size() {
+			return fmt.Errorf("append gap in %q: offset %d past size %d", m.path, off, fi.Size())
 		}
-		if _, err := f.WriteAt(chunk, off); err != nil {
+		if _, err := f.WriteAt(m.data, int64(m.n)); err != nil {
 			return err
 		}
 		return f.Close()
-	case frameTruncate:
-		if len(payload)-p < 8 {
-			return fmt.Errorf("truncated truncate header for %q", rel)
-		}
-		size := int64(binary.LittleEndian.Uint64(payload[p:]))
-		if err := os.Truncate(path, size); err != nil && !os.IsNotExist(err) {
+	case msgTruncate:
+		if err := os.Truncate(path, int64(m.n)); err != nil && !os.IsNotExist(err) {
 			return err
 		}
 		return nil
-	case frameDelete:
+	case msgDelete:
 		if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
 			return err
 		}
 		return nil
 	}
-	return fmt.Errorf("unknown frame kind %d", kind)
+	return fmt.Errorf("unexpected ship message kind %d", m.kind)
 }
 
 // ShipService runs a Shipper per accepted connection — the leader-side

@@ -97,8 +97,6 @@ type Options struct {
 	Capacity int
 	// LockTable sizes each shard's lock table (default 1<<16).
 	LockTable int
-	// PollInterval is the applier's idle backoff (default 500µs).
-	PollInterval time.Duration
 	// FS is the filesystem seam the tail reads through (default fault.OS);
 	// an Injector here fault-tests the reading side.
 	FS fault.FS
@@ -117,7 +115,10 @@ type Options struct {
 	ClockOffsetNs func() int64
 }
 
-func (o *Options) fill(fsys fault.FS) error {
+// pollInterval is the applier's idle backoff.
+const pollInterval = 500 * time.Microsecond
+
+func (o *Options) fill() error {
 	if o.Dir == "" {
 		return fmt.Errorf("replica: Options.Dir is required")
 	}
@@ -133,40 +134,17 @@ func (o *Options) fill(fsys fault.FS) error {
 	if o.LockTable == 0 {
 		o.LockTable = 1 << 16
 	}
-	if o.PollInterval == 0 {
-		o.PollInterval = 500 * time.Microsecond
-	}
 	if o.FS == nil {
 		o.FS = fault.OS
 	}
 	if o.Shards == 0 {
-		dirs, err := listShardDirs(fsys, o.Dir)
+		ls, err := wal.ListDir(o.FS, o.Dir)
 		if err != nil {
 			return err
 		}
-		o.Shards = len(dirs)
-		if o.Shards == 0 {
-			o.Shards = 1
-		}
+		o.Shards = max(1, len(ls.Shards))
 	}
 	return nil
-}
-
-func listShardDirs(fsys fault.FS, dir string) ([]string, error) {
-	names, err := fsys.ReadDir(dir)
-	if err != nil {
-		if fault.NotExist(err) {
-			return nil, nil
-		}
-		return nil, err
-	}
-	var out []string
-	for _, n := range names {
-		if len(n) > 6 && n[:6] == "shard-" {
-			out = append(out, n)
-		}
-	}
-	return out, nil
 }
 
 // Stats is a snapshot of the replica's counters.
@@ -213,11 +191,7 @@ type Replica struct {
 // Open starts a follower session tailing opts.Dir. The applier goroutine
 // runs until Sever, Close or Promote.
 func Open(opts Options) (*Replica, error) {
-	fsys := opts.FS
-	if fsys == nil {
-		fsys = fault.OS
-	}
-	if err := opts.fill(fsys); err != nil {
+	if err := opts.fill(); err != nil {
 		return nil, err
 	}
 	// The same constructions the WAL uses, minus the commit observer: the
@@ -442,7 +416,7 @@ func (r *Replica) run() {
 func (r *Replica) idle() {
 	select {
 	case <-r.stop:
-	case <-time.After(r.opts.PollInterval):
+	case <-time.After(pollInterval):
 	}
 }
 

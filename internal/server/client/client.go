@@ -42,8 +42,9 @@ import (
 )
 
 // Sentinel errors. Status-mapped errors (ErrAborted, ErrCrossShard,
-// ErrDegraded, ErrSevered, ErrBadRequest) are definite server verdicts;
-// ErrNotSent/ErrUnanswered are transport outcomes (see package comment).
+// ErrDegraded, ErrSevered, ErrBadRequest, ErrTooLarge) are definite server
+// verdicts; ErrNotSent/ErrUnanswered are transport outcomes (see package
+// comment).
 var (
 	ErrNotSent    = errors.New("client: request not sent")
 	ErrUnanswered = errors.New("client: connection closed before response")
@@ -53,6 +54,7 @@ var (
 	ErrDegraded   = errors.New("client: server log degraded, durability unconfirmed")
 	ErrSevered    = errors.New("client: server log severed")
 	ErrBadRequest = errors.New("client: bad request")
+	ErrTooLarge   = errors.New("client: response exceeds the frame cap")
 )
 
 func statusErr(st wire.Status) error {
@@ -69,6 +71,8 @@ func statusErr(st wire.Status) error {
 		return ErrSevered
 	case wire.StatusBadRequest:
 		return ErrBadRequest
+	case wire.StatusTooLarge:
+		return ErrTooLarge
 	}
 	return fmt.Errorf("client: unknown status %d", byte(st))
 }

@@ -96,19 +96,11 @@ type Options struct {
 	// Workers is the execution pool size (default 4). Each worker owns one
 	// registered TM thread for the server's lifetime.
 	Workers int
-	// QueueDepth bounds the request queue (default 4×Workers). A full
-	// queue backpressures connection readers.
-	QueueDepth int
-	// OutboundDepth bounds each connection's response queue (default 256).
-	OutboundDepth int
 	// Ack selects the update ack policy (default AckSync).
 	Ack AckPolicy
 	// ConnFault, when set, wraps every accepted conn with the injector's
 	// fault schedule under the name "srv-<n>".
 	ConnFault *fault.Injector
-	// WriteTimeout bounds one response write (default 10s); a conn whose
-	// peer stops reading is marked dead instead of wedging its writer.
-	WriteTimeout time.Duration
 	// DrainTimeout bounds how long a closing conn waits for its in-flight
 	// requests to finish before responses are abandoned (default 10s).
 	DrainTimeout time.Duration
@@ -133,18 +125,20 @@ type Options struct {
 	Trace *obs.Tracer
 }
 
+const (
+	// queuePerWorker sizes the request queue (queuePerWorker × Workers). A
+	// full queue backpressures connection readers.
+	queuePerWorker = 4
+	// outboundDepth bounds each connection's response queue.
+	outboundDepth = 256
+	// writeTimeout bounds one response write; a conn whose peer stops
+	// reading is marked dead instead of wedging its writer.
+	writeTimeout = 10 * time.Second
+)
+
 func (o *Options) fill() {
 	if o.Workers <= 0 {
 		o.Workers = 4
-	}
-	if o.QueueDepth <= 0 {
-		o.QueueDepth = 4 * o.Workers
-	}
-	if o.OutboundDepth <= 0 {
-		o.OutboundDepth = 256
-	}
-	if o.WriteTimeout <= 0 {
-		o.WriteTimeout = 10 * time.Second
 	}
 	if o.DrainTimeout <= 0 {
 		o.DrainTimeout = 10 * time.Second
@@ -234,7 +228,7 @@ func New(sys *shard.System, m ds.Map, l *wal.Log, opts Options) *Server {
 	opts.fill()
 	s := &Server{
 		sys: sys, m: m, l: l, opts: opts,
-		reqq:      make(chan request, opts.QueueDepth),
+		reqq:      make(chan request, queuePerWorker*opts.Workers),
 		stopSync:  make(chan struct{}),
 		conns:     make(map[*srvConn]struct{}),
 		ackNotify: make(chan struct{}, 1),
@@ -375,7 +369,7 @@ func (s *Server) acceptLoop() {
 		if s.opts.ConnFault != nil {
 			nc = s.opts.ConnFault.Conn(nc, fmt.Sprintf("srv-%d", s.connSeq.Add(1)))
 		}
-		c := &srvConn{s: s, nc: nc, outq: make(chan outFrame, s.opts.OutboundDepth)}
+		c := &srvConn{s: s, nc: nc, outq: make(chan outFrame, outboundDepth)}
 		s.mu.Lock()
 		if s.draining {
 			s.mu.Unlock()
@@ -410,17 +404,11 @@ type srvConn struct {
 // close. Requests the server fully received are therefore always answered,
 // even when the conn is going away.
 func (s *Server) readLoop(c *srvConn) {
-	var buf []byte
 	for {
-		payload, err := wire.ReadFrame(c.nc, buf)
-		if err != nil {
-			break
-		}
-		buf = payload[:0]
-		raw := make([]byte, len(payload))
-		copy(raw, payload)
-		if len(raw) < 9 {
-			break // unparseable: no request id to answer under; sever
+		// A fresh payload per frame: the request owns it across the worker hop.
+		raw, err := wire.ReadFrame(c.nc, nil)
+		if err != nil || len(raw) < 9 {
+			break // len < 9 is unparseable: no request id to answer under; sever
 		}
 		tid := s.opts.Trace.SampleID()
 		var t0 int64
@@ -450,7 +438,7 @@ func (s *Server) writeLoop(c *srvConn) {
 		if c.dead.Load() {
 			continue // keep draining so finish() never blocks forever
 		}
-		c.nc.SetWriteDeadline(time.Now().Add(s.opts.WriteTimeout))
+		c.nc.SetWriteDeadline(time.Now().Add(writeTimeout))
 		if _, err := c.nc.Write(f.b); err != nil {
 			c.dead.Store(true)
 		} else if f.trace != 0 {
@@ -509,9 +497,9 @@ func (s *Server) worker() {
 }
 
 func (s *Server) respond(c *srvConn, resp *wire.Response, trace uint64, t0 int64) {
-	payload := wire.AppendResponse(make([]byte, 0, 32), resp)
 	f := outFrame{
-		b:     wire.AppendFrame(make([]byte, 0, len(payload)+8), payload),
+		// 40 bytes hold the frame header and any fixed-size response.
+		b:     wire.AppendResponseFrame(make([]byte, 0, 40), resp),
 		trace: trace, t0: t0,
 	}
 	if trace != 0 {

@@ -2,6 +2,7 @@ package server_test
 
 import (
 	"encoding/json"
+	"errors"
 	"sort"
 	"testing"
 	"time"
@@ -9,6 +10,8 @@ import (
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/server"
+	"repro/internal/server/client"
+	"repro/internal/server/wire"
 	"repro/internal/wal"
 )
 
@@ -124,5 +127,36 @@ func TestTraceOffByDefault(t *testing.T) {
 	}
 	if dump.Every != 0 || len(dump.Spans) != 0 {
 		t.Fatalf("untraced server returned every=%d %d spans", dump.Every, len(dump.Spans))
+	}
+}
+
+// TestOversizedTraceAnswersTooLarge: with a full 8192-span ring the trace
+// dump is ~1.6 MB of JSON, over the 1 MiB frame cap. The server must answer
+// a well-formed StatusTooLarge — not emit a frame the client's reader
+// rejects as corrupt, which costs the connection — and the next request on
+// the same connection must still succeed.
+func TestOversizedTraceAnswersTooLarge(t *testing.T) {
+	const ring = 8192
+	tr := obs.NewTracer(ring, 1, nil)
+	now := time.Now().UnixNano()
+	for i := uint64(1); i <= ring; i++ {
+		tr.Record(i, obs.StageExecute, i, now, 1000, i, i)
+	}
+	if blob, err := tr.JSON(); err != nil || len(blob) <= wire.MaxFramePayload {
+		t.Fatalf("fixture too small to exercise the cap: %d bytes (err=%v)", len(blob), err)
+	}
+	srv, l, _, addr := startServer(t, t.TempDir(), 1, nil, server.Options{Workers: 1, Trace: tr})
+	defer l.Close()
+	defer srv.Close()
+	cl := dial(t, addr)
+	defer cl.Close()
+	if blob, err := cl.TraceBlob(); !errors.Is(err, client.ErrTooLarge) {
+		t.Fatalf("TraceBlob over the cap: %d bytes, err=%v; want client.ErrTooLarge", len(blob), err)
+	}
+	if err := cl.Ping(); err != nil {
+		t.Fatalf("connection did not survive the oversized response: %v", err)
+	}
+	if _, err := cl.StatsBlob(); err != nil {
+		t.Fatalf("StatsBlob after the oversized response: %v", err)
 	}
 }

@@ -6,16 +6,14 @@
 //
 // # Frame format
 //
-// Every message travels in one frame, mirroring the WAL's on-disk record
-// framing (little-endian, CRC-32C Castagnoli):
-//
-//	u32 payloadLen | u32 crc32c(payload) | payload
-//
-// A frame whose length exceeds MaxFramePayload or whose checksum mismatches
-// is a protocol violation: the receiver drops the connection rather than
-// resynchronize — TCP already guarantees integrity, so a bad checksum means
-// a torn write (a fault-injected or real partial send) and the peer cannot
-// know where the next frame starts.
+// Every message travels in one internal/frame frame, capped at
+// MaxFramePayload. A frame whose length exceeds the cap or whose checksum
+// mismatches is a protocol violation: the receiver drops the connection
+// rather than resynchronize — TCP already guarantees integrity, so a bad
+// checksum means a torn write (a fault-injected or real partial send) and
+// the peer cannot know where the next frame starts. A writer therefore never
+// emits a frame over the cap: AppendResponseFrame answers StatusTooLarge
+// instead.
 //
 // # Requests and responses
 //
@@ -33,8 +31,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
+
+	"repro/internal/frame"
 )
 
 const (
@@ -44,8 +43,6 @@ const (
 	MaxFramePayload = 1 << 20
 	// MaxBatchOps bounds the operations in one batched transaction.
 	MaxBatchOps = 1024
-
-	frameHeader = 8
 )
 
 // Op identifies one request kind.
@@ -134,6 +131,9 @@ const (
 	// StatusReadOnly: the server is a follower replica; update transactions
 	// must go to the leader. Nothing was applied; reads are still served.
 	StatusReadOnly
+	// StatusTooLarge: the response body (a stats or trace blob) would not
+	// fit in one frame. The request executed; ask for less.
+	StatusTooLarge
 )
 
 func (s Status) String() string {
@@ -152,60 +152,25 @@ func (s Status) String() string {
 		return "bad-request"
 	case StatusReadOnly:
 		return "read-only"
+	case StatusTooLarge:
+		return "too-large"
 	}
 	return fmt.Sprintf("status(%d)", byte(s))
 }
 
 // ErrCorruptFrame marks a frame whose checksum or length field is invalid;
 // the connection is unusable past it.
-var ErrCorruptFrame = errors.New("wire: corrupt frame")
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+var ErrCorruptFrame = frame.ErrCorrupt
 
 // AppendFrame appends one framed payload to dst and returns the extended
 // slice.
-func AppendFrame(dst, payload []byte) []byte {
-	var hdr [frameHeader]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, castagnoli))
-	dst = append(dst, hdr[:]...)
-	return append(dst, payload...)
-}
+func AppendFrame(dst, payload []byte) []byte { return frame.Append(dst, payload) }
 
-// ReadFrame reads one frame from r and returns its payload, reusing buf
-// when it is large enough. io.EOF at a frame boundary is returned as-is (a
-// clean close); a partial header or payload comes back as
-// io.ErrUnexpectedEOF (a torn frame), and a bad length or checksum as
-// ErrCorruptFrame.
+// ReadFrame reads one frame of at most MaxFramePayload bytes from r and
+// returns its payload, reusing buf when it is large enough; see frame.Read
+// for the io.EOF / io.ErrUnexpectedEOF / ErrCorruptFrame distinction.
 func ReadFrame(r io.Reader, buf []byte) ([]byte, error) {
-	var hdr [frameHeader]byte
-	if _, err := io.ReadFull(r, hdr[:1]); err != nil {
-		return nil, err // clean EOF stays io.EOF
-	}
-	if _, err := io.ReadFull(r, hdr[1:]); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return nil, err
-	}
-	n := binary.LittleEndian.Uint32(hdr[0:4])
-	if n > MaxFramePayload {
-		return nil, fmt.Errorf("%w: payload length %d", ErrCorruptFrame, n)
-	}
-	if uint32(cap(buf)) < n {
-		buf = make([]byte, n)
-	}
-	buf = buf[:n]
-	if _, err := io.ReadFull(r, buf); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return nil, err
-	}
-	if crc32.Checksum(buf, castagnoli) != binary.LittleEndian.Uint32(hdr[4:8]) {
-		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorruptFrame)
-	}
-	return buf, nil
+	return frame.Read(r, buf, MaxFramePayload)
 }
 
 // BatchOp is one mutation of an OpBatch transaction.
@@ -357,6 +322,21 @@ func AppendResponse(dst []byte, resp *Response) []byte {
 	case OpStats, OpTrace:
 		dst = append(dst, resp.Blob...)
 	}
+	return dst
+}
+
+// AppendResponseFrame appends resp as one frame, encoded in place. A
+// response whose payload would exceed MaxFramePayload — which the peer's
+// ReadFrame rejects as corrupt, killing the connection — goes out as an
+// empty-bodied StatusTooLarge instead.
+func AppendResponseFrame(dst []byte, resp *Response) []byte {
+	at := len(dst)
+	dst = AppendResponse(frame.Begin(dst), resp)
+	if len(dst)-at-frame.HeaderSize > MaxFramePayload {
+		dst = AppendResponse(dst[:at+frame.HeaderSize],
+			&Response{ID: resp.ID, Op: resp.Op, Status: StatusTooLarge})
+	}
+	frame.Finish(dst, at)
 	return dst
 }
 

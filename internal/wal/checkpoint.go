@@ -40,7 +40,7 @@ type CheckpointInfo struct {
 // the older checkpoint files.
 //
 // On the versionless baselines (tl2, dctl) a pinned scan starves under
-// sustained update load; Checkpoint re-freezes up to CheckpointRetries
+// sustained update load; Checkpoint re-freezes up to checkpointRetries
 // times and then reports the starvation as an error, leaving the previous
 // checkpoint state untouched.
 func (l *Log) Checkpoint() (CheckpointInfo, error) {
@@ -89,7 +89,7 @@ func (l *Log) Checkpoint() (CheckpointInfo, error) {
 	if l.severed.Load() { // crashed while we scanned: write nothing
 		return info, fmt.Errorf("wal: log severed during checkpoint: %w", ErrSevered)
 	}
-	path := filepath.Join(l.opts.Dir, fmt.Sprintf("ck-%016x.ckpt", ts))
+	path := filepath.Join(l.opts.Dir, CkptName(ts))
 	if err := writeFileDurable(l.fs, path, encodeCheckpoint(ts, l.lastCkptTs.Load(), full, entries)); err != nil {
 		return info, err
 	}
@@ -97,7 +97,7 @@ func (l *Log) Checkpoint() (CheckpointInfo, error) {
 	// The checkpoint is durable. Before destroying anything it supersedes,
 	// re-check health: if any stream degraded while we scanned and wrote,
 	// keep every segment (see CheckpointInfo.TruncationSkipped).
-	l.ckptFiles = append(l.ckptFiles, ckptOnDisk{ts: ts, full: full, path: path})
+	l.ckptFiles = append(l.ckptFiles, ckptOnDisk{ts: ts, path: path})
 	if l.Health() != Healthy {
 		info.TruncationSkipped = true
 		l.rec.Record(obs.EvCkptSkip, ts, 0, 0)
@@ -142,6 +142,11 @@ func (l *Log) Checkpoint() (CheckpointInfo, error) {
 	return info, nil
 }
 
+// checkpointRetries bounds freeze-and-rescan attempts of one Checkpoint call
+// before it reports starvation (only the versionless baselines ever get
+// near it).
+const checkpointRetries = 16
+
 // snapshotAll builds the whole-system image at one frozen timestamp. A
 // shard that cannot serve the pinned scan (versionless backend under churn)
 // forces a re-freeze of the entire image, so the result is always a
@@ -173,7 +178,7 @@ func (l *Log) snapshotAll() (map[uint64]uint64, uint64, int, error) {
 		if ok {
 			return image, ts, attempt, nil
 		}
-		if attempt >= l.opts.CheckpointRetries {
+		if attempt >= checkpointRetries {
 			return nil, 0, attempt, fmt.Errorf("wal: checkpoint starved after %d freezes (backend %q keeps no versions to pin)", attempt, l.opts.Backend)
 		}
 		time.Sleep(time.Duration(attempt) * 100 * time.Microsecond)
@@ -186,7 +191,7 @@ func (l *Log) snapshotAll() (map[uint64]uint64, uint64, int, error) {
 // between) — and a power loss after return cannot lose the rename itself,
 // which matters because the caller deletes superseded segments next.
 func writeFileDurable(fsys fault.FS, path string, data []byte) error {
-	tmp := path + ".tmp"
+	tmp := path + ckptTmpSuffix
 	f, err := fsys.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err

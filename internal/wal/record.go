@@ -3,17 +3,18 @@ package wal
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 
+	"repro/internal/frame"
 	"repro/internal/stm"
 )
 
-// On-disk formats. All integers are little-endian.
+// On-disk formats (file naming is layout.go's). All integers are
+// little-endian.
 //
-// Segment file (shard-NNN/wal-XXXXXXXXXXXXXXXX.seg):
+// Segment file:
 //
 //	header:  8B magic "WALSEG01" | u32 version | u32 shard
-//	record:  u32 payloadLen | u32 crc32c(payload) | payload
+//	record:  one internal/frame frame of at most maxRecordPayload bytes
 //	payload: u64 commitTs | u64 traceId | u32 opCount
 //	         | opCount × (u8 op, u64 key, u64 val)
 //
@@ -23,7 +24,7 @@ import (
 // request. Version 1 images (no traceId) predate the first release and are
 // not read back — recovery treats them like any other unrecognized header.
 //
-// Checkpoint file (ck-XXXXXXXXXXXXXXXX.ckpt, name hex-encodes the frozen ts):
+// Checkpoint file:
 //
 //	header:  8B magic "WALCKP01" | u32 version | u8 kind (1 full, 2 incr)
 //	         | 3B pad | u64 frozenTs | u64 prevTs | u64 entryCount
@@ -46,7 +47,6 @@ const (
 	formatVersion = 2
 
 	segHeaderSize  = 16
-	recFrameSize   = 8  // payloadLen + crc
 	recFixedSize   = 20 // ts + traceId + opCount
 	opSize         = 17
 	ckptHeaderSize = 40
@@ -59,8 +59,6 @@ const (
 	// field must not drive a huge allocation).
 	maxRecordPayload = 1 << 28
 )
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // record is one decoded WAL record: the commit timestamp and the logical
 // redo of one committed transaction.
@@ -78,13 +76,11 @@ func appendSegHeader(buf []byte, shard int) []byte {
 	return buf
 }
 
-// appendRecord appends one framed, checksummed record.
+// appendRecord appends one framed, checksummed record, encoded in place on
+// the stream buffer (this runs inside the commit critical section).
 func appendRecord(buf []byte, ts, trace uint64, redo []stm.RedoRec) []byte {
-	payloadLen := recFixedSize + opSize*len(redo)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(payloadLen))
-	crcAt := len(buf)
-	buf = binary.LittleEndian.AppendUint32(buf, 0) // crc patched below
-	payloadAt := len(buf)
+	at := len(buf)
+	buf = frame.Begin(buf)
 	buf = binary.LittleEndian.AppendUint64(buf, ts)
 	buf = binary.LittleEndian.AppendUint64(buf, trace)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(redo)))
@@ -93,8 +89,7 @@ func appendRecord(buf []byte, ts, trace uint64, redo []stm.RedoRec) []byte {
 		buf = binary.LittleEndian.AppendUint64(buf, r.Key)
 		buf = binary.LittleEndian.AppendUint64(buf, r.Val)
 	}
-	crc := crc32.Checksum(buf[payloadAt:], castagnoli)
-	binary.LittleEndian.PutUint32(buf[crcAt:], crc)
+	frame.Finish(buf, at)
 	return buf
 }
 
@@ -122,45 +117,47 @@ func validSegHeader(data []byte) bool {
 // resume where its last poll stopped instead of re-decoding the whole file.
 func decodeRecordsAt(data []byte, off int) (recs []record, validLen int, torn bool) {
 	for {
-		if off == len(data) {
-			return recs, off, false
+		payload, next, ok := frame.Next(data, off, maxRecordPayload)
+		if !ok {
+			return recs, off, off != len(data)
 		}
-		if len(data)-off < recFrameSize {
+		rec, ok := parseRecord(payload)
+		if !ok {
 			return recs, off, true
 		}
-		payloadLen := int(binary.LittleEndian.Uint32(data[off:]))
-		crc := binary.LittleEndian.Uint32(data[off+4:])
-		if payloadLen < recFixedSize || payloadLen > maxRecordPayload ||
-			len(data)-off-recFrameSize < payloadLen {
-			return recs, off, true
-		}
-		payload := data[off+recFrameSize : off+recFrameSize+payloadLen]
-		if crc32.Checksum(payload, castagnoli) != crc {
-			return recs, off, true
-		}
-		ts := binary.LittleEndian.Uint64(payload)
-		trace := binary.LittleEndian.Uint64(payload[8:])
-		n := int(binary.LittleEndian.Uint32(payload[16:]))
-		if recFixedSize+opSize*n != payloadLen {
-			return recs, off, true
-		}
-		redo := make([]stm.RedoRec, n)
-		p := recFixedSize
-		for i := 0; i < n; i++ {
-			op := stm.RedoOp(payload[p])
-			if op != stm.RedoInsert && op != stm.RedoDelete {
-				return recs, off, true
-			}
-			redo[i] = stm.RedoRec{
-				Op:  op,
-				Key: binary.LittleEndian.Uint64(payload[p+1:]),
-				Val: binary.LittleEndian.Uint64(payload[p+9:]),
-			}
-			p += opSize
-		}
-		recs = append(recs, record{ts: ts, trace: trace, redo: redo})
-		off += recFrameSize + payloadLen
+		recs = append(recs, rec)
+		off = next
 	}
+}
+
+// parseRecord decodes one record payload; a payload the checksum vouches
+// for but that is not a record (short, op count disagreeing with its
+// length, unknown op) is as torn as a bad checksum.
+func parseRecord(payload []byte) (record, bool) {
+	if len(payload) < recFixedSize {
+		return record{}, false
+	}
+	rec := record{
+		ts:    binary.LittleEndian.Uint64(payload),
+		trace: binary.LittleEndian.Uint64(payload[8:]),
+	}
+	n := int(binary.LittleEndian.Uint32(payload[16:]))
+	if recFixedSize+opSize*n != len(payload) {
+		return record{}, false
+	}
+	rec.redo = make([]stm.RedoRec, n)
+	for i, p := 0, recFixedSize; i < n; i, p = i+1, p+opSize {
+		op := stm.RedoOp(payload[p])
+		if op != stm.RedoInsert && op != stm.RedoDelete {
+			return record{}, false
+		}
+		rec.redo[i] = stm.RedoRec{
+			Op:  op,
+			Key: binary.LittleEndian.Uint64(payload[p+1:]),
+			Val: binary.LittleEndian.Uint64(payload[p+9:]),
+		}
+	}
+	return rec, true
 }
 
 // ckptEntry is one checkpoint delta: a live pair, or a tombstone for a key
@@ -194,7 +191,14 @@ func encodeCheckpoint(ts, prevTs uint64, full bool, entries []ckptEntry) []byte 
 		buf = binary.LittleEndian.AppendUint64(buf, e.key)
 		buf = binary.LittleEndian.AppendUint64(buf, e.val)
 	}
-	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf[8:], castagnoli))
+	return binary.LittleEndian.AppendUint32(buf, frame.Checksum(buf[8:]))
+}
+
+// parsedCkpt is one validated checkpoint file.
+type parsedCkpt struct {
+	ts, prevTs uint64
+	full       bool
+	entries    []ckptEntry
 }
 
 // parseCheckpoint validates one checkpoint file image. Any framing or
@@ -202,40 +206,72 @@ func encodeCheckpoint(ts, prevTs uint64, full bool, entries []ckptEntry) []byte 
 // checkpoint is one atomic unit (its deltas are meaningless truncated).
 // Reading the file is the caller's job: a *read* error is the disk failing
 // now, not crash damage, and must not be conflated with a parse failure.
-func parseCheckpoint(path string, data []byte) (ts, prevTs uint64, full bool, entries []ckptEntry, err error) {
+func parseCheckpoint(path string, data []byte) (c parsedCkpt, err error) {
 	if len(data) < ckptHeaderSize+4 || string(data[:8]) != ckptMagic ||
 		binary.LittleEndian.Uint32(data[8:12]) != formatVersion {
-		return 0, 0, false, nil, fmt.Errorf("wal: %s: bad checkpoint header", path)
+		return c, fmt.Errorf("wal: %s: bad checkpoint header", path)
 	}
 	kind := data[12]
 	if kind != ckptKindFull && kind != ckptKindIncr {
-		return 0, 0, false, nil, fmt.Errorf("wal: %s: bad checkpoint kind %d", path, kind)
+		return c, fmt.Errorf("wal: %s: bad checkpoint kind %d", path, kind)
 	}
-	ts = binary.LittleEndian.Uint64(data[16:])
-	prevTs = binary.LittleEndian.Uint64(data[24:])
+	c.ts = binary.LittleEndian.Uint64(data[16:])
+	c.prevTs = binary.LittleEndian.Uint64(data[24:])
+	c.full = kind == ckptKindFull
 	count := binary.LittleEndian.Uint64(data[32:])
-	want := ckptHeaderSize + ckptEntrySize*int(count) + 4
-	if count > maxRecordPayload || len(data) != want {
-		return 0, 0, false, nil, fmt.Errorf("wal: %s: truncated checkpoint", path)
+	if count > maxRecordPayload || len(data) != ckptHeaderSize+ckptEntrySize*int(count)+4 {
+		return c, fmt.Errorf("wal: %s: truncated checkpoint", path)
 	}
 	body := data[:len(data)-4]
-	crc := binary.LittleEndian.Uint32(data[len(data)-4:])
-	if crc32.Checksum(body[8:], castagnoli) != crc {
-		return 0, 0, false, nil, fmt.Errorf("wal: %s: checkpoint checksum mismatch", path)
+	if frame.Checksum(body[8:]) != binary.LittleEndian.Uint32(data[len(data)-4:]) {
+		return c, fmt.Errorf("wal: %s: checkpoint checksum mismatch", path)
 	}
-	entries = make([]ckptEntry, count)
+	c.entries = make([]ckptEntry, count)
 	p := ckptHeaderSize
-	for i := range entries {
+	for i := range c.entries {
 		flag := data[p]
 		if flag != 1 && flag != 2 {
-			return 0, 0, false, nil, fmt.Errorf("wal: %s: bad checkpoint entry flag %d", path, flag)
+			return c, fmt.Errorf("wal: %s: bad checkpoint entry flag %d", path, flag)
 		}
-		entries[i] = ckptEntry{
+		c.entries[i] = ckptEntry{
 			key:  binary.LittleEndian.Uint64(data[p+1:]),
 			val:  binary.LittleEndian.Uint64(data[p+9:]),
 			tomb: flag == 2,
 		}
 		p += ckptEntrySize
 	}
-	return ts, prevTs, kind == ckptKindFull, entries, nil
+	return c, nil
+}
+
+// resolveChain folds valid checkpoints, in ascending ts order, into the
+// image they describe and the ts it is frozen at: the newest full
+// checkpoint, then every later increment whose prevTs chains exactly onto
+// the one before it. The first gap ends the chain — nothing after it is
+// applicable. No full checkpoint (the first ever is always full, so: none
+// at all, or a destroyed one) resolves to the empty image at ts 0.
+func resolveChain(cks []parsedCkpt) (image map[uint64]uint64, baseTs uint64) {
+	image = make(map[uint64]uint64)
+	lastFull := -1
+	for i, c := range cks {
+		if c.full {
+			lastFull = i
+		}
+	}
+	if lastFull < 0 {
+		return image, 0
+	}
+	for _, c := range cks[lastFull:] {
+		if !c.full && c.prevTs != baseTs {
+			break
+		}
+		for _, e := range c.entries {
+			if e.tomb {
+				delete(image, e.key)
+			} else {
+				image[e.key] = e.val
+			}
+		}
+		baseTs = c.ts
+	}
+	return image, baseTs
 }

@@ -3,8 +3,6 @@ package wal
 import (
 	"path/filepath"
 	"sort"
-	"strconv"
-	"strings"
 
 	"repro/internal/fault"
 	"repro/internal/stm"
@@ -18,8 +16,6 @@ type recovered struct {
 	nextSeg  map[string]uint64 // per shard-dir: next free segment index
 	ckpts    []ckptOnDisk      // valid checkpoint files, ascending ts
 	liveSegs []segInfo         // surviving segments (for later truncation)
-	replayed int               // records replayed over the checkpoint base
-	repaired int               // torn segments truncated / dead files removed
 }
 
 // scanAndRepair reads a log directory into the recovered state a fresh
@@ -42,14 +38,15 @@ type recovered struct {
 // "repairing" an unreadable file would destroy data a healthy retry could
 // still read.
 func scanAndRepair(fsys fault.FS, dir string) (*recovered, error) {
-	r := &recovered{
-		image:   make(map[uint64]uint64),
-		nextSeg: make(map[string]uint64),
-	}
-	if err := r.loadCheckpoints(fsys, dir); err != nil {
+	r := &recovered{nextSeg: make(map[string]uint64)}
+	ls, err := ListDir(fsys, dir)
+	if err != nil {
 		return nil, err
 	}
-	replay, err := r.loadSegments(fsys, dir)
+	if err := r.loadCheckpoints(fsys, dir, ls); err != nil {
+		return nil, err
+	}
+	replay, err := r.loadSegments(fsys, dir, ls.Shards)
 	if err != nil {
 		return nil, err
 	}
@@ -57,7 +54,6 @@ func scanAndRepair(fsys fault.FS, dir string) (*recovered, error) {
 	for _, rec := range replay {
 		applyRedo(r.image, rec.redo)
 	}
-	r.replayed = len(replay)
 	if r.ckptTs > r.maxTs {
 		r.maxTs = r.ckptTs
 	}
@@ -75,106 +71,52 @@ func applyRedo(image map[uint64]uint64, redo []stm.RedoRec) {
 	}
 }
 
-func (r *recovered) loadCheckpoints(fsys fault.FS, dir string) error {
-	paths, err := globFS(fsys, dir, "ck-*.ckpt")
-	if err != nil {
-		return err
-	}
+func (r *recovered) loadCheckpoints(fsys fault.FS, dir string, ls DirListing) error {
 	// Drop any orphaned temp file from a crash mid-checkpoint.
-	if tmps, _ := globFS(fsys, dir, "ck-*.ckpt.tmp"); len(tmps) > 0 {
-		for _, p := range tmps {
-			fsys.Remove(p)
-			r.repaired++
-		}
+	for _, name := range ls.CkptTmps {
+		fsys.Remove(filepath.Join(dir, name))
 	}
-	sort.Strings(paths) // fixed-width hex ts: lexicographic == numeric
-	type loadedCkpt struct {
-		ts, prevTs uint64
-		full       bool
-		entries    []ckptEntry
-		path       string
-	}
-	var valid []loadedCkpt
-	for _, p := range paths {
+	var valid []parsedCkpt
+	for _, name := range ls.Ckpts {
+		p := filepath.Join(dir, name)
 		data, err := fsys.ReadFile(p)
 		if err != nil {
 			// Unreadable ≠ torn: fail the whole recovery (see scanAndRepair).
 			return err
 		}
-		ts, prevTs, full, entries, err := parseCheckpoint(p, data)
+		c, err := parseCheckpoint(p, data)
 		if err != nil {
 			// Torn or rotted: unusable by construction; remove it so it
 			// cannot shadow a later, valid checkpoint at the next scan.
 			fsys.Remove(p)
-			r.repaired++
 			continue
 		}
-		valid = append(valid, loadedCkpt{ts, prevTs, full, entries, p})
+		valid = append(valid, c)
+		r.ckpts = append(r.ckpts, ckptOnDisk{ts: c.ts, path: p})
 	}
-	lastFull := -1
-	for i, c := range valid {
-		if c.full {
-			lastFull = i
-		}
-	}
-	if lastFull < 0 {
-		// No usable base (first checkpoint ever is always full, so this
-		// means no checkpoint, or a destroyed one): replay from scratch.
-		for _, c := range valid {
-			r.ckpts = append(r.ckpts, ckptOnDisk{ts: c.ts, full: c.full, path: c.path})
-		}
-		return nil
-	}
-	cur := uint64(0)
-	for _, c := range valid[lastFull:] {
-		if !c.full && c.prevTs != cur {
-			break // gap in the delta chain; nothing after it is applicable
-		}
-		for _, e := range c.entries {
-			if e.tomb {
-				delete(r.image, e.key)
-			} else {
-				r.image[e.key] = e.val
-			}
-		}
-		cur = c.ts
-	}
-	r.ckptTs = cur
-	for _, c := range valid {
-		r.ckpts = append(r.ckpts, ckptOnDisk{ts: c.ts, full: c.full, path: c.path})
-	}
+	r.image, r.ckptTs = resolveChain(valid)
 	return nil
 }
 
-// loadSegments walks every shard-*/ directory (streams of *any* previous
-// shard count — records route by key, so a reopened system may reshard) and
-// returns the records to replay.
-func (r *recovered) loadSegments(fsys fault.FS, dir string) ([]record, error) {
-	shardDirs, err := globFS(fsys, dir, "shard-*")
-	if err != nil {
-		return nil, err
-	}
-	sort.Strings(shardDirs)
+// loadSegments walks every listed shard directory (streams of *any*
+// previous shard count — records route by key, so a reopened system may
+// reshard) and returns the records to replay.
+func (r *recovered) loadSegments(fsys fault.FS, dir string, shards []ShardListing) ([]record, error) {
 	var replay []record
-	for _, sd := range shardDirs {
-		segs, err := globFS(fsys, sd, "wal-*.seg")
-		if err != nil {
-			return nil, err
-		}
-		sort.Strings(segs) // fixed-width hex index
+	for _, sl := range shards {
+		sd := filepath.Join(dir, sl.Name)
 		r.nextSeg[sd] = 1
 		broken := false
-		for _, path := range segs {
-			if idx, ok := segIndex(path); ok && idx+1 > r.nextSeg[sd] {
-				r.nextSeg[sd] = idx + 1
-			}
+		for _, name := range sl.Segs {
+			path := filepath.Join(sd, name)
+			idx, _ := parseSegName(name)
+			r.nextSeg[sd] = idx + 1 // ascending
 			if broken {
 				// A record after this stream's torn point may depend on
 				// a lost predecessor; the whole suffix is dead. Removing
 				// it keeps the on-disk stream equal to the recovered
 				// prefix, so the next crash replays the same state.
 				fsys.Remove(path)
-				r.repaired++
 				continue
 			}
 			data, err := fsys.ReadFile(path)
@@ -186,7 +128,6 @@ func (r *recovered) loadSegments(fsys fault.FS, dir string) ([]record, error) {
 			recs, validLen, torn := decodeRecords(data)
 			if torn {
 				broken = true
-				r.repaired++
 				if len(recs) == 0 && validLen <= segHeaderSize {
 					fsys.Remove(path)
 				} else if err := fsys.Truncate(path, int64(validLen)); err != nil {
@@ -208,37 +149,8 @@ func (r *recovered) loadSegments(fsys fault.FS, dir string) ([]record, error) {
 					replay = append(replay, rec)
 				}
 			}
-			idx, _ := segIndex(path)
 			r.liveSegs = append(r.liveSegs, segInfo{index: idx, path: path, maxTs: segMax})
 		}
 	}
 	return replay, nil
-}
-
-func segIndex(path string) (uint64, bool) {
-	name := filepath.Base(path)
-	name = strings.TrimSuffix(strings.TrimPrefix(name, "wal-"), ".seg")
-	idx, err := strconv.ParseUint(name, 16, 64)
-	return idx, err == nil
-}
-
-// globFS is filepath.Glob through the fault seam: full paths of dir's
-// entries whose base name matches pattern. A missing directory is an empty
-// listing (a fresh log has no shard dirs yet); other ReadDir errors —
-// including injected ones — propagate.
-func globFS(fsys fault.FS, dir, pattern string) ([]string, error) {
-	names, err := fsys.ReadDir(dir)
-	if err != nil {
-		if fault.NotExist(err) {
-			return nil, nil
-		}
-		return nil, err
-	}
-	var out []string
-	for _, name := range names {
-		if ok, _ := filepath.Match(pattern, name); ok {
-			out = append(out, filepath.Join(dir, name))
-		}
-	}
-	return out, nil
 }

@@ -2,9 +2,6 @@ package wal
 
 import (
 	"path/filepath"
-	"sort"
-	"strconv"
-	"strings"
 
 	"repro/internal/fault"
 	"repro/internal/stm"
@@ -37,13 +34,12 @@ type ShipReader struct {
 
 	started bool
 	baseTs  uint64
-	tails   map[string]*shipTail
+	tails   map[int]*shipTail
 	rebases uint64
 }
 
 // shipTail is one shard directory's read position.
 type shipTail struct {
-	shard    int
 	picked   bool   // a segment has been picked (segment indexes start at 0)
 	segIdx   uint64 // segment currently tailed (valid when picked)
 	consumed int    // byte offset of the first unconsumed record (0: header unvalidated)
@@ -74,7 +70,7 @@ func OpenShipReader(dir string, fsys fault.FS) *ShipReader {
 	if fsys == nil {
 		fsys = fault.OS
 	}
-	return &ShipReader{dir: dir, fs: fsys, tails: map[string]*shipTail{}}
+	return &ShipReader{dir: dir, fs: fsys, tails: map[int]*shipTail{}}
 }
 
 // BaseTs returns the frozen ts of the last rebase image.
@@ -93,18 +89,17 @@ func (r *ShipReader) Poll() (ShipBatch, error) {
 		return r.rebase()
 	}
 	var b ShipBatch
-	shardDirs, err := globFS(r.fs, r.dir, "shard-*")
+	ls, err := ListDir(r.fs, r.dir)
 	if err != nil {
 		return ShipBatch{}, err
 	}
-	sort.Strings(shardDirs)
-	for _, sd := range shardDirs {
-		t := r.tails[sd]
+	for _, sl := range ls.Shards {
+		t := r.tails[sl.Shard]
 		if t == nil {
-			t = &shipTail{shard: shardIndex(sd)}
-			r.tails[sd] = t
+			t = &shipTail{}
+			r.tails[sl.Shard] = t
 		}
-		recs, lost, err := r.pollTail(sd, t)
+		recs, lost, err := r.pollTail(sl, t)
 		if err != nil {
 			return ShipBatch{}, err
 		}
@@ -130,29 +125,23 @@ func (r *ShipReader) rebase() (ShipBatch, error) {
 	r.started = true
 	r.baseTs = baseTs
 	r.rebases++
-	r.tails = map[string]*shipTail{}
+	r.tails = map[int]*shipTail{}
 	return ShipBatch{Rebase: true, Image: image, BaseTs: baseTs}, nil
 }
 
-// loadChain is loadCheckpoints' read-only twin: newest valid full
-// checkpoint plus every increment whose prevTs chains exactly. Invalid
-// files are skipped, never removed — a live leader writes checkpoints by
-// atomic rename, so an invalid file here is stale crash damage that the
-// leader's own recovery owns; one deleted mid-read (NotExist) is simply a
-// pruned ancestor.
+// loadChain reads the checkpoint chain the way a tailer must: invalid files
+// are skipped, never removed — a live leader writes checkpoints by atomic
+// rename, so an invalid file here is stale crash damage that the leader's
+// own recovery owns; one deleted mid-read (NotExist) is simply a pruned
+// ancestor.
 func (r *ShipReader) loadChain() (map[uint64]uint64, uint64, error) {
-	paths, err := globFS(r.fs, r.dir, "ck-*.ckpt")
+	ls, err := ListDir(r.fs, r.dir)
 	if err != nil {
 		return nil, 0, err
 	}
-	sort.Strings(paths) // fixed-width hex ts: lexicographic == numeric
-	type loaded struct {
-		ts, prevTs uint64
-		full       bool
-		entries    []ckptEntry
-	}
-	var valid []loaded
-	for _, p := range paths {
+	var valid []parsedCkpt
+	for _, name := range ls.Ckpts {
+		p := filepath.Join(r.dir, name)
 		data, err := r.fs.ReadFile(p)
 		if err != nil {
 			if fault.NotExist(err) {
@@ -160,70 +149,42 @@ func (r *ShipReader) loadChain() (map[uint64]uint64, uint64, error) {
 			}
 			return nil, 0, err
 		}
-		ts, prevTs, full, entries, err := parseCheckpoint(p, data)
-		if err != nil {
-			continue
-		}
-		valid = append(valid, loaded{ts, prevTs, full, entries})
-	}
-	image := make(map[uint64]uint64)
-	lastFull := -1
-	for i, c := range valid {
-		if c.full {
-			lastFull = i
+		if c, err := parseCheckpoint(p, data); err == nil {
+			valid = append(valid, c)
 		}
 	}
-	if lastFull < 0 {
-		return image, 0, nil
-	}
-	cur := uint64(0)
-	for _, c := range valid[lastFull:] {
-		if !c.full && c.prevTs != cur {
-			break
-		}
-		for _, e := range c.entries {
-			if e.tomb {
-				delete(image, e.key)
-			} else {
-				image[e.key] = e.val
-			}
-		}
-		cur = c.ts
-	}
-	return image, cur, nil
+	image, baseTs := resolveChain(valid)
+	return image, baseTs, nil
 }
 
 // pollTail advances one shard tail as far as it can go right now. lost
 // reports that the tailed segment was deleted under us with records
 // consumed from it — only a checkpoint truncation does that, so the caller
 // must rebase.
-func (r *ShipReader) pollTail(sd string, t *shipTail) (out []ShipRec, lost bool, err error) {
-	for {
-		segs, err := globFS(r.fs, sd, "wal-*.seg")
-		if err != nil {
-			return out, false, err
+func (r *ShipReader) pollTail(sl ShardListing, t *shipTail) (out []ShipRec, lost bool, err error) {
+	sd := filepath.Join(r.dir, sl.Name)
+	// The first pass works from the caller's listing; advancing to a
+	// successor re-lists, so every read below follows a listing of its own.
+	for segs := sl.Segs; ; {
+		if segs == nil {
+			if segs, err = listSegs(r.fs, sd); err != nil {
+				return out, false, err
+			}
 		}
-		sort.Strings(segs)
 		if !t.picked {
 			if len(segs) == 0 {
 				return out, false, nil // stream not started yet
 			}
-			idx, ok := segIndex(segs[0])
-			if !ok {
-				return out, false, nil // not a segment name; leader's problem
-			}
-			t.picked, t.segIdx, t.consumed = true, idx, 0
+			t.picked, t.consumed = true, 0
+			t.segIdx, _ = parseSegName(segs[0])
 		}
 		// Snapshot the successor BEFORE reading: if one exists now, the
 		// tailed segment was sealed before the read, so the read sees its
 		// final contents (a pending seal truncation can only shrink it,
 		// which the next poll detects as consumed > len).
 		succ, haveSucc, present := uint64(0), false, false
-		for _, p := range segs {
-			idx, ok := segIndex(p)
-			if !ok {
-				continue
-			}
+		for _, name := range segs {
+			idx, _ := parseSegName(name)
 			if idx == t.segIdx {
 				present = true
 			}
@@ -237,6 +198,7 @@ func (r *ShipReader) pollTail(sd string, t *shipTail) (out []ShipRec, lost bool,
 			}
 			t.segIdx = succ
 			t.consumed = 0
+			segs = nil // re-list before reading the successor
 			return true
 		}
 		missing := !present
@@ -284,7 +246,7 @@ func (r *ShipReader) pollTail(sd string, t *shipTail) (out []ShipRec, lost bool,
 			if rec.ts < r.baseTs {
 				continue // already inside the base image
 			}
-			out = append(out, ShipRec{Shard: t.shard, Ts: rec.ts, Trace: rec.trace, Redo: rec.redo})
+			out = append(out, ShipRec{Shard: sl.Shard, Ts: rec.ts, Trace: rec.trace, Redo: rec.redo})
 		}
 		// Anything past validLen is a torn tail: on a sealed segment
 		// (successor exists) it is about to be truncated and re-appended to
@@ -295,14 +257,4 @@ func (r *ShipReader) pollTail(sd string, t *shipTail) (out []ShipRec, lost bool,
 		}
 		return out, false, nil
 	}
-}
-
-// shardIndex parses the shard number out of a shard directory path.
-func shardIndex(dir string) int {
-	name := strings.TrimPrefix(filepath.Base(dir), "shard-")
-	n, err := strconv.Atoi(name)
-	if err != nil {
-		return 0
-	}
-	return n
 }

@@ -3,7 +3,6 @@ package wal
 import (
 	"fmt"
 	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -94,10 +93,6 @@ const maxPendTraces = 1024
 type unsyncedSeg struct {
 	path string
 	recs int
-}
-
-func segPath(dir string, index uint64) string {
-	return filepath.Join(dir, fmt.Sprintf("wal-%016x.seg", index))
 }
 
 // openSegmentLocked starts segment s.next in s.dir. Caller holds s.mu.

@@ -228,10 +228,6 @@ type Options struct {
 	// FullEvery writes a full checkpoint after this many incremental ones
 	// (default 8), bounding the recovery chain.
 	FullEvery int
-	// CheckpointRetries bounds freeze-and-rescan attempts of one
-	// Checkpoint call before it reports starvation (default 16; only the
-	// versionless baselines ever get near it).
-	CheckpointRetries int
 	// FS is the filesystem seam every I/O call goes through (default
 	// fault.OS, the zero-overhead passthrough). Tests install a
 	// fault.Injector here to drive the log through its failure paths.
@@ -295,9 +291,6 @@ func (o *Options) fill() error {
 	}
 	if o.FullEvery == 0 {
 		o.FullEvery = 8
-	}
-	if o.CheckpointRetries == 0 {
-		o.CheckpointRetries = 16
 	}
 	if o.FS == nil {
 		o.FS = fault.OS
@@ -391,7 +384,6 @@ type Log struct {
 
 type ckptOnDisk struct {
 	ts   uint64
-	full bool
 	path string
 }
 
@@ -445,7 +437,7 @@ func OpenWith(opts Options) (m ds.Map, l *Log, err error) {
 	// existing one in its shard directory.
 	l.streams = make([]*stream, opts.Shards)
 	for i := range l.streams {
-		dir := filepath.Join(opts.Dir, fmt.Sprintf("shard-%03d", i))
+		dir := filepath.Join(opts.Dir, ShardDirName(i))
 		if err := fsys.MkdirAll(dir, 0o755); err != nil {
 			return nil, nil, err
 		}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/ds"
+	"repro/internal/frame"
 	"repro/internal/stm"
 	"repro/internal/workload"
 )
@@ -367,7 +368,7 @@ func TestSegmentEncodingRoundTrip(t *testing.T) {
 	// record-boundary prefix; only cuts exactly on a boundary are clean.
 	boundaries := map[int]bool{}
 	for off, i := segHeaderSize, 0; i < len(recs); i++ {
-		off += recFrameSize + recFixedSize + opSize*len(recs[i].redo)
+		off += frame.HeaderSize + recFixedSize + opSize*len(recs[i].redo)
 		boundaries[off] = true
 	}
 	for cut := len(buf) - 1; cut > segHeaderSize; cut-- {
@@ -388,7 +389,7 @@ func TestSegmentEncodingRoundTrip(t *testing.T) {
 	// Bit flip in a payload: that record and everything after must drop.
 	flip := make([]byte, len(buf))
 	copy(flip, buf)
-	flip[segHeaderSize+recFrameSize+3] ^= 0x40
+	flip[segHeaderSize+frame.HeaderSize+3] ^= 0x40
 	part, _, torn := decodeRecords(flip)
 	if !torn || len(part) != 0 {
 		t.Fatalf("bit flip in record 0: got %d recs, torn=%v", len(part), torn)
@@ -408,19 +409,19 @@ func TestCheckpointEncodingRoundTrip(t *testing.T) {
 	if err := os.WriteFile(path, encodeCheckpoint(16, 9, false, entries), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	readCheckpoint := func(path string) (uint64, uint64, bool, []ckptEntry, error) {
+	readCheckpoint := func(path string) (parsedCkpt, error) {
 		data, err := os.ReadFile(path)
 		if err != nil {
-			return 0, 0, false, nil, err
+			return parsedCkpt{}, err
 		}
 		return parseCheckpoint(path, data)
 	}
-	ts, prevTs, full, got, err := readCheckpoint(path)
-	if err != nil || ts != 16 || prevTs != 9 || full || len(got) != len(entries) {
-		t.Fatalf("round trip: ts=%d prev=%d full=%v n=%d err=%v", ts, prevTs, full, len(got), err)
+	c, err := readCheckpoint(path)
+	if err != nil || c.ts != 16 || c.prevTs != 9 || c.full || len(c.entries) != len(entries) {
+		t.Fatalf("round trip: %+v err=%v", c, err)
 	}
 	for i := range entries {
-		if got[i] != entries[i] {
+		if c.entries[i] != entries[i] {
 			t.Fatalf("entry %d diverged", i)
 		}
 	}
@@ -428,18 +429,18 @@ func TestCheckpointEncodingRoundTrip(t *testing.T) {
 	if err := os.WriteFile(path, encodeCheckpoint(16, 9, true, entries), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, prevTs, full, _, _ := readCheckpoint(path); prevTs != 0 || !full {
-		t.Fatalf("full checkpoint: prevTs=%d full=%v", prevTs, full)
+	if c, _ := readCheckpoint(path); c.prevTs != 0 || !c.full {
+		t.Fatalf("full checkpoint: prevTs=%d full=%v", c.prevTs, c.full)
 	}
 	// Corruption: flipped byte, truncated file, both invalid as a whole.
 	data := encodeCheckpoint(16, 9, false, entries)
 	data[ckptHeaderSize+4] ^= 1
 	os.WriteFile(path, data, 0o644)
-	if _, _, _, _, err := readCheckpoint(path); err == nil {
+	if _, err := readCheckpoint(path); err == nil {
 		t.Fatal("flipped checkpoint byte not detected")
 	}
 	os.WriteFile(path, encodeCheckpoint(16, 9, false, entries)[:ckptHeaderSize+10], 0o644)
-	if _, _, _, _, err := readCheckpoint(path); err == nil {
+	if _, err := readCheckpoint(path); err == nil {
 		t.Fatal("truncated checkpoint not detected")
 	}
 }
