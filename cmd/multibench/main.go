@@ -26,15 +26,13 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "", "experiment id (fig1, fig6..fig21, tab1, ablation, shards, persist, server, replica) or 'all'")
-		list     = flag.Bool("list", false, "list experiments and exit")
-		tms      = flag.String("tm", strings.Join(bench.TMNames, ","), "comma-separated TMs to compare")
-		prefill  = flag.Int("prefill", 0, "prefill size (default: quick scale)")
-		dur      = flag.Duration("dur", 0, "measurement duration per point")
-		threads  = flag.String("threads", "", "comma-separated worker thread counts")
-		trials   = flag.Int("trials", 0, "trials per point (paper: 5)")
-		shards   = flag.String("shards", "", "comma-separated shard counts for -exp shards (default 1,2,4,8)")
-		jsonPath = flag.String("json", "", "also emit one machine-readable JSON record per run to this file ('-' = stdout)")
+		exp     = flag.String("exp", "", "experiment id (fig1, fig6..fig21, tab1, ablation, tpcc) or 'all'")
+		list    = flag.Bool("list", false, "list experiments and exit")
+		tms     = flag.String("tm", strings.Join(bench.TMNames, ","), "comma-separated TMs to compare")
+		prefill = flag.Int("prefill", 0, "prefill size (default: quick scale)")
+		dur     = flag.Duration("dur", 0, "measurement duration per point")
+		threads = flag.String("threads", "", "comma-separated worker thread counts")
+		trials  = flag.Int("trials", 0, "trials per point (paper: 5)")
 	)
 	flag.Parse()
 
@@ -70,45 +68,6 @@ func main() {
 			scale.Threads = append(scale.Threads, n)
 		}
 	}
-	if *shards != "" {
-		scale.Shards = nil
-		for _, part := range strings.Split(*shards, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(part))
-			if err != nil || n < 1 {
-				fmt.Fprintf(os.Stderr, "bad -shards entry %q\n", part)
-				os.Exit(2)
-			}
-			scale.Shards = append(scale.Shards, n)
-		}
-	}
-	// closeJSON flushes and closes the -json sink; a write error surfacing
-	// only at Sync/Close (full disk, dropped NFS mount) must fail the run
-	// loudly — a truncated record file silently poisons every downstream
-	// trajectory comparison. Deferring f.Close() would discard exactly
-	// that error.
-	closeJSON := func() {}
-	if *jsonPath != "" {
-		sink := os.Stdout
-		if *jsonPath != "-" {
-			f, err := os.Create(*jsonPath)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "-json: %v\n", err)
-				os.Exit(2)
-			}
-			closeJSON = func() {
-				if err := f.Sync(); err != nil {
-					fmt.Fprintf(os.Stderr, "-json %s: sync: %v\n", *jsonPath, err)
-					os.Exit(1)
-				}
-				if err := f.Close(); err != nil {
-					fmt.Fprintf(os.Stderr, "-json %s: close: %v\n", *jsonPath, err)
-					os.Exit(1)
-				}
-			}
-			sink = f
-		}
-		bench.EmitJSON(sink)
-	}
 	tmList := strings.Split(*tms, ",")
 
 	ids := []string{*exp}
@@ -125,6 +84,5 @@ func main() {
 		fmt.Printf("=== %s: %s ===\n", e.ID, e.Title)
 		e.Run(scale, tmList, os.Stdout)
 	}
-	closeJSON()
 	fmt.Printf("(total %.1fs)\n", time.Since(start).Seconds())
 }

@@ -7,18 +7,13 @@ package bench
 
 import (
 	"fmt"
-	"os"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/ds"
-	"repro/internal/server/client"
-	"repro/internal/shard"
 	"repro/internal/stm"
-	"repro/internal/wal"
 	"repro/internal/workload"
 )
 
@@ -40,23 +35,12 @@ type Config struct {
 	// SampleEvery enables a throughput time series (paper Fig 8 samples
 	// every 200ms).
 	SampleEvery time.Duration
-	// Phases replaces Mix/Updaters with a time-varying schedule; phase
-	// Seconds are interpreted as fractions of Duration × len(Phases).
+	// Phases replaces Mix/Updaters with a time-varying schedule; the sum
+	// of the phases' Seconds, not Duration, is then the measured window.
 	Phases []workload.Phase
 	// SizeQueries replaces range queries with full size queries (the
 	// paper's hashmap SQ workload).
 	SizeQueries bool
-	// Shards > 1 runs the workload over an internal/shard composition of
-	// that many TM instances (hash-partitioned map, 2PC-free cross-shard
-	// snapshot queries) instead of a single System. 0 or 1 = unsharded.
-	Shards int
-	// Persist, when non-empty, runs the workload over a WAL-backed map
-	// (internal/wal) in a throwaway directory under the named fsync
-	// policy ("none", "group" or "every"): the workload pays real
-	// durability costs — commit observation, group flushing, fsyncs, and
-	// one online checkpoint at mid-window — and the Result gains the
-	// persistence columns (log bytes/op, checkpoint pause).
-	Persist string
 }
 
 func (c *Config) fill() {
@@ -110,40 +94,6 @@ type Result struct {
 	NumGC        uint64        // GC cycles during the window (summed over trials)
 	GCPauseTotal time.Duration // total stop-the-world pause (summed over trials)
 	Series       []Sample
-	// Sharded runs only (Config.Shards > 1): per-shard counter deltas
-	// over the last trial's window and the final shared-clock value —
-	// the clock moves on aborts and snapshot freezes, so its delta is a
-	// direct read on cross-shard coordination traffic.
-	ShardStats []stm.Stats
-	ClockEnd   uint64
-	// Persistence runs only (Config.Persist != ""): durability overhead
-	// over the measured window.
-	LogBytesPerOp float64       // WAL bytes written per completed worker op
-	WALRecords    uint64        // commit records appended
-	Fsyncs        uint64        // fsync calls issued
-	CkptPause     time.Duration // wall time of the mid-window checkpoint (avg over trials)
-	CkptOK        bool          // the mid-window checkpoint served (versionless TMs may starve)
-	WALRetries    uint64        // failed flush attempts retried by the failure plane
-	WALDegraded   uint64        // healthy→degraded transitions over the window
-	// Server runs only (RunServerBench): wire-level load shape and
-	// latency quantiles; nil for in-process runs.
-	Server *ServerStats
-	// Replication runs only (RunReplicaBench): follower apply throughput
-	// and lag; nil otherwise.
-	Replica *ReplicaStats
-}
-
-// ServerStats is the server-benchmark extension of Result: the client-side
-// load shape plus wire-latency quantiles from the load generator's
-// histogram (internal/server/client.Hist), and the group-commit pipeline's
-// amortization counters.
-type ServerStats struct {
-	Conns, Depth            int
-	Ack                     string
-	LatP50, LatP99, LatP999 time.Duration
-	SyncRounds, SyncedAcks  uint64 // SyncedAcks/SyncRounds = acks amortized per fsync
-	Lost                    uint64 // ops with transport outcomes (should be 0 faultless)
-	Hist                    *client.Hist
 }
 
 // Run executes the configured benchmark and returns averaged results.
@@ -151,7 +101,6 @@ func Run(cfg Config) Result {
 	cfg.fill()
 	var agg Result
 	agg.Config = cfg
-	agg.CkptOK = true
 	for trial := 0; trial < cfg.Trials; trial++ {
 		r := runTrial(cfg, cfg.Seed+uint64(trial)*7919)
 		agg.OpsPerSec += r.OpsPerSec
@@ -163,40 +112,25 @@ func Run(cfg Config) Result {
 		agg.ListReads += r.ListReads
 		agg.ModeSwitches += r.ModeSwitches
 		agg.CPUSeconds += r.CPUSeconds
+		agg.OpsPerCPUSec += r.OpsPerCPUSec
 		agg.AllocsPerOp += r.AllocsPerOp
 		agg.BytesPerOp += r.BytesPerOp
 		agg.NumGC += r.NumGC
 		agg.GCPauseTotal += r.GCPauseTotal
-		agg.LogBytesPerOp += r.LogBytesPerOp
-		agg.WALRecords += r.WALRecords
-		agg.Fsyncs += r.Fsyncs
-		agg.CkptPause += r.CkptPause
-		agg.CkptOK = agg.CkptOK && r.CkptOK
-		agg.WALRetries += r.WALRetries
-		agg.WALDegraded += r.WALDegraded
 		if r.MaxHeapKB > agg.MaxHeapKB {
 			agg.MaxHeapKB = r.MaxHeapKB
 		}
 		if trial == cfg.Trials-1 {
 			agg.Series = r.Series
-			agg.ShardStats = r.ShardStats
-			agg.ClockEnd = r.ClockEnd
 		}
 	}
 	n := float64(cfg.Trials)
 	agg.OpsPerSec /= n
 	agg.RQsPerSec /= n
 	agg.CPUSeconds /= n
+	agg.OpsPerCPUSec /= n
 	agg.AllocsPerOp /= n
 	agg.BytesPerOp /= n
-	agg.LogBytesPerOp /= n
-	agg.CkptPause /= time.Duration(cfg.Trials)
-	if agg.CPUSeconds > 0 {
-		// Ops per CPU-second: the Fig 10 "throughput per joule" proxy
-		// (joules ∝ CPU-seconds at fixed package power).
-		agg.OpsPerCPUSec = agg.OpsPerSec * cfg.Duration.Seconds() / agg.CPUSeconds
-	}
-	emitJSON(agg)
 	return agg
 }
 
@@ -223,66 +157,11 @@ func runTrial(cfg Config, seed uint64) Result {
 		runtime.GOMAXPROCS(want)
 		defer runtime.GOMAXPROCS(prev)
 	}
-	var (
-		sys     stm.System
-		m       ds.Map
-		sharded *shard.System
-		plog    *wal.Log
-	)
-	switch {
-	case cfg.Persist != "":
-		policy, ok := wal.PolicyByName(cfg.Persist)
-		if !ok {
-			panic(fmt.Sprintf("bench: unknown Persist policy %q (want none, group or every)", cfg.Persist))
-		}
-		dir, err := os.MkdirTemp("", "walbench-*")
-		if err != nil {
-			panic(err)
-		}
-		defer os.RemoveAll(dir)
-		shards := cfg.Shards
-		if shards < 1 {
-			shards = 1
-		}
-		wm, l, err := wal.OpenWith(wal.Options{
-			Dir: dir, Backend: cfg.TM, Shards: shards, DS: cfg.DS,
-			Capacity: max(cfg.Prefill*2, 1024), LockTable: cfg.LockTable,
-			Policy: policy,
-		})
-		if err != nil {
-			panic(err)
-		}
-		plog = l
-		sys, m = l.System(), wm
-		if cfg.Shards > 1 {
-			sharded = l.System()
-		}
-		defer l.Close()
-	case cfg.Shards > 1:
-		sharded = NewShardedTM(cfg.TM, cfg.Shards, cfg.LockTable)
-		sys = sharded
-		m = NewShardedDS(sharded, cfg.DS, max(cfg.Prefill*2, 1024))
-		defer sys.Close()
-	default:
-		sys = NewTM(cfg.TM, cfg.LockTable)
-		m = NewDS(cfg.DS, max(cfg.Prefill*2, 1024))
-		defer sys.Close()
-	}
+	sys := NewTM(cfg.TM, cfg.LockTable)
+	defer sys.Close()
+	m := NewDS(cfg.DS, max(cfg.Prefill*2, 1024))
 	prefill(sys, m, cfg, seed)
-	var walBefore wal.Stats
-	if plog != nil {
-		// Fold the prefill into a pre-window checkpoint so the measured
-		// log traffic — and the first truncation targets — are the
-		// window's own.
-		plog.Checkpoint() //nolint:errcheck // versionless TMs may starve; the window still measures
-		walBefore = plog.Stats()
-	}
-
 	statsBefore := sys.Stats()
-	var shardBefore []stm.Stats
-	if sharded != nil {
-		shardBefore = sharded.ShardStats()
-	}
 	cpuBefore := processCPUTime()
 
 	var (
@@ -400,8 +279,6 @@ func runTrial(cfg Config, seed uint64) Result {
 	var lastOps uint64
 	var lastSample time.Duration
 	var ms runtime.MemStats
-	ckpted := plog == nil
-	res.CkptOK = true
 	totalDur := cfg.Duration
 	if len(cfg.Phases) > 0 {
 		totalDur = 0
@@ -442,16 +319,6 @@ func runTrial(cfg Config, seed uint64) Result {
 			res.Series = append(res.Series, Sample{At: elapsed, Ops: ops - lastOps})
 			lastOps = ops
 			lastSample = elapsed
-		}
-		if plog != nil && !ckpted && elapsed >= totalDur/2 {
-			// One online checkpoint mid-window: its wall time is the
-			// "checkpoint pause" column (the system stays online — the
-			// pause is checkpointer latency, not a stop-the-world).
-			ckpted = true
-			t0 := time.Now()
-			_, ckErr := plog.Checkpoint()
-			res.CkptPause = time.Since(t0)
-			res.CkptOK = ckErr == nil
 		}
 		runtime.ReadMemStats(&ms)
 		if kb := ms.HeapAlloc / 1024; kb > res.MaxHeapKB {
@@ -495,27 +362,10 @@ func runTrial(cfg Config, seed uint64) Result {
 	res.ModeSwitches = st.ModeSwitches - statsBefore.ModeSwitches
 	res.CPUSeconds = processCPUTime() - cpuBefore
 	if res.CPUSeconds > 0 {
-		res.OpsPerCPUSec = res.OpsPerSec / res.CPUSeconds * elapsed
-	}
-	if sharded != nil {
-		after := sharded.ShardStats()
-		res.ShardStats = make([]stm.Stats, len(after))
-		for i := range after {
-			d := after[i]
-			d.Sub(shardBefore[i])
-			res.ShardStats[i] = d
-		}
-		res.ClockEnd = sharded.ClockValue()
-	}
-	if plog != nil {
-		walAfter := plog.Stats()
-		res.WALRecords = walAfter.Records - walBefore.Records
-		res.Fsyncs = walAfter.Fsyncs - walBefore.Fsyncs
-		res.WALRetries = walAfter.FlushFailures - walBefore.FlushFailures
-		res.WALDegraded = walAfter.Degradations - walBefore.Degradations
-		if ops > 0 {
-			res.LogBytesPerOp = float64(walAfter.BytesAppended-walBefore.BytesAppended) / float64(ops)
-		}
+		// Ops per CPU-second over the measured window (which Phases, not
+		// Duration, may set): the Fig 10 "throughput per joule" proxy
+		// (joules ∝ CPU-seconds at fixed package power).
+		res.OpsPerCPUSec = float64(ops) / res.CPUSeconds
 	}
 	return res
 }
@@ -564,44 +414,8 @@ func rqSpan(cfg Config) uint64 {
 
 // String renders a result row.
 func (r Result) String() string {
-	tm := r.Config.TM
-	if r.Config.Shards > 1 {
-		tm = fmt.Sprintf("%s[%dsh]", tm, r.Config.Shards)
-	}
 	return fmt.Sprintf("%-24s %-8s thr=%-3d upd=%-2d ops/s=%-12.0f rq/s=%-8.2f commits=%-9d aborts=%-9d starved=%-6d heapKB=%-8d ops/cpu-s=%-12.0f allocs/op=%-8.2f B/op=%-8.1f gc=%-4d gcPause=%s",
-		tm, r.Config.DS, r.Config.Threads, r.Config.Updaters,
+		r.Config.TM, r.Config.DS, r.Config.Threads, r.Config.Updaters,
 		r.OpsPerSec, r.RQsPerSec, r.Commits, r.Aborts, r.Starved, r.MaxHeapKB, r.OpsPerCPUSec,
 		r.AllocsPerOp, r.BytesPerOp, r.NumGC, r.GCPauseTotal)
-}
-
-// PersistRow renders the durability-overhead line of a persistence run
-// (Config.Persist != ""): the fsync policy, WAL traffic normalized per op,
-// the mid-window checkpoint pause, and the failure plane's activity (flush
-// retries and degraded episodes — nonzero only when the disk misbehaved).
-func (r Result) PersistRow() string {
-	if r.Config.Persist == "" {
-		return ""
-	}
-	ck := fmt.Sprintf("%.2fms", r.CkptPause.Seconds()*1e3)
-	if !r.CkptOK {
-		ck += " (starved)"
-	}
-	return fmt.Sprintf("    persist policy=%-6s logB/op=%-8.1f wal-records=%-9d fsyncs=%-7d retries=%-5d degraded=%-4d ckpt-pause=%s\n",
-		r.Config.Persist, r.LogBytesPerOp, r.WALRecords, r.Fsyncs, r.WALRetries, r.WALDegraded, ck)
-}
-
-// ShardRows renders the per-shard observability lines of a sharded run:
-// each shard's commit/abort traffic and Multiverse versioning activity over
-// the last trial's window, plus the shared clock's final value.
-func (r Result) ShardRows() string {
-	if len(r.ShardStats) == 0 {
-		return ""
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "    shared clock end=%d (moves on aborts and snapshot freezes)\n", r.ClockEnd)
-	for i, st := range r.ShardStats {
-		fmt.Fprintf(&b, "    shard %-2d commits=%-9d aborts=%-7d versioned=%-7d listReads=%-7d modeSw=%-4d unversion=%-5d addrVer=%d\n",
-			i, st.Commits, st.Aborts, st.VersionedCommits, st.VersionListReads, st.ModeSwitches, st.Unversionings, st.AddrVersioned)
-	}
-	return b.String()
 }

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -73,12 +74,20 @@ func TestPhasesSwitchWorkload(t *testing.T) {
 	cfg := quickCfg("dctl")
 	cfg.Mix = workload.Mix{}
 	cfg.Phases = []workload.Phase{
-		{Seconds: 0.05, Mix: workload.Mix{}},               // searches only
-		{Seconds: 0.05, Mix: workload.Mix{InsertPct: 1.0}}, // inserts only
+		{Seconds: 0.15, Mix: workload.Mix{}},               // searches only
+		{Seconds: 0.15, Mix: workload.Mix{InsertPct: 1.0}}, // inserts only
 	}
 	res := Run(cfg)
 	if res.OpsPerSec <= 0 {
 		t.Fatal("phased run produced no throughput")
+	}
+	// The phases, not cfg.Duration (60ms here), set the measured window, and
+	// ops/cpu-s must be taken over that window: the measured one is the
+	// 0.3s the phases ask for plus at most a tick or two of stop latency.
+	atPhaseSum := res.OpsPerSec * 0.3 / res.CPUSeconds
+	if r := res.OpsPerCPUSec / atPhaseSum; r < 1 || r > 1.25 {
+		t.Fatalf("OpsPerCPUSec = %.0f, want OpsPerSec × window / CPUSeconds = %.0f over the 0.3s phase window (ratio %.2f)",
+			res.OpsPerCPUSec, atPhaseSum, r)
 	}
 }
 
@@ -106,16 +115,31 @@ func TestNewDSAllNames(t *testing.T) {
 }
 
 func TestExperimentRegistryComplete(t *testing.T) {
-	exps := Experiments()
-	for _, id := range []string{"fig1", "fig6", "fig7", "fig8", "fig9", "fig10",
-		"fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17", "fig18",
-		"fig19", "fig20", "fig21", "tab1", "ablation"} {
-		if _, ok := exps[id]; !ok {
-			t.Errorf("experiment %s missing from registry", id)
-		}
+	// Set equality: the registry is the paper's figures and table plus the
+	// two experiments built from them (ablation, tpcc). What measures the
+	// shard/WAL/server/replica stack lives in benchmark/, not here.
+	want := []string{"ablation", "fig1", "fig10", "fig11", "fig12", "fig13", "fig14",
+		"fig15", "fig16", "fig17", "fig18", "fig19", "fig20", "fig21", "fig6",
+		"fig7", "fig8", "fig9", "tab1", "tpcc"}
+	if got := ExperimentIDs(); !slices.Equal(got, want) {
+		t.Errorf("experiment ids = %v, want exactly %v", got, want)
 	}
-	if len(ExperimentIDs()) != len(exps) {
-		t.Error("ExperimentIDs out of sync")
+}
+
+func TestFig8HonoursTMList(t *testing.T) {
+	s := Scale{Prefill: 256, Duration: 5 * time.Millisecond, Threads: []int{2}}
+	for _, tc := range []struct {
+		tms    []string
+		blocks int
+	}{
+		{[]string{"multiverse", "dctl"}, 2}, // starts with TMNames[0] but is not the default list
+		{TMNames, 5},                        // the default list selects Fig 8's own line-up
+	} {
+		var sb strings.Builder
+		Experiments()["fig8"].Run(s, tc.tms, &sb)
+		if got := strings.Count(sb.String(), "--- fig8 "); got != tc.blocks {
+			t.Errorf("fig8 with -tm %v printed %d blocks, want %d", tc.tms, got, tc.blocks)
+		}
 	}
 }
 

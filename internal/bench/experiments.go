@@ -3,10 +3,10 @@ package bench
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"time"
 
-	"repro/internal/registry"
 	"repro/internal/tpcc"
 	"repro/internal/workload"
 )
@@ -20,9 +20,6 @@ type Scale struct {
 	Duration time.Duration
 	Threads  []int
 	Trials   int
-	// Shards is the shard-count grid of the "shards" experiment
-	// (cmd/multibench -shards).
-	Shards []int
 }
 
 // Quick returns the default scaled-down experiment size.
@@ -32,7 +29,6 @@ func Quick() Scale {
 		Duration: 150 * time.Millisecond,
 		Threads:  []int{1, 2, 4, 8},
 		Trials:   1,
-		Shards:   []int{1, 2, 4, 8},
 	}
 }
 
@@ -44,22 +40,6 @@ func (s Scale) rqKeys(frac float64) int {
 		n = 16
 	}
 	return n
-}
-
-// durableTMs keeps the TMs of a -tm list that can sit under internal/shard,
-// the WAL, the server and a replica (registry.Durable), defaulting to the
-// production pairing when the list has none.
-func durableTMs(tms []string) []string {
-	var out []string
-	for _, tm := range tms {
-		if registry.Durable(tm) {
-			out = append(out, tm)
-		}
-	}
-	if len(out) == 0 {
-		out = []string{"multiverse"}
-	}
-	return out
 }
 
 // Experiment regenerates one of the paper's tables or figures.
@@ -296,143 +276,6 @@ func Experiments() map[string]Experiment {
 	})
 
 	add(Experiment{
-		ID:    "shards",
-		Title: "sharded multi-instance TM: update-heavy point-op scaling and cross-shard snapshot queries vs shard count",
-		Run: func(s Scale, tms []string, w io.Writer) {
-			shardTMs := durableTMs(tms)
-			threads := s.Threads[len(s.Threads)-1]
-			counts := s.Shards
-			if len(counts) == 0 {
-				counts = []int{1, 2, 4, 8}
-			}
-			for _, tm := range shardTMs {
-				// The acceptance workload: update-heavy point ops, where
-				// every transaction binds to one shard and the win is N
-				// independent lock tables and clocks of contention.
-				fmt.Fprintf(w, "--- shards: %s hashmap 50%% ins / 50%% del point ops, thr=%d ---\n", tm, threads)
-				for _, n := range counts {
-					res := Run(Config{
-						TM: tm, DS: "hashmap", Threads: threads, Shards: n,
-						Mix:     mixFor(50, 50, 0, 0),
-						Prefill: s.Prefill, Duration: s.Duration, Trials: s.Trials,
-					})
-					fmt.Fprintln(w, res)
-					fmt.Fprint(w, res.ShardRows())
-				}
-				// Cross-shard snapshot pressure: mixed point ops plus full
-				// size queries, each answered at one frozen timestamp
-				// across all shards.
-				fmt.Fprintf(w, "--- shards: %s hashmap mixed + 0.5%% cross-shard SQ, thr=%d ---\n", tm, threads)
-				for _, n := range counts {
-					res := Run(Config{
-						TM: tm, DS: "hashmap", Threads: threads, Shards: n,
-						Mix: mixFor(10, 10, 0.5, 0), SizeQueries: true,
-						Prefill: s.Prefill, Duration: s.Duration, Trials: s.Trials,
-					})
-					fmt.Fprintln(w, res)
-					fmt.Fprint(w, res.ShardRows())
-				}
-			}
-		},
-	})
-
-	add(Experiment{
-		ID:    "persist",
-		Title: "durability overhead: fsync policy sweep (none/group/every-commit) over a WAL-backed map, plus a sharded persistence row",
-		Run: func(s Scale, tms []string, w io.Writer) {
-			persistTMs := durableTMs(tms)
-			threads := s.Threads[len(s.Threads)-1]
-			base := Config{
-				DS: "hashmap", Threads: threads,
-				Mix:     mixFor(10, 10, 0, 0),
-				Prefill: s.Prefill, Duration: s.Duration, Trials: s.Trials,
-			}
-			for _, tm := range persistTMs {
-				fmt.Fprintf(w, "--- persist: %s hashmap 10%% ins / 10%% del point ops, thr=%d ---\n", tm, threads)
-				cfg := base
-				cfg.TM = tm
-				// Durability off: the no-WAL baseline. Note it runs on a
-				// direct System while every persist row routes through the
-				// shard wrapper wal always builds (even at 1 shard), so
-				// the first row's gap includes that routing cost; read
-				// fsync policy against the policy=none row, which isolates
-				// the durability variable.
-				fmt.Fprintf(w, "    (baseline below is direct/unsharded; persist rows include the shard-routing wrapper — compare policies against policy=none)\n")
-				fmt.Fprintln(w, Run(cfg))
-				for _, policy := range []string{"none", "group", "every"} {
-					cfg.Persist = policy
-					res := Run(cfg)
-					fmt.Fprintln(w, res)
-					fmt.Fprint(w, res.PersistRow())
-				}
-				// Sharded persistence: per-shard log streams, one
-				// checkpoint ts from the shared clock.
-				cfg.Persist = "group"
-				cfg.Shards = 4
-				res := Run(cfg)
-				fmt.Fprintln(w, res)
-				fmt.Fprint(w, res.PersistRow())
-				fmt.Fprint(w, res.ShardRows())
-			}
-		},
-	})
-
-	add(Experiment{
-		ID:    "server",
-		Title: "wire-protocol server: end-to-end throughput and p50/p99/p999 latency, ack=commit vs ack=sync (group-commit pipelining) across pipeline depths",
-		Run: func(s Scale, tms []string, w io.Writer) {
-			serverTMs := durableTMs(tms)
-			for _, tm := range serverTMs {
-				fmt.Fprintf(w, "--- server: %s hashmap over loopback TCP, 20%% updates (ack=commit prices the wire, ack=sync adds the covering fsync; depth sweep shows group-commit amortization) ---\n", tm)
-				base := ServerConfig{
-					TM: tm, DS: "hashmap", Shards: 2,
-					Prefill: s.Prefill, Duration: s.Duration, Trials: s.Trials,
-					Conns: 4, Mix: 20,
-				}
-				for _, row := range []struct {
-					ack   string
-					depth int
-				}{{"commit", 8}, {"sync", 1}, {"sync", 8}, {"sync", 32}} {
-					cfg := base
-					cfg.Ack = row.ack
-					cfg.Depth = row.depth
-					res, err := RunServerBench(cfg)
-					if err != nil {
-						fmt.Fprintf(w, "    server bench failed: %v\n", err)
-						return
-					}
-					fmt.Fprintln(w, res)
-					fmt.Fprint(w, res.ServerRow())
-				}
-			}
-		},
-	})
-
-	add(Experiment{
-		ID:    "replica",
-		Title: "log-shipping read replica: follower apply throughput, record lag, and post-quiesce drain time, direct tail vs TCP channel",
-		Run: func(s Scale, tms []string, w io.Writer) {
-			repTMs := durableTMs(tms)
-			writers := s.Threads[len(s.Threads)-1]
-			for _, tm := range repTMs {
-				fmt.Fprintf(w, "--- replica: %s hashmap 50%% ins / 50%% del leader load, writers=%d (direct = shared-dir tail, channel = Shipper→TCP→Receiver) ---\n", tm, writers)
-				for _, channel := range []bool{false, true} {
-					res, err := RunReplicaBench(ReplicaConfig{
-						TM: tm, DS: "hashmap", Writers: writers, Channel: channel,
-						Prefill: s.Prefill, Duration: s.Duration, Trials: s.Trials,
-					})
-					if err != nil {
-						fmt.Fprintf(w, "    replica bench failed: %v\n", err)
-						return
-					}
-					fmt.Fprintln(w, res)
-					fmt.Fprint(w, res.ReplicaRow())
-				}
-			}
-		},
-	})
-
-	add(Experiment{
 		ID:    "tab1",
 		Title: "TM mode behaviour matrix (verified by TestTable1ModeMatrix)",
 		Run: func(s Scale, tms []string, w io.Writer) {
@@ -474,9 +317,9 @@ func ExperimentIDs() []string {
 // prefill) plus 4 dedicated updaters. Mode-pinned Multiverse variants show
 // what each mode alone would do (paper Fig 8).
 func runFig8(s Scale, tms []string, w io.Writer) {
-	fig8TMs := []string{"multiverse", "multiverse-q", "multiverse-u", "dctl", "tl2"}
-	if len(tms) != 0 && tms[0] != TMNames[0] { // custom TM list overrides
-		fig8TMs = tms
+	fig8TMs := tms
+	if slices.Equal(tms, TMNames) { // no custom TM list: the paper's Fig 8 line-up
+		fig8TMs = []string{"multiverse", "multiverse-q", "multiverse-u", "dctl", "tl2"}
 	}
 	interval := (s.Duration * 8).Seconds() // longer windows so phases bite
 	quiet := workload.Phase{Seconds: interval, Mix: mixFor(10, 10, 0, 0)}

@@ -11,59 +11,90 @@ import (
 	"time"
 
 	"repro/internal/ds"
+	"repro/internal/registry"
 	"repro/internal/stm"
 	"repro/internal/workload"
 )
 
+// The long-read geometry (the one benchmark/'s long-read workload uses): an
+// (a,b)-tree holding half of longKeyRange, and range queries spanning a
+// quarter of it, about 25 000 keys each.
+const (
+	longKeyRange = 200_000
+	longSpan     = 50_000
+)
+
+func longReadTree(sys stm.System) ds.Map {
+	m := NewDS("abtree", longKeyRange)
+	prefill(sys, m, Config{Prefill: longKeyRange / 2, KeyRange: longKeyRange}, 1)
+	return m
+}
+
 // TestShapeRQsUnderUpdaters encodes the paper's headline qualitative claim
-// (Fig 6 row 2): with dedicated updaters interfering, Multiverse still
-// completes range queries, while the unversioned baselines either starve
-// their RQs outright or complete materially fewer.
+// (Fig 6 row 2) as counts on the geometry it is about, a long range query
+// beside an updater: Multiverse commits every query, in about two attempts
+// once the mode machine has settled, while the single-version baselines
+// abandon every one at their attempt bound.
+//
+// The interference is scripted, not raced: every attempt reads the first half
+// of its range, then an updater transaction (a second Thread, driven from the
+// query's own body) toggles one key already read and one not yet read, then
+// the attempt reads the second half. No single-version TM can commit that
+// attempt (old first key, new second key is no snapshot), whatever the
+// scheduler does; a versioned reader takes the second key's old version.
+// DCTL is not a subject: its irrevocable fallback holds a global flag the
+// scripted updater would wait on forever.
 func TestShapeRQsUnderUpdaters(t *testing.T) {
 	if testing.Short() {
-		t.Skip("throughput shape test")
+		t.Skip("long-read shape test")
 	}
-	if runtime.NumCPU() < 2 || runtime.GOMAXPROCS(0) < 2 {
-		// The claim is about updaters aborting concurrent range queries.
-		// With one hardware core (or one P, e.g. under -cpu=1) the
-		// goroutines timeslice coarsely, RQs rarely race an updater
-		// mid-flight, and the tl2-vs-multiverse comparison is scheduler
-		// noise (flaky in either direction).
-		t.Skip("needs real parallelism; single-CPU contention is scheduler noise")
+	const queries = 20
+	// run returns the sorted attempts the queries took and how many gave up.
+	run := func(tm string) (attempts []int, starved int) {
+		sys := must(registry.NewTM(tm, registry.Params{LockTable: 1 << 20, MaxAttempts: 64}))
+		defer sys.Close()
+		m := longReadTree(sys)
+		rd, up := sys.Register(), sys.Register()
+		defer rd.Unregister()
+		defer up.Unregister()
+		attempts = make([]int, queries)
+		for i := range attempts {
+			lo := uint64(i*1000 + 1)
+			mid, hi := lo+longSpan/2, lo+longSpan-1
+			if !rd.ReadOnly(func(tx stm.Txn) {
+				attempts[i]++
+				m.RangeTx(tx, lo, mid)
+				up.Atomic(func(utx stm.Txn) {
+					for _, key := range []uint64{lo + 7, hi - 7} {
+						if !m.InsertTx(utx, key, key) {
+							m.DeleteTx(utx, key)
+						}
+					}
+				})
+				m.RangeTx(tx, mid+1, hi)
+			}) {
+				starved++
+			}
+		}
+		slices.Sort(attempts)
+		t.Logf("%-10s attempts per query (sorted) %v, abandoned %d/%d", tm, attempts, starved, queries)
+		return attempts, starved
 	}
-	cfg := Config{
-		DS:       "abtree",
-		Threads:  3,
-		Updaters: 3,
-		Prefill:  4096,
-		Duration: 400 * time.Millisecond,
-		Mix:      workload.Mix{InsertPct: 0.05, DeletePct: 0.05, RQPct: 0.002, RQSize: 1024},
+	attempts, starved := run("multiverse")
+	if starved != 0 {
+		t.Errorf("multiverse abandoned %d of %d queries; its versioned path must not give up", starved, queries)
 	}
-	results := map[string]Result{}
-	for _, tm := range []string{"multiverse", "dctl", "tl2"} {
-		c := cfg
-		c.TM = tm
-		results[tm] = Run(c)
+	// The first few queries pay K1 unversioned attempts and the Mode Q → U
+	// switch; the median is past them. The switch is made by Multiverse's
+	// background thread, which needs a processor while the query loops.
+	if runtime.NumCPU() >= 2 && runtime.GOMAXPROCS(0) >= 2 && attempts[queries/2] > 3 {
+		t.Errorf("multiverse: median %d attempts per query, want at most 3", attempts[queries/2])
 	}
-	mv := results["multiverse"]
-	if mv.RQsPerSec == 0 {
-		t.Fatalf("multiverse completed no RQs under updaters: %+v", mv)
-	}
-	if mv.Starved != 0 {
-		t.Errorf("multiverse starved %d operations; its versioned path must not give up", mv.Starved)
-	}
-	// The unversioned TMs must show the pathology somewhere: starved RQs
-	// or materially fewer completed RQs than Multiverse.
-	for _, tm := range []string{"tl2"} {
-		r := results[tm]
-		if r.Starved == 0 && r.RQsPerSec > mv.RQsPerSec {
-			t.Errorf("%s out-RQ'd multiverse with no starvation (rq/s %0.1f vs %0.1f) — shape inverted",
-				tm, r.RQsPerSec, mv.RQsPerSec)
+	for _, tm := range []string{"tl2", "tinystm", "norec"} {
+		if _, starved := run(tm); starved != queries {
+			t.Errorf("%s committed %d of %d queries that no single-version TM can serve", tm, queries-starved, queries)
 		}
 	}
-	t.Logf("rq/s: mv=%.1f dctl=%.1f tl2=%.1f (starved: %d/%d/%d)",
-		mv.RQsPerSec, results["dctl"].RQsPerSec, results["tl2"].RQsPerSec,
-		mv.Starved, results["dctl"].Starved, results["tl2"].Starved)
 }
 
 // TestShapeNoRQParity encodes the other half of the claim (Fig 6 columns 1
@@ -112,15 +143,12 @@ func TestShapeModeURangeCost(t *testing.T) {
 		t.Skip("needs the updater running beside the reader, not timesliced with it")
 	}
 	const (
-		keyRange = 200_000
-		span     = 50_000 // about 25 000 keys a query
-		trials   = 5
-		queries  = 40
+		trials  = 5
+		queries = 40
 	)
 	sys := NewTM("multiverse-u", 1<<20)
 	defer sys.Close()
-	m := NewDS("abtree", keyRange)
-	prefill(sys, m, Config{Prefill: keyRange / 2, KeyRange: keyRange}, 1)
+	m := longReadTree(sys)
 	rd := sys.Register()
 	defer rd.Unregister()
 
@@ -131,9 +159,9 @@ func TestShapeModeURangeCost(t *testing.T) {
 		lat := make([]time.Duration, queries)
 		bodies := 0
 		for i := range lat {
-			lo := r.Next()%(keyRange-span) + 1
+			lo := r.Next()%(longKeyRange-longSpan) + 1
 			t0 := time.Now()
-			if !rd.ReadOnly(func(tx stm.Txn) { bodies++; m.RangeTx(tx, lo, lo+span-1) }) {
+			if !rd.ReadOnly(func(tx stm.Txn) { bodies++; m.RangeTx(tx, lo, lo+longSpan-1) }) {
 				t.Fatal("range query starved")
 			}
 			lat[i] = time.Since(t0)
@@ -158,7 +186,7 @@ func TestShapeModeURangeCost(t *testing.T) {
 			defer th.Unregister()
 			r := workload.NewRng(trial ^ 0x5eed)
 			for !stop.Load() {
-				key := r.Next()%keyRange + 1
+				key := r.Next()%longKeyRange + 1
 				if r.Next()&1 == 0 {
 					ds.Insert(th, m, key, key)
 				} else {

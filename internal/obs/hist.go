@@ -67,51 +67,6 @@ func (h *Hist) RecordNs(ns uint64) {
 // Count returns the number of recorded samples.
 func (h *Hist) Count() uint64 { return h.n.Load() }
 
-// Quantile returns the latency at quantile q in [0, 1]. Zero samples
-// yields 0.
-func (h *Hist) Quantile(q float64) time.Duration {
-	n := h.n.Load()
-	if n == 0 {
-		return 0
-	}
-	target := uint64(q * float64(n))
-	if target >= n {
-		target = n - 1
-	}
-	var seen uint64
-	for i := range h.counts {
-		c := h.counts[i].Load()
-		if c == 0 {
-			continue
-		}
-		seen += c
-		if seen > target {
-			return time.Duration(histLow(i + 1))
-		}
-	}
-	return 0
-}
-
-// Max returns an upper bound on the largest recorded sample, or 0 if empty.
-func (h *Hist) Max() time.Duration {
-	for i := histBuckets - 1; i >= 0; i-- {
-		if h.counts[i].Load() != 0 {
-			return time.Duration(histLow(i + 1))
-		}
-	}
-	return 0
-}
-
-// Merge adds o's samples into h (not concurrent-safe against Record on o).
-func (h *Hist) Merge(o *Hist) {
-	for i := range h.counts {
-		if c := o.counts[i].Load(); c != 0 {
-			h.counts[i].Add(c)
-		}
-	}
-	h.n.Add(o.n.Load())
-}
-
 // HistSnapshot is the quantile summary a Hist contributes to a registry
 // Snapshot. Quantile fields are nanoseconds (bucket upper bounds).
 type HistSnapshot struct {

@@ -12,16 +12,7 @@ func TestHistEmpty(t *testing.T) {
 	if h.Count() != 0 {
 		t.Fatalf("Count = %d, want 0", h.Count())
 	}
-	for _, q := range []float64{0, 0.5, 0.99, 1} {
-		if got := h.Quantile(q); got != 0 {
-			t.Fatalf("Quantile(%v) on empty hist = %v, want 0", q, got)
-		}
-	}
-	if h.Max() != 0 {
-		t.Fatalf("Max on empty hist = %v, want 0", h.Max())
-	}
-	snap := h.Snapshot()
-	if snap.Count != 0 || snap.P50 != 0 || snap.P999 != 0 || snap.Max != 0 {
+	if snap := h.Snapshot(); snap != (HistSnapshot{}) {
 		t.Fatalf("empty snapshot = %+v, want zeros", snap)
 	}
 }
@@ -34,22 +25,19 @@ func TestHistOneSample(t *testing.T) {
 	}
 	// Every quantile of a single sample reports the same bucket's upper
 	// bound, within the histogram's 1/16 relative error.
-	for _, q := range []float64{0, 0.5, 0.99, 1} {
-		got := h.Quantile(q)
-		if got < 100*time.Microsecond || got > 100*time.Microsecond*17/16+1 {
-			t.Fatalf("Quantile(%v) = %v, want ~100µs (≤ +1/16)", q, got)
+	snap := h.Snapshot()
+	for _, got := range []int64{snap.P50, snap.P90, snap.P99, snap.P999, snap.Max} {
+		if d := time.Duration(got); d < 100*time.Microsecond || d > 100*time.Microsecond*17/16+1 {
+			t.Fatalf("snapshot %+v: quantile %v, want ~100µs (≤ +1/16)", snap, d)
 		}
-	}
-	if h.Max() != h.Quantile(1) {
-		t.Fatalf("Max = %v, Quantile(1) = %v; want equal", h.Max(), h.Quantile(1))
 	}
 }
 
 func TestHistNegativeClampsToZero(t *testing.T) {
 	var h Hist
 	h.Record(-time.Second)
-	if got := h.Quantile(0.5); got != time.Duration(1) {
-		t.Fatalf("Quantile after negative sample = %v, want 1ns (bucket-0 upper bound)", got)
+	if got := h.Snapshot().P50; got != 1 {
+		t.Fatalf("p50 after negative sample = %dns, want 1ns (bucket-0 upper bound)", got)
 	}
 }
 
@@ -58,18 +46,14 @@ func TestHistOverflowBucket(t *testing.T) {
 	h.RecordNs(math.MaxUint64)
 	// The top bucket's reported upper bound must saturate at MaxUint64,
 	// not wrap around to something tiny (1<<64 == 0).
-	got := uint64(h.Quantile(1))
-	if got != math.MaxUint64 {
-		t.Fatalf("Quantile(1) of MaxUint64 sample = %d, want MaxUint64", got)
-	}
-	if uint64(h.Max()) != math.MaxUint64 {
-		t.Fatalf("Max of MaxUint64 sample = %d, want MaxUint64", uint64(h.Max()))
+	if got := uint64(h.Snapshot().Max); got != math.MaxUint64 {
+		t.Fatalf("Max of MaxUint64 sample = %d, want MaxUint64", got)
 	}
 	// A sample one bucket below the top must not be affected.
 	var h2 Hist
 	h2.RecordNs(1 << 62)
-	if got := uint64(h2.Quantile(1)); got == math.MaxUint64 || got < 1<<62 {
-		t.Fatalf("Quantile(1) of 2^62 sample = %d, want (2^62, MaxUint64)", got)
+	if got := uint64(h2.Snapshot().Max); got == math.MaxUint64 || got < 1<<62 {
+		t.Fatalf("Max of 2^62 sample = %d, want (2^62, MaxUint64)", got)
 	}
 }
 
@@ -96,28 +80,26 @@ func TestHistBucketRoundTrip(t *testing.T) {
 	}
 }
 
-func TestHistMerge(t *testing.T) {
-	var a, b Hist
-	for i := 0; i < 100; i++ {
-		a.Record(time.Millisecond)
+func TestHistQuantileSkewed(t *testing.T) {
+	h := new(Hist)
+	// 1000 samples: 990 at ~1ms, 10 at ~100ms. p50 must sit in the 1ms
+	// bucket's neighborhood, p999 in the 100ms one.
+	for i := 0; i < 990; i++ {
+		h.Record(time.Millisecond)
 	}
-	for i := 0; i < 100; i++ {
-		b.Record(time.Second)
+	for i := 0; i < 10; i++ {
+		h.Record(100 * time.Millisecond)
 	}
-	a.Merge(&b)
-	if a.Count() != 200 {
-		t.Fatalf("merged Count = %d, want 200", a.Count())
+	if h.Count() != 1000 {
+		t.Fatalf("count = %d", h.Count())
 	}
-	p25, p75 := a.Quantile(0.25), a.Quantile(0.75)
-	if p25 > 2*time.Millisecond {
-		t.Fatalf("merged p25 = %v, want ~1ms", p25)
+	snap := h.Snapshot()
+	p50, p999 := time.Duration(snap.P50), time.Duration(snap.P999)
+	if p50 < time.Millisecond || p50 > time.Millisecond*17/16+1 {
+		t.Fatalf("p50 = %v, want ~1ms", p50)
 	}
-	if p75 < 500*time.Millisecond {
-		t.Fatalf("merged p75 = %v, want ~1s", p75)
-	}
-	// b is untouched.
-	if b.Count() != 100 {
-		t.Fatalf("source hist mutated: Count = %d", b.Count())
+	if p999 < 100*time.Millisecond || p999 > 100*time.Millisecond*17/16+1 {
+		t.Fatalf("p999 = %v, want ~100ms", p999)
 	}
 }
 

@@ -26,8 +26,7 @@
 // with its sequence number, and the Shipper stalls once more than shipWindow
 // frames are unacknowledged. A stalled ack stream (fault.Injector Delay on
 // the conn's reads) therefore back-pressures shipping instead of ballooning
-// memory, and AckedSeq gives tests an exact "the follower has applied
-// through frame N" watermark.
+// memory.
 package replica
 
 import (
@@ -84,9 +83,7 @@ type Shipper struct {
 	seq   atomic.Uint64    // frames sent
 	acked atomic.Uint64    // cumulative acked sequence
 
-	frames atomic.Uint64
-	bytes  atomic.Uint64
-	wbuf   []byte // frame under construction; send runs on Run's goroutine only
+	wbuf []byte // frame under construction; send runs on Run's goroutine only
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -104,12 +101,6 @@ func NewShipper(conn net.Conn, dir string, opts ShipperOptions) *Shipper {
 		stop: make(chan struct{}),
 	}
 }
-
-// SentFrames and SentBytes report shipped volume; AckedSeq the follower's
-// cumulative acknowledgement.
-func (s *Shipper) SentFrames() uint64 { return s.frames.Load() }
-func (s *Shipper) SentBytes() uint64  { return s.bytes.Load() }
-func (s *Shipper) AckedSeq() uint64   { return s.acked.Load() }
 
 // Stop terminates the session; Run returns shortly after.
 func (s *Shipper) Stop() {
@@ -282,8 +273,6 @@ func (s *Shipper) send(m *shipMsg) error {
 		return err
 	}
 	s.seq.Add(1)
-	s.frames.Add(1)
-	s.bytes.Add(uint64(len(s.wbuf)))
 	return nil
 }
 
@@ -300,8 +289,7 @@ type Receiver struct {
 	// uses it to publish the offset across redialed sessions.
 	OnClock func(offsetNs int64)
 
-	frames atomic.Uint64
-	bytes  atomic.Uint64
+	bytes atomic.Uint64
 
 	clockOff atomic.Int64
 	clockSet atomic.Bool
@@ -315,9 +303,8 @@ func NewReceiver(conn net.Conn, dir string) *Receiver {
 	return &Receiver{dir: dir, conn: conn, stop: make(chan struct{})}
 }
 
-// Frames and Bytes report applied volume.
-func (r *Receiver) Frames() uint64 { return r.frames.Load() }
-func (r *Receiver) Bytes() uint64  { return r.bytes.Load() }
+// Bytes reports applied volume.
+func (r *Receiver) Bytes() uint64 { return r.bytes.Load() }
 
 // ClockOffsetNs returns the current clock-offset estimate (ns, follower
 // minus leader): the minimum (recvLocal - leaderSent) over every clock
@@ -362,7 +349,6 @@ func (r *Receiver) Run() error {
 			return fail(err)
 		}
 		rbuf = payload
-		r.frames.Add(1)
 		r.bytes.Add(uint64(len(payload)))
 		seq++
 		if wbuf, err = writeShipMsg(r.conn, wbuf, &shipMsg{kind: msgAck, n: seq}); err != nil {

@@ -99,7 +99,7 @@ func TestChannelShipsDirectory(t *testing.T) {
 		t.Fatalf("Sync: %v", err)
 	}
 	awaitEqual(t, r, l, m, 10*time.Second)
-	if sh.AckedSeq() == 0 {
+	if sh.acked.Load() == 0 {
 		t.Fatal("no frame was ever acked: the channel exercised nothing")
 	}
 }

@@ -1,6 +1,5 @@
 // Package client is the Go client for the stmserve wire protocol: a
-// pipelined, connection-per-Client library plus a load generator with
-// latency histograms (loadgen.go).
+// pipelined, connection-per-Client library.
 //
 // A Client is safe for concurrent use; calls from many goroutines pipeline
 // onto the single connection and are correlated back by request id, so N

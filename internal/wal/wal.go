@@ -92,7 +92,7 @@ func (p SyncPolicy) String() string {
 	}
 }
 
-// PolicyByName maps the multibench/stmtorture flag spelling to a policy.
+// PolicyByName maps the flag spelling (stmserve -policy) to a policy.
 func PolicyByName(name string) (SyncPolicy, bool) {
 	switch name {
 	case "group", "":
@@ -130,17 +130,6 @@ func (m DegradedMode) String() string {
 		return "reject"
 	}
 	return "stall"
-}
-
-// DegradedByName maps the multibench/stmtorture flag spelling to a mode.
-func DegradedByName(name string) (DegradedMode, bool) {
-	switch name {
-	case "stall", "":
-		return DegradeStall, true
-	case "reject":
-		return DegradeReject, true
-	}
-	return DegradeStall, false
 }
 
 // Health is the log's failure state: the top of a three-state machine
