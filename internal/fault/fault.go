@@ -37,9 +37,6 @@ const (
 	OpRead    // whole-file reads (FS.ReadFile)
 	OpReadDir // directory listings
 	OpMkdir
-
-	// OpAll matches every operation kind.
-	OpAll Op = 1<<iota - 1
 )
 
 func (o Op) String() string {
@@ -107,10 +104,10 @@ func (osFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
 	return f, nil
 }
 
-func (osFS) ReadFile(name string) ([]byte, error)      { return os.ReadFile(name) }
-func (osFS) Remove(name string) error                  { return os.Remove(name) }
-func (osFS) Rename(oldpath, newpath string) error      { return os.Rename(oldpath, newpath) }
-func (osFS) Truncate(name string, size int64) error    { return os.Truncate(name, size) }
+func (osFS) ReadFile(name string) ([]byte, error)   { return os.ReadFile(name) }
+func (osFS) Remove(name string) error               { return os.Remove(name) }
+func (osFS) Rename(oldpath, newpath string) error   { return os.Rename(oldpath, newpath) }
+func (osFS) Truncate(name string, size int64) error { return os.Truncate(name, size) }
 func (osFS) MkdirAll(path string, perm os.FileMode) error {
 	return os.MkdirAll(path, perm)
 }

@@ -6,10 +6,11 @@
 // committed records continuously into its own shard.System. Reads are
 // served from that system the same way the leader serves them: point reads
 // route to one shard, cross-shard queries freeze the follower's clock and
-// scan every shard pinned at the frozen timestamp (the SnapshotAt
-// machinery of internal/shard). Writes are refused; they belong to the
-// leader (internal/server's ReadOnly mode maps them to StatusReadOnly on
-// the wire).
+// scan every shard pinned at the frozen timestamp (internal/shard's one
+// snapshot reader, which the applier's own rebase diff goes through too —
+// the follower keeps no second copy of its state). Writes are refused;
+// they belong to the leader (internal/server's ReadOnly mode maps them to
+// StatusReadOnly on the wire).
 //
 // # Consistency model
 //
@@ -164,7 +165,6 @@ type Replica struct {
 	sys    *shard.System
 	m      *shard.Map
 	reader *wal.ShipReader
-	mirror map[uint64]uint64 // applied state, for rebase diffs
 
 	appliedRecs atomic.Uint64
 	appliedOps  atomic.Uint64
@@ -216,7 +216,6 @@ func Open(opts Options) (*Replica, error) {
 	}
 	r := &Replica{
 		opts:   opts,
-		mirror: make(map[uint64]uint64),
 		reader: wal.OpenShipReader(opts.Dir, opts.FS),
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
@@ -421,26 +420,39 @@ func (r *Replica) idle() {
 }
 
 // applyRebase replaces the follower state with a base image by applying
-// the diff against the mirror — so an initial image loads fully, and a
-// mid-session rebase (checkpoint truncation outran the tail) touches only
-// what actually changed.
+// the diff against an export of the follower's own map — so an initial
+// image loads fully, and a mid-session rebase (checkpoint truncation outran
+// the tail) touches only what actually changed. The applier is the map's
+// only writer, so the export is exactly the applied state; like applyOps,
+// the only exits are success and session stop.
 func (r *Replica) applyRebase(th *shard.Thread, b *wal.ShipBatch) {
-	var ops []stm.RedoRec
-	for k := range r.mirror {
-		if _, ok := b.Image[k]; !ok {
-			ops = append(ops, stm.RedoRec{Op: stm.RedoDelete, Key: k})
+	var held []ds.KV
+	for {
+		var ok bool
+		if held, ok = ds.Export(th, r.m, 1, ^uint64(0)); ok {
+			break
+		}
+		select {
+		case <-r.stop:
+			return
+		case <-time.After(100 * time.Microsecond):
 		}
 	}
-	for k, v := range b.Image {
-		old, ok := r.mirror[k]
-		if ok && old == v {
+	// The batch's image is this call's to consume: pairs the follower
+	// already holds are struck from it, what is left gets inserted.
+	live := len(b.Image)
+	var ops []stm.RedoRec
+	for _, p := range held {
+		if v, ok := b.Image[p.Key]; ok && v == p.Val {
+			delete(b.Image, p.Key)
 			continue
 		}
-		if ok {
-			// InsertTx is insert-if-absent; a changed value needs the delete
-			// first (applyOps keeps per-key order: same key, same shard).
-			ops = append(ops, stm.RedoRec{Op: stm.RedoDelete, Key: k})
-		}
+		// Gone from the base, or changed: InsertTx is insert-if-absent, so a
+		// changed value needs the delete first (deletes precede the inserts
+		// below, and per-shard grouping keeps that order).
+		ops = append(ops, stm.RedoRec{Op: stm.RedoDelete, Key: p.Key})
+	}
+	for k, v := range b.Image {
 		ops = append(ops, stm.RedoRec{Op: stm.RedoInsert, Key: k, Val: v})
 	}
 	byShard := make([][]stm.RedoRec, r.sys.NumShards())
@@ -456,14 +468,13 @@ func (r *Replica) applyRebase(th *shard.Thread, b *wal.ShipBatch) {
 			shardOps = shardOps[n:]
 		}
 	}
-	r.mirror = b.Image // reader hands over ownership
 	r.rebases.Add(1)
 	if b.BaseTs > r.appliedTs.Load() {
 		r.appliedTs.Store(b.BaseTs)
 	}
 	r.caughtUp.Store(false)
 	r.lastProgress.Store(time.Now().UnixNano())
-	r.rec.Record(obs.EvReplicaRebase, b.BaseTs, uint64(len(b.Image)), 0)
+	r.rec.Record(obs.EvReplicaRebase, b.BaseTs, uint64(live), 0)
 }
 
 // applyRecs applies shipped commit records in arrival order. Each record
@@ -494,13 +505,6 @@ func (r *Replica) applyRecs(th *shard.Thread, recs []wal.ShipRec) {
 				}
 				for _, group := range byShard {
 					r.applyOps(th, group)
-				}
-			}
-			for _, op := range rec.Redo {
-				if op.Op == stm.RedoDelete {
-					delete(r.mirror, op.Key)
-				} else {
-					r.mirror[op.Key] = op.Val
 				}
 			}
 			r.appliedOps.Add(uint64(len(rec.Redo)))

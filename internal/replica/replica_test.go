@@ -1,11 +1,12 @@
 package replica
 
 import (
-	"sort"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/ds"
+	"repro/internal/fault"
 	"repro/internal/stm"
 	"repro/internal/wal"
 	"repro/internal/workload"
@@ -40,26 +41,20 @@ func mustLeader(t *testing.T, o wal.Options) (ds.Map, *wal.Log) {
 // exportLeader snapshots the leader's whole map, sorted.
 func exportLeader(t *testing.T, l *wal.Log, m ds.Map) []ds.KV {
 	t.Helper()
-	th := l.System().Register()
-	defer th.Unregister()
-	pairs, ok := ds.Export(th, m.(ds.Visitor), 1, ^uint64(0))
+	pairs, ok := ds.ExportSorted(l.System(), m)
 	if !ok {
 		t.Fatal("leader export starved")
 	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].Key < pairs[j].Key })
 	return pairs
 }
 
 // exportReplica snapshots the follower's map through its own system.
 func exportReplica(t *testing.T, r *Replica) []ds.KV {
 	t.Helper()
-	th := r.System().Register()
-	defer th.Unregister()
-	pairs, ok := ds.Export(th, r.Map().(ds.Visitor), 1, ^uint64(0))
+	pairs, ok := ds.ExportSorted(r.System(), r.Map())
 	if !ok {
 		t.Fatal("replica export starved")
 	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].Key < pairs[j].Key })
 	return pairs
 }
 
@@ -91,6 +86,21 @@ func churn(t *testing.T, l *wal.Log, m ds.Map, seed uint64, n int) {
 	}
 }
 
+// pausableFS fails directory listings while paused, so every follower poll
+// errors out before it reads anything: the test changes the tailed directory
+// behind a follower that is provably standing still.
+type pausableFS struct {
+	fault.FS
+	paused atomic.Bool
+}
+
+func (p *pausableFS) ReadDir(dir string) ([]string, error) {
+	if p.paused.Load() {
+		return nil, fault.EIO
+	}
+	return p.FS.ReadDir(dir)
+}
+
 // TestReplicaFollowsLeader: the differential oracle, across backends and a
 // shard-count mismatch — the follower must converge on exactly the leader's
 // state, through checkpoints truncating the log it is tailing.
@@ -101,10 +111,10 @@ func TestReplicaFollowsLeader(t *testing.T) {
 		leaderShards   int
 		followerShards int
 	}{
-		{"multiverse", "multiverse", 2, 0},  // 0: derive from dir
+		{"multiverse", "multiverse", 2, 0}, // 0: derive from dir
 		{"tl2", "tl2", 2, 0},
 		{"dctl", "dctl", 2, 0},
-		{"reshard", "multiverse", 4, 2},     // follower splits records itself
+		{"reshard", "multiverse", 4, 2}, // follower splits records itself
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -116,7 +126,8 @@ func TestReplicaFollowsLeader(t *testing.T) {
 				t.Fatalf("Sync: %v", err)
 			}
 
-			r, err := Open(Options{Dir: dir, Backend: tc.backend, Shards: tc.followerShards})
+			pfs := &pausableFS{FS: fault.OS}
+			r, err := Open(Options{Dir: dir, Backend: tc.backend, Shards: tc.followerShards, FS: pfs})
 			if err != nil {
 				t.Fatalf("Open: %v", err)
 			}
@@ -149,6 +160,58 @@ func TestReplicaFollowsLeader(t *testing.T) {
 			st := r.Stats()
 			if st.AppliedRecs == 0 || st.AppliedTs == 0 {
 				t.Fatalf("no application recorded: %+v", st)
+			}
+
+			// Forced rebase against the follower's own state. With the
+			// follower stopped and holding `gone` and `changed`, the leader
+			// deletes one, overwrites the other, rotates every stream past
+			// the tailed segment and checkpoints, so truncation deletes the
+			// records that said so: the only way the follower learns of
+			// either is by diffing the new base against the map it holds.
+			const gone, changed = 1001, 1002 // outside churn's key space
+			th := l.System().Register()
+			defer th.Unregister()
+			ds.Insert(th, m, gone, 1)
+			ds.Insert(th, m, changed, 2)
+			if err := l.Sync(); err != nil {
+				t.Fatalf("Sync: %v", err)
+			}
+			if err := r.CatchUp(5 * time.Second); err != nil {
+				t.Fatalf("CatchUp before the pause: %v", err)
+			}
+			pfs.paused.Store(true)
+			for r.Err() == nil { // a poll failed: every later one fails first thing
+				time.Sleep(100 * time.Microsecond)
+			}
+			held := exportReplica(t, r)
+			ds.Delete(th, m, gone)
+			ds.Delete(th, m, changed)
+			ds.Insert(th, m, changed, 20)
+			for k := uint64(1); k <= 1500; k++ { // delete+insert: two records per key, present or not
+				ds.Delete(th, m, k%512+1)
+				ds.Insert(th, m, k%512+1, k)
+			}
+			if err := l.Sync(); err != nil {
+				t.Fatalf("Sync: %v", err)
+			}
+			if _, err := l.Checkpoint(); err != nil {
+				t.Fatalf("Checkpoint: %v", err)
+			}
+			if got := exportReplica(t, r); !kvEqual(got, held) {
+				t.Fatal("follower moved while its directory listings were failing")
+			}
+			pfs.paused.Store(false)
+			if err := r.CatchUp(5 * time.Second); err != nil {
+				t.Fatalf("CatchUp after the forced rebase: %v", err)
+			}
+			if n := r.Stats().Rebases; n < 2 {
+				t.Fatalf("Rebases = %d: checkpoint truncation never outran the stopped tail", n)
+			}
+			if got, want := exportReplica(t, r), exportLeader(t, l, m); !kvEqual(got, want) {
+				t.Fatalf("follower diverged after the forced rebase: %d vs %d pairs", len(got), len(want))
+			}
+			if _, found, _ := ds.Search(th, m, gone); found {
+				t.Fatal("leader still holds the deleted key: the recipe tested nothing")
 			}
 		})
 	}

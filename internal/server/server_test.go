@@ -223,38 +223,69 @@ func TestSeveredStatus(t *testing.T) {
 	}
 }
 
-// TestDegradedStatusAndHeal: a stalling disk fault degrades the log; the
-// client sees a bounded degraded error (no hang), and after Heal the same
-// connection goes back to clean fsync-covered acks.
+// TestDegradedStatusAndHeal: a sticky disk fault degrades the log; under
+// either degraded-mode policy the client sees a bounded degraded error (no
+// hang), and after Heal the same connection goes back to clean
+// fsync-covered acks. Under DegradeReject the refusal comes from wal.Map
+// cancelling the transaction (failStatus classifies it): nothing is
+// applied, and reads keep being served meanwhile.
 func TestDegradedStatusAndHeal(t *testing.T) {
-	inj := fault.NewInjector(fault.OS, 1,
-		fault.Rule{Ops: fault.OpWrite, Path: "wal-", Kth: 2})
-	srv, l, _, addr := startServer(t, t.TempDir(), 1, func(o *wal.Options) {
-		o.FS = inj
-		o.RetryLimit = 2
-		o.RetryBackoffMax = 2 * time.Millisecond
-		o.StallTimeout = 200 * time.Millisecond
-	}, server.Options{Workers: 2})
-	defer l.Close()
-	defer srv.Close()
-	cl := dial(t, addr)
-	defer cl.Close()
+	for _, mode := range []wal.DegradedMode{wal.DegradeStall, wal.DegradeReject} {
+		t.Run(mode.String(), func(t *testing.T) {
+			inj := fault.NewInjector(fault.OS, 1,
+				fault.Rule{Ops: fault.OpWrite, Path: "wal-", Kth: 2})
+			srv, l, _, addr := startServer(t, t.TempDir(), 1, func(o *wal.Options) {
+				o.FS = inj
+				o.DegradedMode = mode
+				o.RetryLimit = 2
+				o.RetryBackoffMax = 2 * time.Millisecond
+				o.StallTimeout = 200 * time.Millisecond
+			}, server.Options{Workers: 2})
+			defer l.Close()
+			defer srv.Close()
+			cl := dial(t, addr)
+			defer cl.Close()
 
-	if _, err := cl.Insert(1, 1); !errors.Is(err, client.ErrDegraded) {
-		t.Fatalf("insert on stalling log err = %v, want ErrDegraded", err)
-	}
-	inj.Heal()
-	deadline := time.Now().Add(5 * time.Second)
-	k := uint64(100)
-	for {
-		if _, err := cl.Insert(k, k); err == nil {
-			break
-		}
-		if !time.Now().Before(deadline) {
-			t.Fatal("log never healed over the wire")
-		}
-		k++
-		time.Sleep(5 * time.Millisecond)
+			if _, err := cl.Insert(1, 1); !errors.Is(err, client.ErrDegraded) {
+				t.Fatalf("insert on failing log err = %v, want ErrDegraded", err)
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			k := uint64(100)
+			if mode == wal.DegradeReject {
+				// Key 1 committed in memory and lost only its ack. Keep
+				// inserting until the exhausted retries make wal.Map refuse
+				// one outright: same status, and that key was never applied.
+				for ; ; k++ {
+					if !time.Now().Before(deadline) {
+						t.Fatal("reject mode never engaged over the wire")
+					}
+					before := l.Stats().RejectedOps
+					if _, err := cl.Insert(k, k); !errors.Is(err, client.ErrDegraded) {
+						t.Fatalf("insert %d on degraded log err = %v, want ErrDegraded", k, err)
+					}
+					if l.Stats().RejectedOps > before {
+						break // k was refused
+					}
+				}
+				if _, found, err := cl.Search(k); err != nil || found {
+					t.Fatalf("refused key %d: found=%v err=%v, want absent and served", k, found, err)
+				}
+				if v, found, err := cl.Search(1); err != nil || !found || v != 1 {
+					t.Fatalf("read while degraded: v=%d found=%v err=%v", v, found, err)
+				}
+			}
+			inj.Heal()
+			for {
+				if _, err := cl.Insert(k, k); err == nil {
+					break
+				}
+				if !time.Now().Before(deadline) {
+					t.Fatal("log never healed over the wire")
+				}
+				k++
+				time.Sleep(5 * time.Millisecond)
+			}
+		})
 	}
 }
 

@@ -49,6 +49,11 @@
 // ts, so e.g. a full RangeTx and a SizeTx in the same transaction always
 // agree.
 //
+// The protocol is written once, in Thread.exec. A ReadOnly body reaches it
+// by escalation; Thread.Snapshot is the declared entry point for readers
+// that know up front they want the whole system at one timestamp (the WAL's
+// checkpointer) and need that timestamp back.
+//
 // # Transaction routing
 //
 // A Thread is a fan-out handle over one registered thread per shard. Its
@@ -60,6 +65,9 @@
 // transaction pinned at the frozen ts, which composes into one consistent
 // view). Update transactions must confine themselves to keys of a single
 // shard — a cross-shard update panics, it does not silently lose atomicity.
+// Bodies reach the shards through a shard.Map only: a raw stm.Word belongs
+// to no shard (two words of one node would hash apart), so Txn.Read/Write
+// on a shard transaction panic.
 // This mirrors the phase-reconciliation split of Narula et al. (OSDI '14):
 // serializable cross-partition work is reads-only; writes stay partition
 // local and cross-partition flows are reconciled by the application (see
@@ -69,7 +77,7 @@ package shard
 import (
 	"fmt"
 	"sync/atomic"
-	"unsafe"
+	"time"
 
 	"repro/internal/gclock"
 	"repro/internal/obs"
@@ -89,10 +97,6 @@ type Config struct {
 	// at the same tuning; nothing enforces it, but Stats and Name assume
 	// homogeneity.
 	Backend Backend
-	// FreezeRetries bounds how many times one cross-shard query body
-	// re-freezes before giving up (the enclosing ReadOnly then reports
-	// false, like a starved baseline transaction). Default 64.
-	FreezeRetries int
 	// ClockStart, when non-zero, initializes the shared clock to this
 	// value instead of 1. Recovery (internal/wal) restarts a system with
 	// the clock above every persisted commit timestamp, so timestamps of
@@ -104,11 +108,10 @@ type Config struct {
 // System is a sharded TM: N backend instances over one shared clock. It
 // implements stm.System; Register returns a fan-out *Thread.
 type System struct {
-	clock         *gclock.Clock
-	shards        []stm.System
-	freezeRetries int
-	name          string
-	freezes       atomic.Uint64 // shared-clock snapshot freezes (FreezeTs + snap retries)
+	clock   *gclock.Clock
+	shards  []stm.System
+	name    string
+	freezes atomic.Uint64 // shared-clock snapshot freezes, re-freezes included
 }
 
 // New builds the sharded system.
@@ -119,10 +122,7 @@ func New(cfg Config) *System {
 	if cfg.Backend == nil {
 		panic("shard: Config.Backend is required")
 	}
-	if cfg.FreezeRetries == 0 {
-		cfg.FreezeRetries = 64
-	}
-	s := &System{clock: new(gclock.Clock), freezeRetries: cfg.FreezeRetries}
+	s := &System{clock: new(gclock.Clock)}
 	if cfg.ClockStart != 0 {
 		s.clock.Set(cfg.ClockStart)
 	} else {
@@ -149,35 +149,24 @@ func (s *System) ShardOf(key uint64) int {
 	return int(stm.Mix64(key) % uint64(len(s.shards)))
 }
 
-// shardOfAddr routes a raw transactional word by its address, so direct
-// Read/Write through a shard Thread is protected by a deterministic shard's
-// tables. The address is used only as a hash key (cf. vlock's addr table).
-func (s *System) shardOfAddr(w *stm.Word) int {
-	return int(stm.Mix64(uint64(uintptr(unsafe.Pointer(w)))) % uint64(len(s.shards)))
-}
-
-// Shard returns shard i's backend instance (per-shard stats, ablation).
-func (s *System) Shard(i int) stm.System { return s.shards[i] }
-
 // ClockValue returns the current shared clock value (observability: the
 // deferred clock advances only on aborts and snapshot freezes).
 func (s *System) ClockValue() uint64 { return s.clock.Load() }
 
-// FreezeTs atomically increments the shared clock and returns the frozen
+// freezeTs atomically increments the shared clock and returns the frozen
 // timestamp: every transaction that completed before the increment committed
 // strictly below the returned value, and every shard's
 // stm.SnapshotThread.SnapshotAt at it observes exactly those transactions.
-// This is the same linearization-point increment the cross-shard query path
-// performs internally, exposed for whole-system consumers (internal/wal's
-// checkpointer snapshots all shards at one FreezeTs).
-func (s *System) FreezeTs() uint64 {
+// The increment is a snapshot attempt's linearization point; exec is its
+// only caller.
+func (s *System) freezeTs() uint64 {
 	s.freezes.Add(1)
 	return s.clock.Increment()
 }
 
-// Freezes returns how many snapshot freezes the system has performed —
-// explicit FreezeTs calls plus the internal freeze of every cross-shard
-// snapshot attempt. Monotone; an observability counter.
+// Freezes returns how many snapshot freezes the system has performed: one
+// per attempt of every snapshot-mode body (escalated ReadOnly or Snapshot).
+// Monotone; an observability counter.
 func (s *System) Freezes() uint64 { return s.freezes.Load() }
 
 // Stats implements stm.System: the sum over all shards.
@@ -248,12 +237,29 @@ type Thread struct {
 
 // Atomic implements stm.Thread. The body must confine its writes (and, for
 // update transactions, all its operations) to keys of one shard.
-func (t *Thread) Atomic(fn func(stm.Txn)) bool { return t.exec(fn, false) }
+func (t *Thread) Atomic(fn func(stm.Txn)) bool { return t.exec(fn, false, false) }
 
 // ReadOnly implements stm.Thread. Bodies may read across shards: the first
 // cross-shard query (or point read of a second shard) switches the body to
 // snapshot mode at one frozen timestamp.
-func (t *Thread) ReadOnly(fn func(stm.Txn)) bool { return t.exec(fn, true) }
+func (t *Thread) ReadOnly(fn func(stm.Txn)) bool { return t.exec(fn, true, false) }
+
+// Snapshot runs fn as a read-only body over the whole system at one frozen
+// timestamp and returns that timestamp: everything fn read is the state of
+// every shard exactly at ts (commits below ts included, commits at or above
+// it — also ones that finish before Snapshot returns — excluded). Unlike
+// ReadOnly it starts in snapshot mode, with no probe run, on a single-shard
+// system too. fn reruns from the top after a re-freeze, so it must reset
+// whatever it accumulates. ok=false (with ts 0) means fn cancelled or the
+// scan starved: snapshotFreezes timestamps in a row moved out from under it
+// (a versionless backend under sustained updates; for Multiverse that has
+// not reached Mode U, ROADMAP item 1).
+func (t *Thread) Snapshot(fn func(stm.Txn)) (ts uint64, ok bool) {
+	if !t.exec(fn, true, true) {
+		return 0, false
+	}
+	return t.txn.ts, true
+}
 
 // Unregister implements stm.Thread.
 func (t *Thread) Unregister() {
@@ -327,7 +333,22 @@ const (
 	freeSnap
 )
 
-func (t *Thread) exec(fn func(stm.Txn), readOnly bool) bool {
+// Re-freeze bounds of the one snapshot loop, constants picked by the entry
+// point the way stm.Policy's are. An escalated ReadOnly body is one query
+// among many and re-freezes at once. Snapshot is one long whole-map scan: it
+// backs off snapshotPause·n after its n-th failed freeze and gives up sooner,
+// because a scan that is going to starve anyway (versionless backend, or a
+// TM that has not gone versioned yet) measurably taxes the updaters beside
+// it for as long as it keeps re-freezing back to back.
+const (
+	escalatedFreezes = 64
+	snapshotFreezes  = 16
+	snapshotPause    = 100 * time.Microsecond
+)
+
+// exec runs one body: probe, then bound to a shard or in snapshot mode.
+// whole (Snapshot) starts in snapshot mode under the snapshot bounds.
+func (t *Thread) exec(fn func(stm.Txn), readOnly, whole bool) bool {
 	tx := &t.txn
 	if tx.state != stateIdle {
 		panic("shard: nested transaction on one Thread")
@@ -339,7 +360,10 @@ func (t *Thread) exec(fn func(stm.Txn), readOnly bool) bool {
 		t.pendingFn = nil
 		tx.Reset()
 	}()
-	snapMode := false
+	snapMode, maxFreezes := whole, escalatedFreezes
+	if whole {
+		maxFreezes = snapshotFreezes
+	}
 	freezes := 0
 	for {
 		tx.Reset()
@@ -347,13 +371,16 @@ func (t *Thread) exec(fn func(stm.Txn), readOnly bool) bool {
 		tx.inner = nil
 		tx.armed = -1
 		if snapMode {
-			if freezes >= t.sys.freezeRetries {
+			if freezes >= maxFreezes {
 				return false // cross-shard query starved
+			}
+			if whole && freezes > 0 {
+				time.Sleep(time.Duration(freezes) * snapshotPause)
 			}
 			freezes++
 			// Freeze: the one shared-clock increment that is the
 			// query's linearization point.
-			tx.ts = t.sys.FreezeTs()
+			tx.ts = t.sys.freezeTs()
 			tx.state = stateSnap
 		} else {
 			tx.state = stateProbe
@@ -470,49 +497,16 @@ func (x *txn) escalateToSnap() {
 	stm.CancelTxn()
 }
 
-// Read implements stm.Txn for raw transactional words, routed by address.
-func (x *txn) Read(w *stm.Word) uint64 {
-	switch x.state {
-	case stateProbe:
-		x.arm(x.th.sys.shardOfAddr(w))
-		return 0 // placeholder; the body reruns bound
-	case stateBound:
-		if s := x.th.sys.shardOfAddr(w); s != x.shard {
-			if !x.readOnly {
-				panic(fmt.Sprintf("shard: cross-shard update transaction: raw read routes to shard %d but the transaction is bound to shard %d", s, x.shard))
-			}
-			x.escalateToSnap()
-		}
-		return x.inner.Read(w)
-	case stateSnap:
-		s := x.th.sys.shardOfAddr(w)
-		var v uint64
-		if !x.th.snapAt(s, x.ts, func(in stm.Txn) { v = in.Read(w) }) {
-			stm.AbortAttempt()
-		}
-		return v
-	}
-	panic("shard: transaction used outside its thread's Atomic/ReadOnly")
-}
+// rawWordMsg is the panic for Txn.Read/Write on a shard transaction: a bare
+// word has no key to route by, and no structure's words would all land on
+// one shard.
+const rawWordMsg = "shard: raw word access outside a shard.Map (a stm.Word belongs to no shard; go through shard.Map, or register on one TM instance)"
 
-// Write implements stm.Txn for raw transactional words.
-func (x *txn) Write(w *stm.Word, v uint64) {
-	if x.readOnly {
-		panic("shard: Write inside ReadOnly transaction")
-	}
-	switch x.state {
-	case stateProbe:
-		x.arm(x.th.sys.shardOfAddr(w))
-		return // placeholder run; the body reruns bound
-	case stateBound:
-		if s := x.th.sys.shardOfAddr(w); s != x.shard {
-			panic(fmt.Sprintf("shard: cross-shard update transaction: raw write routes to shard %d but the transaction is bound to shard %d", s, x.shard))
-		}
-		x.inner.Write(w, v)
-		return
-	}
-	panic("shard: transaction used outside its thread's Atomic/ReadOnly")
-}
+// Read implements stm.Txn; raw words are not routable (package doc).
+func (x *txn) Read(*stm.Word) uint64 { panic(rawWordMsg) }
+
+// Write implements stm.Txn; raw words are not routable (package doc).
+func (x *txn) Write(*stm.Word, uint64) { panic(rawWordMsg) }
 
 // OnAbort implements stm.Txn, delegating to the bound shard transaction
 // when there is one.

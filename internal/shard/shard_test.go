@@ -63,6 +63,20 @@ func keysOnShard(sys *shard.System, s int, n int, from uint64) []uint64 {
 	return keys
 }
 
+// readers are the two entry points into the one snapshot loop: a ReadOnly
+// body that escalates (or, on one shard, runs natively), and Snapshot, which
+// starts frozen. Every snapshot-consistency test runs through both.
+var readers = []struct {
+	name string
+	run  func(*shard.Thread, func(stm.Txn)) bool
+}{
+	{"ReadOnly", (*shard.Thread).ReadOnly},
+	{"Snapshot", func(th *shard.Thread, fn func(stm.Txn)) bool {
+		_, ok := th.Snapshot(fn)
+		return ok
+	}},
+}
+
 func TestShardRoutingCoversAllShards(t *testing.T) {
 	sys, _ := newMV(t, 8)
 	seen := make(map[int]int)
@@ -212,57 +226,61 @@ func TestConformanceModelAndDifferential(t *testing.T) {
 // check: under concurrent churn, a full-range RangeTx and a SizeTx inside
 // one read-only body share one frozen timestamp and must agree exactly.
 func TestSameSnapshotRangeVsSize(t *testing.T) {
-	for _, shards := range []int{2, 4, 8} {
+	for _, shards := range []int{1, 2, 4, 8} {
 		t.Run(fmt.Sprintf("%dshards", shards), func(t *testing.T) {
-			sys, m := newMV(t, shards)
-			const keyRange = 96
-			const togglesPerWorker = 1500
-			const workers = 3
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(seed uint64) {
-					defer wg.Done()
+			for _, rd := range readers {
+				t.Run(rd.name, func(t *testing.T) {
+					sys, m := newMV(t, shards)
+					const keyRange = 96
+					const togglesPerWorker = 1500
+					const workers = 3
+					var wg sync.WaitGroup
+					for w := 0; w < workers; w++ {
+						wg.Add(1)
+						go func(seed uint64) {
+							defer wg.Done()
+							th := sys.RegisterSharded()
+							defer th.Unregister()
+							r := workload.NewRng(seed)
+							for i := 0; i < togglesPerWorker; i++ {
+								k := r.Next()%keyRange + 1
+								if ins, ok := ds.Insert(th, m, k, k); ok && !ins {
+									ds.Delete(th, m, k)
+								}
+							}
+						}(uint64(w + 1))
+					}
+					audits := 0
 					th := sys.RegisterSharded()
-					defer th.Unregister()
-					r := workload.NewRng(seed)
-					for i := 0; i < togglesPerWorker; i++ {
-						k := r.Next()%keyRange + 1
-						if ins, ok := ds.Insert(th, m, k, k); ok && !ins {
-							ds.Delete(th, m, k)
+					done := make(chan struct{})
+					go func() { wg.Wait(); close(done) }()
+					for {
+						select {
+						case <-done:
+							th.Unregister()
+							if audits == 0 {
+								t.Fatal("no audits completed")
+							}
+							return
+						default:
+						}
+						var cnt, n int
+						var sum uint64
+						if ok := rd.run(th, func(tx stm.Txn) {
+							cnt, sum = m.RangeTx(tx, 0, ^uint64(0))
+							n = m.SizeTx(tx)
+						}); !ok {
+							continue
+						}
+						audits++
+						if cnt != n {
+							t.Fatalf("audit %d: full-range count %d != size %d (snapshot torn across shards)", audits, cnt, n)
+						}
+						if sum == 0 && cnt > 0 {
+							t.Fatalf("audit %d: count %d with zero key sum", audits, cnt)
 						}
 					}
-				}(uint64(w + 1))
-			}
-			audits := 0
-			th := sys.RegisterSharded()
-			done := make(chan struct{})
-			go func() { wg.Wait(); close(done) }()
-			for {
-				select {
-				case <-done:
-					th.Unregister()
-					if audits == 0 {
-						t.Fatal("no audits completed")
-					}
-					return
-				default:
-				}
-				var cnt, n int
-				var sum uint64
-				if ok := th.ReadOnly(func(tx stm.Txn) {
-					cnt, sum = m.RangeTx(tx, 0, ^uint64(0))
-					n = m.SizeTx(tx)
-				}); !ok {
-					continue
-				}
-				audits++
-				if cnt != n {
-					t.Fatalf("audit %d: full-range count %d != size %d (snapshot torn across shards)", audits, cnt, n)
-				}
-				if sum == 0 && cnt > 0 {
-					t.Fatalf("audit %d: count %d with zero key sum", audits, cnt)
-				}
+				})
 			}
 		})
 	}
@@ -331,34 +349,46 @@ func TestColocatedPairToggle(t *testing.T) {
 	}
 }
 
-// TestExportSnapshot checks ds.Export over the sharded map: the exported
-// pairs are a consistent snapshot, duplicate-free, and complete.
+// TestExportSnapshot checks a whole-map export over the sharded map (what
+// ds.Export does, through either reader): the exported pairs are a
+// consistent snapshot, duplicate-free, and complete.
 func TestExportSnapshot(t *testing.T) {
-	sys, m := newMV(t, 4)
-	th := sys.RegisterSharded()
-	defer th.Unregister()
-	want := map[uint64]uint64{}
-	for k := uint64(1); k <= 200; k++ {
-		ds.Insert(th, m, k, k*3)
-		want[k] = k * 3
-	}
-	pairs, ok := ds.Export(th, m, 0, ^uint64(0))
-	if !ok {
-		t.Fatal("export failed")
-	}
-	if len(pairs) != len(want) {
-		t.Fatalf("exported %d pairs want %d", len(pairs), len(want))
-	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].Key < pairs[j].Key })
-	for i := 1; i < len(pairs); i++ {
-		if pairs[i].Key == pairs[i-1].Key {
-			t.Fatalf("duplicate key %d in export", pairs[i].Key)
-		}
-	}
-	for _, p := range pairs {
-		if want[p.Key] != p.Val {
-			t.Fatalf("export key %d val %d want %d", p.Key, p.Val, want[p.Key])
-		}
+	for _, shards := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("%dshards", shards), func(t *testing.T) {
+			for _, rd := range readers {
+				t.Run(rd.name, func(t *testing.T) {
+					sys, m := newMV(t, shards)
+					th := sys.RegisterSharded()
+					defer th.Unregister()
+					want := map[uint64]uint64{}
+					for k := uint64(1); k <= 200; k++ {
+						ds.Insert(th, m, k, k*3)
+						want[k] = k * 3
+					}
+					var pairs []ds.KV
+					if !rd.run(th, func(tx stm.Txn) {
+						pairs = pairs[:0] // the body may re-run
+						m.VisitTx(tx, 0, ^uint64(0), func(k, v uint64) { pairs = append(pairs, ds.KV{Key: k, Val: v}) })
+					}) {
+						t.Fatal("export failed")
+					}
+					if len(pairs) != len(want) {
+						t.Fatalf("exported %d pairs want %d", len(pairs), len(want))
+					}
+					sort.Slice(pairs, func(i, j int) bool { return pairs[i].Key < pairs[j].Key })
+					for i := 1; i < len(pairs); i++ {
+						if pairs[i].Key == pairs[i-1].Key {
+							t.Fatalf("duplicate key %d in export", pairs[i].Key)
+						}
+					}
+					for _, p := range pairs {
+						if want[p.Key] != p.Val {
+							t.Fatalf("export key %d val %d want %d", p.Key, p.Val, want[p.Key])
+						}
+					}
+				})
+			}
+		})
 	}
 }
 
@@ -370,46 +400,210 @@ func TestExportSnapshot(t *testing.T) {
 // versioned, or the body must retry onto a consistent newer snapshot —
 // either way the two reads inside one body agree with one atomic instant.
 func TestSnapshotServesPast(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("%dshards", shards), func(t *testing.T) {
+			for _, rd := range readers {
+				t.Run(rd.name, func(t *testing.T) {
+					sys, m := newMV(t, shards)
+					th := sys.RegisterSharded()
+					defer th.Unregister()
+					upd := sys.RegisterSharded()
+					defer upd.Unregister()
+					kA := keysOnShard(sys, 0, 1, 1)[0]
+					kB := keysOnShard(sys, shards-1, 1, kA+1)[0]
+					ds.Insert(th, m, kA, 1)
+					ds.Insert(th, m, kB, 1)
+					for round := 0; round < 50; round++ {
+						injected := false
+						var vA, vB uint64
+						ok := rd.run(th, func(tx stm.Txn) {
+							vA, _ = m.SearchTx(tx, kA)
+							m.SizeTx(tx) // force snapshot mode
+							if !injected {
+								injected = true
+								// A concurrent-looking update between the body's reads.
+								upd.Atomic(func(utx stm.Txn) {
+									m.DeleteTx(utx, kA)
+									m.InsertTx(utx, kA, 100+uint64(round))
+								})
+							}
+							vA2, _ := m.SearchTx(tx, kA)
+							if vA2 != vA {
+								t.Fatalf("round %d: two reads of key %d in one snapshot body disagree: %d then %d", round, kA, vA, vA2)
+							}
+							vB, _ = m.SearchTx(tx, kB)
+						})
+						if !ok {
+							t.Fatalf("round %d: snapshot body starved", round)
+						}
+						if vB != 1 {
+							t.Fatalf("round %d: key %d = %d want 1", round, kB, vB)
+						}
+						// Reset kA for the next round.
+						upd.Atomic(func(utx stm.Txn) {
+							m.DeleteTx(utx, kA)
+							m.InsertTx(utx, kA, 1)
+						})
+					}
+				})
+			}
+		})
+	}
+}
+
+// TestSnapshotIsStateAtTs scripts, from inside the visit callback, what only
+// Snapshot promises: the image is the state at the returned ts, not at
+// return. A key committed before the call is in it; a key a second thread
+// commits into the shard whose pairs are being delivered (its pinned scan is
+// over) is not, although that commit finished before Snapshot returned; and
+// ts lies in (clock before the call, clock after it].
+func TestSnapshotIsStateAtTs(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("%dshards", shards), func(t *testing.T) {
+			sys, m := newMV(t, shards)
+			th := sys.RegisterSharded()
+			defer th.Unregister()
+			upd := sys.RegisterSharded()
+			defer upd.Unregister()
+			want := map[uint64]uint64{}
+			for s := 0; s < shards; s++ {
+				for _, k := range keysOnShard(sys, s, 3, 1) {
+					ds.Insert(th, m, k, k*7)
+					want[k] = k * 7
+				}
+			}
+			const late = 1 << 20 // the key committed mid-delivery (keysOnShard scans up from it)
+			var lateKey uint64
+			image := map[uint64]uint64{}
+			runs := 0
+			before, freezes := sys.ClockValue(), sys.Freezes()
+			ts, ok := th.Snapshot(func(tx stm.Txn) {
+				runs++
+				clear(image)
+				m.VisitTx(tx, 0, ^uint64(0), func(k, v uint64) {
+					image[k] = v
+					if lateKey == 0 {
+						lateKey = keysOnShard(sys, sys.ShardOf(k), 1, late)[0]
+						if ins, ok := ds.Insert(upd, m, lateKey, 1); !ok || !ins {
+							t.Errorf("mid-delivery insert of key %d: inserted=%v ok=%v", lateKey, ins, ok)
+						}
+					}
+				})
+			})
+			after := sys.ClockValue()
+			if !ok {
+				t.Fatal("Snapshot starved on an otherwise idle system")
+			}
+			if ts <= before || ts > after {
+				t.Fatalf("ts %d outside (clock before %d, clock after %d]", ts, before, after)
+			}
+			if runs != 1 || sys.Freezes()-freezes != 1 {
+				t.Fatalf("body ran %d times over %d freezes; a write behind the scan must not disturb it", runs, sys.Freezes()-freezes)
+			}
+			if _, in := image[lateKey]; in {
+				t.Fatalf("image at ts %d holds key %d, committed after the freeze", ts, lateKey)
+			}
+			if v, found, _ := ds.Search(th, m, lateKey); !found || v != 1 {
+				t.Fatalf("key %d not committed by the time Snapshot returned: (%d,%v)", lateKey, v, found)
+			}
+			if len(image) != len(want) {
+				t.Fatalf("image has %d pairs want %d", len(image), len(want))
+			}
+			for k, v := range want {
+				if image[k] != v {
+					t.Fatalf("image[%d] = %d want %d", k, image[k], v)
+				}
+			}
+		})
+	}
+}
+
+// TestSnapshotRefreezeDiscardsAttempt: a commit into a shard the scan has
+// not reached yet, after the freeze, makes that shard unable to serve the
+// frozen ts (an in-place write keeps no older value), so Snapshot re-freezes
+// and reruns the body. The second thread also deletes a key the abandoned
+// attempt had already delivered: the returned image is the state at the
+// second ts — without that key, with the new one, nothing twice.
+func TestSnapshotRefreezeDiscardsAttempt(t *testing.T) {
+	for _, bk := range []string{"multiverse-eager", "tl2"} {
+		t.Run(bk, func(t *testing.T) {
+			sys := shard.New(shard.Config{Shards: 2, Backend: backend(t, bk, smallTable)})
+			defer sys.Close()
+			m := shard.NewMap(sys, func(int) ds.Map { return hashmap.New(256, 4096) })
+			th := sys.RegisterSharded()
+			defer th.Unregister()
+			upd := sys.RegisterSharded()
+			defer upd.Unregister()
+			first := keysOnShard(sys, 0, 3, 1)  // delivered by the abandoned attempt
+			second := keysOnShard(sys, 1, 3, 1) // not yet scanned when the writes land
+			for _, k := range append(first, second...) {
+				ds.Insert(th, m, k, k)
+			}
+			gone, added := first[0], keysOnShard(sys, 1, 1, 1<<20)[0]
+			var pairs []ds.KV
+			runs := 0
+			freezes := sys.Freezes()
+			ts, ok := th.Snapshot(func(tx stm.Txn) {
+				runs++
+				pairs = pairs[:0]
+				m.VisitTx(tx, 0, ^uint64(0), func(k, v uint64) {
+					pairs = append(pairs, ds.KV{Key: k, Val: v})
+					if runs == 1 && len(pairs) == 1 { // shard 0 is being delivered
+						if del, ok := ds.Delete(upd, m, gone); !ok || !del {
+							t.Errorf("delete of key %d: deleted=%v ok=%v", gone, del, ok)
+						}
+						if ins, ok := ds.Insert(upd, m, added, 9); !ok || !ins {
+							t.Errorf("insert of key %d: inserted=%v ok=%v", added, ins, ok)
+						}
+					}
+				})
+			})
+			if !ok {
+				t.Fatal("Snapshot gave up although the second attempt ran undisturbed")
+			}
+			if runs != 2 || sys.Freezes()-freezes != 2 {
+				t.Fatalf("body ran %d times over %d freezes, want 2 and 2 (ts %d)", runs, sys.Freezes()-freezes, ts)
+			}
+			got := map[uint64]uint64{}
+			for _, p := range pairs {
+				if _, dup := got[p.Key]; dup {
+					t.Fatalf("key %d delivered twice", p.Key)
+				}
+				got[p.Key] = p.Val
+			}
+			if _, in := got[gone]; in {
+				t.Fatalf("image holds key %d: a pair of the abandoned attempt, deleted before the second freeze", gone)
+			}
+			if got[added] != 9 || len(got) != len(first)+len(second) {
+				t.Fatalf("image %v: want the prefill minus key %d plus %d=9", got, gone, added)
+			}
+		})
+	}
+}
+
+// TestRawWordAccessPanics: a bare stm.Word belongs to no shard, so Read and
+// Write on a shard transaction refuse loudly, and the Thread stays usable.
+func TestRawWordAccessPanics(t *testing.T) {
 	sys, m := newMV(t, 2)
 	th := sys.RegisterSharded()
 	defer th.Unregister()
-	upd := sys.RegisterSharded()
-	defer upd.Unregister()
-	kA := keysOnShard(sys, 0, 1, 1)[0]
-	kB := keysOnShard(sys, 1, 1, 1)[0]
-	ds.Insert(th, m, kA, 1)
-	ds.Insert(th, m, kB, 1)
-	for round := 0; round < 50; round++ {
-		injected := false
-		var vA, vB uint64
-		ok := th.ReadOnly(func(tx stm.Txn) {
-			vA, _ = m.SearchTx(tx, kA)
-			m.SizeTx(tx) // force snapshot mode
-			if !injected {
-				injected = true
-				// A concurrent-looking update between the body's reads.
-				upd.Atomic(func(utx stm.Txn) {
-					m.DeleteTx(utx, kA)
-					m.InsertTx(utx, kA, 100+uint64(round))
-				})
-			}
-			vA2, _ := m.SearchTx(tx, kA)
-			if vA2 != vA {
-				t.Fatalf("round %d: two reads of key %d in one snapshot body disagree: %d then %d", round, kA, vA, vA2)
-			}
-			vB, _ = m.SearchTx(tx, kB)
-		})
-		if !ok {
-			t.Fatalf("round %d: snapshot body starved", round)
-		}
-		if vB != 1 {
-			t.Fatalf("round %d: key %d = %d want 1", round, kB, vB)
-		}
-		// Reset kA for the next round.
-		upd.Atomic(func(utx stm.Txn) {
-			m.DeleteTx(utx, kA)
-			m.InsertTx(utx, kA, 1)
-		})
+	var w stm.Word
+	for name, body := range map[string]func(){
+		"Read":  func() { th.ReadOnly(func(tx stm.Txn) { tx.Read(&w) }) },
+		"Write": func() { th.Atomic(func(tx stm.Txn) { tx.Write(&w, 1) }) },
+	} {
+		func() {
+			defer func() {
+				if msg := fmt.Sprint(recover()); !strings.Contains(msg, "raw word access outside a shard.Map") {
+					t.Fatalf("%s: panic %q lacks the raw-word message", name, msg)
+				}
+			}()
+			body()
+			t.Fatalf("%s of a raw word did not panic", name)
+		}()
+	}
+	if ins, ok := ds.Insert(th, m, 1, 1); !ok || !ins {
+		t.Fatalf("thread unusable after the panics: inserted=%v ok=%v", ins, ok)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"time"
 
-	"repro/internal/ds"
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/stm"
@@ -20,7 +19,6 @@ type CheckpointInfo struct {
 	Entries       int           // entries written (pairs + tombstones)
 	Live          int           // live pairs in the image at Ts
 	TruncatedSegs int           // log segments deleted below Ts
-	Freezes       int           // clock freezes needed (1 = first try served)
 	Pause         time.Duration // wall time of the whole call
 	// TruncationSkipped: the checkpoint image is durable, but the log
 	// degraded between the image fsync and truncation, so no segment was
@@ -31,17 +29,17 @@ type CheckpointInfo struct {
 	TruncationSkipped bool
 }
 
-// Checkpoint takes an online checkpoint: it freezes one shared-clock
-// timestamp, snapshots every shard pinned at it (writers keep committing
-// throughout — on Multiverse the pinned scans ride the versioned read
-// path), writes the pairs changed since the previous checkpoint to a new
-// checkpoint file, and deletes the log segments the checkpoint makes
+// Checkpoint takes an online checkpoint: it reads the whole map at one
+// frozen shared-clock timestamp through shard.Thread.Snapshot (writers keep
+// committing throughout — on Multiverse the pinned scans ride the versioned
+// read path), writes the pairs changed since the previous checkpoint to a
+// new checkpoint file, and deletes the log segments the checkpoint makes
 // redundant. Every FullEvery-th checkpoint writes the full image and prunes
 // the older checkpoint files.
 //
 // On the versionless baselines (tl2, dctl) a pinned scan starves under
-// sustained update load; Checkpoint re-freezes up to checkpointRetries
-// times and then reports the starvation as an error, leaving the previous
+// sustained update load; Snapshot gives up after its bounded re-freezes and
+// Checkpoint reports the starvation as an error, leaving the previous
 // checkpoint state untouched.
 func (l *Log) Checkpoint() (CheckpointInfo, error) {
 	l.mu.Lock()
@@ -58,11 +56,15 @@ func (l *Log) Checkpoint() (CheckpointInfo, error) {
 	}
 	start := time.Now()
 
-	image, ts, freezes, err := l.snapshotAll()
-	if err != nil {
-		return info, err
+	image := make(map[uint64]uint64, len(l.lastImage)+64)
+	ts, ok := l.ckptTh.Snapshot(func(tx stm.Txn) {
+		clear(image) // the body reruns after a re-freeze
+		l.inner.VisitTx(tx, 1, ^uint64(0), func(k, v uint64) { image[k] = v })
+	})
+	if !ok {
+		return info, fmt.Errorf("wal: checkpoint starved (backend %q keeps no versions to pin)", l.opts.Backend)
 	}
-	info.Ts, info.Freezes, info.Live = ts, freezes, len(image)
+	info.Ts, info.Live = ts, len(image)
 	l.rec.Record(obs.EvCkptBegin, ts, 0, 0)
 
 	full := l.lastCkptTs.Load() == 0 || l.incrSinceFull >= l.opts.FullEvery
@@ -140,49 +142,6 @@ func (l *Log) Checkpoint() (CheckpointInfo, error) {
 	l.lastCkptPause.Store(int64(info.Pause))
 	l.rec.Record(obs.EvCkptEnd, ts, uint64(info.Live), uint64(info.TruncatedSegs))
 	return info, nil
-}
-
-// checkpointRetries bounds freeze-and-rescan attempts of one Checkpoint call
-// before it reports starvation (only the versionless baselines ever get
-// near it).
-const checkpointRetries = 16
-
-// snapshotAll builds the whole-system image at one frozen timestamp. A
-// shard that cannot serve the pinned scan (versionless backend under churn)
-// forces a re-freeze of the entire image, so the result is always a
-// consistent cut at a single clock increment.
-func (l *Log) snapshotAll() (map[uint64]uint64, uint64, int, error) {
-	for attempt := 1; ; attempt++ {
-		ts := l.sys.FreezeTs()
-		image := make(map[uint64]uint64, len(l.lastImage)+64)
-		ok := true
-		for i := 0; i < l.sys.NumShards() && ok; i++ {
-			vis, isVis := l.perDS[i].(ds.Visitor)
-			if !isVis {
-				return nil, 0, attempt, fmt.Errorf("wal: data structure %q is not exportable (ds.Visitor)", l.opts.DS)
-			}
-			ok = l.snapThs[i].SnapshotAt(ts, func(tx stm.Txn) {
-				// The pinned scan may retry internally; stage so a
-				// discarded attempt's emissions never reach the image.
-				l.stage = l.stage[:0]
-				vis.VisitTx(tx, 1, ^uint64(0), func(k, v uint64) {
-					l.stage = append(l.stage, ds.KV{Key: k, Val: v})
-				})
-			})
-			if ok {
-				for _, kv := range l.stage {
-					image[kv.Key] = kv.Val
-				}
-			}
-		}
-		if ok {
-			return image, ts, attempt, nil
-		}
-		if attempt >= checkpointRetries {
-			return nil, 0, attempt, fmt.Errorf("wal: checkpoint starved after %d freezes (backend %q keeps no versions to pin)", attempt, l.opts.Backend)
-		}
-		time.Sleep(time.Duration(attempt) * 100 * time.Microsecond)
-	}
 }
 
 // writeFileDurable writes data to path via a temp file, fsync, rename, and

@@ -30,7 +30,7 @@ type recovered struct {
 //     replays the identical state (idempotent re-replay).
 //   - Records with ts >= the checkpoint ts are replayed onto the base in
 //     stable commit-ts order (records below it are already inside the
-//     checkpoint — SnapshotAt(ts) observes exactly the commits below ts).
+//     checkpoint — the snapshot at ts observes exactly the commits below ts).
 //
 // Repair is reserved for *structural* damage a crash explains (torn tails,
 // orphaned temp files). An I/O error reading a file is not damage — it is

@@ -16,12 +16,12 @@
 // fsyncs inside the commit itself, SyncNone leaves writes to the OS). The
 // hot path never waits on the disk except under SyncEveryCommit.
 //
-// Checkpoints reuse the sharding snapshot machinery: one increment of the
-// shared clock (shard.System.FreezeTs) freezes a timestamp ts, every shard
-// is exported by stm.SnapshotThread.SnapshotAt(ts) — so the image is a
-// consistent cut of the whole sharded system without stopping writers — and
-// only the pairs changed since the previous checkpoint are written
-// (tombstones record deletions). Log segments whose records all commit
+// Checkpoints read the map the way any cross-shard query does, through
+// internal/shard's one snapshot reader: shard.Thread.Snapshot visits the
+// whole map at one frozen shared-clock timestamp ts and returns it — so the
+// image is a consistent cut of the whole sharded system without stopping
+// writers — and only the pairs changed since the previous checkpoint are
+// written (tombstones record deletions). Log segments whose records all commit
 // below ts are deleted afterwards; a configurable cadence of full
 // checkpoints bounds the incremental chain.
 //
@@ -327,9 +327,8 @@ type Log struct {
 	fs      fault.FS
 	sys     *shard.System
 	inner   *shard.Map
-	perDS   []ds.Map // each shard's raw structure (checkpoint scans)
 	streams []*stream
-	snapThs []stm.SnapshotThread // checkpointer's per-shard pinned readers
+	ckptTh  *shard.Thread // the checkpointer's reader; used under mu
 
 	rec   *obs.Recorder // flight recorder (nil-safe); copied from Options.Rec
 	trace *obs.Tracer   // span tracer (nil-safe); copied from Options.Trace
@@ -350,7 +349,6 @@ type Log struct {
 	incrSinceFull int
 	ckptFiles     []ckptOnDisk // valid on-disk checkpoints, ascending ts
 	legacySegs    []segInfo    // pre-recovery segments (possibly of dropped shard dirs)
-	stage         []ds.KV      // per-shard snapshot staging buffer
 
 	records        atomic.Uint64
 	bytesAppended  atomic.Uint64
@@ -457,18 +455,15 @@ func OpenWith(opts Options) (m ds.Map, l *Log, err error) {
 	if per < 1024 {
 		per = 1024
 	}
-	l.perDS = make([]ds.Map, opts.Shards)
-	for i := range l.perDS {
-		if l.perDS[i], err = registry.NewDS(opts.DS, per); err != nil {
+	maps := make([]ds.Map, opts.Shards)
+	for i := range maps {
+		if maps[i], err = registry.NewDS(opts.DS, per); err != nil {
 			l.sys.Close()
 			return nil, nil, err
 		}
 	}
-	l.inner = shard.NewMap(l.sys, func(i int) ds.Map { return l.perDS[i] })
-	for i := 0; i < opts.Shards; i++ {
-		// registry.Durable vouched for the assertion.
-		l.snapThs = append(l.snapThs, l.sys.Shard(i).Register().(stm.SnapshotThread))
-	}
+	l.inner = shard.NewMap(l.sys, func(i int) ds.Map { return maps[i] })
+	l.ckptTh = l.sys.RegisterSharded()
 
 	// Phase 4: load the recovered image. Raw inserts on the inner map
 	// append no redo, so the load is not re-logged (it is already durable
@@ -733,9 +728,7 @@ func (l *Log) Close() error {
 		}
 	}
 	l.severed.Store(true) // post-close appends are drops, not writes to closed files
-	for _, st := range l.snapThs {
-		st.Unregister()
-	}
+	l.ckptTh.Unregister()
 	l.sys.Close()
 	return errors.Join(errs...)
 }
