@@ -1,11 +1,9 @@
 package main
 
 import (
-	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -36,144 +34,71 @@ import (
 //     (Cross-key single-instant consistency follows from per-stream prefix
 //     replay and shard key-disjointness; the per-key audit is what the
 //     checker can decide exactly.)
-type crashConfig struct {
-	tm      string
-	threads int
-	seed    uint64
-	dur     time.Duration
+var crashScenario = scenario{
+	name: "crash",
+	// Decorrelated rotations: mode, shard count and fsync policy cycle at
+	// different strides, so 27 rounds cover the full cross product.
+	modes:         []mode{{"synced", "synced"}, {"hard", "hist-audited"}, {"torn", "hist-audited"}},
+	modeStride:    1,
+	shards:        []int{1, 2, 4},
+	shardStride:   3,
+	policyStride:  9,
+	dsStride:      2,
+	segBytes:      1 << 18,
+	groupInterval: 300 * time.Microsecond,
+	summary:       []string{"synced", "hist-audited", "ckpt-starved"},
+	body:          crashBody,
 }
 
 const (
-	crashKeyRange  = 48
-	crashSlabCap   = 30000 // per-thread op budget per round
-	crashModeCount = 3
+	crashKeyRange = 48
+	crashSlabCap  = 30000 // per-thread op budget per round
 )
 
-func crashTorture(c crashConfig) bool {
-	if notDurable("crash", c.tm) {
-		return true
-	}
-	deadline := time.Now().Add(c.dur)
-	rounds, synced, audited, ckptErrs := 0, 0, 0, 0
-	for time.Now().Before(deadline) {
-		// Decorrelated rotations: mode, shard count and fsync policy cycle
-		// at different strides, so 27 rounds cover the full cross product.
-		mode := [crashModeCount]string{"synced", "hard", "torn"}[rounds%crashModeCount]
-		shards := []int{1, 2, 4}[(rounds/crashModeCount)%3]
-		policy := []wal.SyncPolicy{wal.SyncGroup, wal.SyncEveryCommit, wal.SyncNone}[(rounds/9)%3]
-		dsName := []string{"hashmap", "abtree"}[(rounds/2)%2]
-		seed := c.seed + uint64(rounds)*0x9e3779b97f4a7c15
-		ok, ckErr := crashRound(c, mode, shards, policy, dsName, seed, rounds)
-		if ckErr {
-			ckptErrs++
-		}
-		if !ok {
-			fmt.Printf("crash    tm=%-12s VIOLATION round=%d mode=%s shards=%d policy=%s ds=%s round-seed=%d (base seed %d)\n",
-				c.tm, rounds, mode, shards, policy, dsName, seed, c.seed)
-			// Round parameters derive deterministically from the round
-			// index, so replaying with the base seed and enough duration
-			// re-executes the same round schedule — round N fails again at
-			// round N (crashes themselves still race, so reproduction is
-			// best-effort, as for every concurrent torture).
-			fmt.Printf("  reproduce (reaches round %d deterministically): go run ./cmd/stmtorture -workload crash -tm %s -threads %d -seed %d -dur 10m\n",
-				rounds, c.tm, c.threads, c.seed)
-			return false
-		}
-		if mode == "synced" {
-			synced++
-		} else {
-			audited++
-		}
-		rounds++
-	}
-	fmt.Printf("crash    tm=%-12s rounds=%-5d synced=%-4d hist-audited=%-4d ckpt-starved=%-3d violations=0\n",
-		c.tm, rounds, synced, audited, ckptErrs)
-	return true
-}
-
-// crashRound runs one load → crash → recover → audit cycle. It reports
-// (audit ok, checkpoint starved).
-func crashRound(c crashConfig, mode string, shards int, policy wal.SyncPolicy, dsName string, seed uint64, round int) (bool, bool) {
-	dir, err := os.MkdirTemp("", "stmtorture-crash-*")
+// crashBody runs one load → crash → recover → audit cycle.
+func crashBody(rd *round) bool {
+	m, l, err := wal.OpenWith(rd.opts)
 	if err != nil {
-		fmt.Printf("  crash round %d: tempdir: %v\n", round, err)
-		return false, false
+		return rd.fail("open: %v", err)
 	}
-	defer os.RemoveAll(dir)
-	opts := wal.Options{
-		Dir: dir, Backend: c.tm, Shards: shards, DS: dsName,
-		Capacity: 1 << 12, LockTable: 1 << 14,
-		SegmentBytes: 1 << 18, Policy: policy,
-		GroupInterval: 300 * time.Microsecond,
-		Rec:           torRec,
-	}
-	m, l, err := wal.OpenWith(opts)
-	if err != nil {
-		fmt.Printf("  crash round %d: open: %v\n", round, err)
-		return false, false
-	}
-
-	hist := histcheck.NewHistory(c.threads, crashSlabCap)
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < c.threads; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			crashWorker(l, m, hist.Recorder(w), &stop, seed^uint64(w+1)*0xbf58476d1ce4e5b9)
-		}(w)
-	}
+	defer l.Close()
+	rd.load(l, m)
 
 	// Traffic window with an online checkpoint in the middle (versionless
 	// backends may starve it under churn; that is an answer, not a bug).
-	ckptStarved := false
-	time.Sleep(40 * time.Millisecond)
-	if _, err := l.Checkpoint(); err != nil {
-		ckptStarved = true
+	if !rd.window(l, 40*time.Millisecond) {
+		rd.counts["ckpt-starved"]++
 	}
-	time.Sleep(40 * time.Millisecond)
 
 	var syncedWant []ds.KV
-	switch mode {
-	case "synced":
-		stop.Store(true)
-		wg.Wait()
+	if rd.mode.name == "synced" {
+		rd.quiesce()
 		if err := l.Sync(); err != nil {
-			fmt.Printf("  crash round %d: sync: %v\n", round, err)
-			l.Close()
-			return false, ckptStarved
+			return rd.fail("sync: %v", err)
 		}
 		syncedWant, _ = ds.ExportSorted(l.System(), m)
 		l.Crash()
-	default: // hard, torn: sever mid-traffic, then abandon the live system
+	} else { // hard, torn: sever mid-traffic, then abandon the live system
 		l.Crash()
-		stop.Store(true)
-		wg.Wait()
+		rd.quiesce()
 	}
 	l.Close()
 
-	if mode == "torn" {
-		tearNewestSegment(dir, seed)
+	if rd.mode.name == "torn" {
+		tearNewestSegment(rd.opts.Dir, rd.seed)
 	}
 
-	m2, l2, err := wal.OpenWith(opts)
+	recovered, err := recoverState(rd.opts)
 	if err != nil {
-		fmt.Printf("  crash round %d: recovery failed: %v\n", round, err)
-		return false, ckptStarved
+		return rd.fail("recovery failed: %v", err)
 	}
-	recovered, _ := ds.ExportSorted(l2.System(), m2)
-	l2.Crash()
-	l2.Close()
-
-	if mode == "synced" {
-		if !slices.Equal(recovered, syncedWant) {
-			fmt.Printf("  synced crash lost or invented data: recovered %d pairs want %d\n",
-				len(recovered), len(syncedWant))
-			return false, ckptStarved
-		}
-		return true, ckptStarved
+	if rd.mode.name != "synced" {
+		return rd.auditPrefix(recovered)
 	}
-	return auditPrefixConsistent(hist, recovered, round), ckptStarved
+	if !slices.Equal(recovered, syncedWant) {
+		return rd.fail("synced crash lost or invented data: recovered %d pairs want %d", len(recovered), len(syncedWant))
+	}
+	return true
 }
 
 func crashWorker(l *wal.Log, m ds.Map, rec *histcheck.Recorder, stop *atomic.Bool, seed uint64) {
@@ -213,65 +138,6 @@ func crashWorker(l *wal.Log, m ds.Map, rec *histcheck.Recorder, stop *atomic.Boo
 			rec.Return(tok, found, v, 0, 0)
 		}
 	}
-}
-
-// auditPrefixConsistent appends one synthetic whole-window Search per key —
-// claiming "at some point, key k held the recovered value" — and lets the
-// partitioned checker decide whether all those claims linearize against the
-// recorded history.
-func auditPrefixConsistent(hist *histcheck.History, recovered []ds.KV, round int) bool {
-	if hist.Dropped() != 0 {
-		fmt.Printf("  crash round %d: harness bug: %d ops dropped\n", round, hist.Dropped())
-		return false
-	}
-	ops := hist.Ops()
-	var maxTick uint64
-	for i := range ops {
-		if ops[i].Res > maxTick {
-			maxTick = ops[i].Res
-		}
-	}
-	recVal := make(map[uint64]uint64, len(recovered))
-	for _, kv := range recovered {
-		if kv.Key < 1 || kv.Key > crashKeyRange {
-			fmt.Printf("  crash round %d: recovered key %d outside the workload key range\n", round, kv.Key)
-			return false
-		}
-		recVal[kv.Key] = kv.Val
-	}
-	synthThread := 1 + maxThread(ops)
-	for k := uint64(1); k <= crashKeyRange; k++ {
-		op := histcheck.Op{
-			Inv:    1, // concurrent with the entire history: may linearize anywhere
-			Res:    maxTick + 1 + k,
-			Kind:   histcheck.Search,
-			Key:    k,
-			Thread: synthThread,
-		}
-		if v, ok := recVal[k]; ok {
-			op.ROK, op.RVal = true, v
-		}
-		ops = append(ops, op)
-	}
-	res := histcheck.CheckPartitioned(ops, 0)
-	if res.LimitHit {
-		return true // undecided, like the hist workload's budget trips
-	}
-	if !res.Ok {
-		fmt.Printf("  recovered state is not a prefix-consistent cut:\n  %s\n", res.Reason)
-		return false
-	}
-	return true
-}
-
-func maxThread(ops []histcheck.Op) int {
-	m := 0
-	for i := range ops {
-		if ops[i].Thread > m {
-			m = ops[i].Thread
-		}
-	}
-	return m
 }
 
 // tearNewestSegment truncates a random trailing chunk off the newest

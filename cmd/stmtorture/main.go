@@ -16,14 +16,18 @@
 // histcheck.Profiles) are recorded as full concurrent histories and checked
 // for linearizability, validating every individual operation result rather
 // than one aggregate invariant. Histories run through the partitioned
-// P-compositional checker by default (-checker selects monolithic or a
-// both-and-compare differential mode), which scales to 100k+-op histories.
-// On failure it shrinks the workload while the violation still reproduces,
-// prints a minimized reproducer command line, and promotes the failing
-// configuration into the adaptive seed corpus (-corpus, replayed forever
-// after by internal/stmtest's TestSeedCorpus).
+// P-compositional checker, which scales to 100k+-op histories (the
+// monolithic Wing–Gong search stays in internal/histcheck as the reference
+// the differential tests compare it against). On failure it shrinks the
+// workload while the violation still reproduces, prints a minimized
+// reproducer command line and the smallest failing history it recorded —
+// the operations (-key K narrows them to one key), every key's projection
+// verdict, and the fragment breakdown of the keys that are not green — and
+// promotes the failing configuration into the adaptive seed corpus
+// (-corpus, replayed forever after by internal/stmtest's TestSeedCorpus).
 //
 //	stmtorture -tm multiverse -workload hist -dur 30s -seed 1
+//	stmtorture -tm dctl -workload hist -ds extbst -profile zipf -seed <seed> -dur 1s -key 13
 //
 // Soak mode records one long history per round instead of many short ones
 // — each round runs for -soak, capped at -ops operations per thread — and
@@ -33,45 +37,53 @@
 //
 //	stmtorture -tm multiverse-eager -workload hist -soak 30s -dur 10m
 //
-// The crash workload (not part of -workload all; it needs a disk) tortures
-// the persistence subsystem: rounds of WAL-backed load that hard-stop
-// mid-traffic — abandoning the live System, sometimes tearing the active
-// segment — recover from disk, and audit the recovered state: exact
-// equality after a Sync barrier, and a history-checked prefix-consistency
-// audit (one synthetic whole-window observation per key, decided by the
-// partitioned checker) for mid-traffic crashes:
+// The four log-backed workloads below are scenario tables over one round
+// engine (engine.go): every round's parameters — fault site, audit mode,
+// degraded mode, fsync policy, shard count, data structure, seed — derive
+// from the round index, so a new fault schedule is a table row and a
+// failing round is reached again by the same -seed. None is part of
+// -workload all (they need a disk or a loopback listener), and a -tm that
+// cannot carry a WAL skips them.
+//
+// The crash workload tortures the persistence subsystem: rounds of
+// WAL-backed load that hard-stop mid-traffic — abandoning the live System,
+// sometimes tearing the active segment — recover from disk, and audit the
+// recovered state: exact equality after a Sync barrier, and a
+// history-checked prefix-consistency audit (one synthetic whole-window
+// observation per key, decided by the partitioned checker) for mid-traffic
+// crashes:
 //
 //	stmtorture -tm multiverse -workload crash -dur 30s -threads 4
 //
-// The faultdisk workload (also disk-bound, only runs when named) tortures
-// the WAL's failure plane instead of its crash path: seeded fault schedules
-// (internal/fault) fail writes, fsyncs, opens and checkpoint images *while
-// the process lives*, rotating degraded mode (stall/reject) and fsync
-// policy per round. Healed rounds then repair the disk, require Sync to
-// return nil, crash, recover, and demand the exact acked state back (the
-// no-silent-loss invariant); hard rounds crash mid-degraded and audit
-// prefix consistency of whatever survived:
+// The faultdisk workload tortures the WAL's failure plane instead of its
+// crash path: seeded fault schedules (internal/fault) fail writes, fsyncs,
+// opens and checkpoint images *while the process lives*, rotating degraded
+// mode (stall/reject) and fsync policy per round. Healed rounds then repair
+// the disk, require Sync to return nil, crash, recover, and demand the
+// exact acked state back (the no-silent-loss invariant); hard rounds crash
+// mid-degraded and audit prefix consistency of whatever survived:
 //
 //	stmtorture -tm multiverse -workload faultdisk -dur 30s -threads 4
 //
-// The socket workload (only runs when named) drives the crash workload's
-// recorded-history audit through cmd/stmserve's wire protocol over real
-// loopback TCP: rounds serve a WAL-backed map, hammer it through pipelined
-// client connections while fault.Injector schedules tear request frames and
-// sever connections mid-request, then drain, crash, recover, and demand
-// both exact equality with the drained state (nothing acked over the wire
-// may be lost) and prefix consistency of the recorded history:
+// The socket workload drives the crash workload's recorded-history audit
+// through cmd/stmserve's wire protocol over real loopback TCP: rounds serve
+// a WAL-backed map, hammer it through pipelined client connections while
+// fault.Injector schedules tear request frames and sever connections
+// mid-request, then drain, crash, recover, and demand both exact equality
+// with the drained state (nothing acked over the wire may be lost) and
+// prefix consistency of the recorded history:
 //
 //	stmtorture -tm multiverse -workload socket -dur 30s -threads 4
 //
-// The replica workload (only runs when named) tortures log shipping: rounds
-// mirror a loaded leader's WAL directory into a follower copy over loopback
-// TCP while fault.Injector schedules tear frames and sever the shipping
-// connection (the channel redials and resyncs from its manifest), with a
-// checkpoint truncating segments under the shipper mid-window. Drained
-// rounds demand the follower converge on exactly the leader's acked state
-// and promote to the same image; sever rounds promote from the half-shipped
-// copy and audit prefix consistency of whatever survived:
+// The replica workload tortures log shipping: rounds mirror a loaded
+// leader's WAL directory into a follower copy over loopback TCP while
+// fault.Injector schedules tear frames, sever the shipping connection (the
+// channel redials and resyncs from its manifest) and fail a segment read
+// under the follower's tail, with a checkpoint truncating segments under
+// the shipper mid-window. Drained rounds demand the follower converge on
+// exactly the leader's acked state and promote to the same image; sever
+// rounds promote from the half-shipped copy and audit prefix consistency of
+// whatever survived:
 //
 //	stmtorture -tm multiverse -workload replica -dur 30s -threads 4
 package main
@@ -80,15 +92,16 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/bench"
 	"repro/internal/ds"
 	"repro/internal/ds/abtree"
 	"repro/internal/histcheck"
@@ -98,16 +111,6 @@ import (
 	"repro/internal/tpcc"
 	"repro/internal/workload"
 )
-
-// notDurable reports (and says so on stdout) that tm cannot run a WAL-backed
-// workload; the registry decides, so the torture matrix and wal.Open agree.
-func notDurable(workload, tm string) bool {
-	if registry.Durable(tm) {
-		return false
-	}
-	fmt.Printf("%-8s tm=%-12s SKIPPED: backend cannot carry a WAL (needs snapshot reads and commit observation)\n", workload, tm)
-	return true
-}
 
 // torRec is the torture-wide flight recorder: the WAL-backed workloads
 // thread it through their logs, and a failed run dumps the ring — the last
@@ -121,23 +124,76 @@ type report struct {
 	violations atomic.Uint64
 }
 
+// workloads is every workload by name, in run order: an invariant workload
+// (inv), a log-backed scenario (scen), or — neither — the history fuzzer.
+// Scenarios need a tempdir or a loopback listener and run much longer per
+// round, so "all" leaves them out and they only run when named.
+var workloads = []struct {
+	name string
+	inv  func(sys stm.System, stop *atomic.Bool, rep *report, threads int)
+	scen *scenario
+}{
+	{name: "bank", inv: bank},
+	{name: "pairs", inv: pairToggle},
+	{name: "ledger", inv: ledger},
+	{name: "hist"},
+	{name: "crash", scen: &crashScenario},
+	{name: "faultdisk", scen: &faultdiskScenario},
+	{name: "socket", scen: &socketScenario},
+	{name: "replica", scen: &replicaScenario},
+}
+
 // selectWorkloads resolves the -workload flag into the workloads to run and
-// the ones "all" deliberately leaves out (disk- and socket-bound tortures
-// that need a tempdir or a loopback listener and only run when named). An
-// unknown name is an error, not an empty run.
+// the ones "all" deliberately leaves out. An unknown name is an error, not
+// an empty run.
 func selectWorkloads(wl string) (run, skipped []string, err error) {
-	inProcess := []string{"bank", "pairs", "ledger", "hist"}
-	standalone := []string{"crash", "faultdisk", "socket", "replica"}
-	if wl == "all" {
-		return inProcess, standalone, nil
-	}
-	for _, w := range append(append([]string{}, inProcess...), standalone...) {
-		if wl == w {
+	var names []string
+	for _, w := range workloads {
+		names = append(names, w.name)
+		switch {
+		case wl == w.name:
 			return []string{wl}, nil, nil
+		case w.scen == nil:
+			run = append(run, w.name)
+		default:
+			skipped = append(skipped, w.name)
 		}
 	}
-	return nil, nil, fmt.Errorf("unknown -workload %q (want %s, %s, or all)",
-		wl, strings.Join(inProcess, ", "), strings.Join(standalone, ", "))
+	if wl == "all" {
+		return run, skipped, nil
+	}
+	return nil, nil, fmt.Errorf("unknown -workload %q (want %s, or all)", wl, strings.Join(names, ", "))
+}
+
+// baselineMaxAttempts bounds retries for the TMs without a long-read escape
+// hatch (the bench harness's bound), so a starved audit is an answer rather
+// than a hang.
+const baselineMaxAttempts = 20000
+
+// resolveTM checks the -tm name against the registry once, before any
+// workload runs: an unknown name is the registry's error (it lists the
+// names); a known one reports whether it can carry a WAL, which the
+// log-backed workloads need.
+func resolveTM(name string) (durable bool, err error) {
+	sys, err := registry.NewTM(name, registry.Params{LockTable: 64})
+	if err != nil {
+		return false, err
+	}
+	sys.Close()
+	return registry.Durable(name), nil
+}
+
+// must unwraps a registry construction whose name was resolved up front.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
+// newTM builds the TM under torture.
+func newTM(name string) stm.System {
+	return must(registry.NewTM(name, registry.Params{LockTable: 1 << 16, MaxAttempts: baselineMaxAttempts}))
 }
 
 func main() {
@@ -150,31 +206,20 @@ func main() {
 	profName := flag.String("profile", "all", "hist: op profile (see histcheck.Profiles, or all)")
 	opsPer := flag.Int("ops", 0, "hist: operations per thread per round (0 = 300, or a 50000 slab cap in soak mode)")
 	soak := flag.Duration("soak", 0, "hist: record one duration-bounded long history per round instead of fixed-size rounds")
-	checker := flag.String("checker", "partitioned", "hist: partitioned, monolithic, or both (compare verdicts)")
+	key := flag.Uint64("key", 0, "hist: in a failing round's report, dump only ops touching this key (0 = all)")
 	corpus := flag.String("corpus", "testdata/seeds", "hist: write failing configurations here for stmtest replay (empty = off)")
 	minModeSw := flag.Uint64("min-mode-switches", 0, "hist: fail unless the TM performed at least this many mode transitions across all rounds (soak guard: a Mode U ↔ Q storm that silently stops transitioning must fail the job)")
 	forceViolation := flag.Bool("force-violation", false, "inject one synthetic violation after the run (exercises the failure path: flight-recorder dump, exit 1)")
 	flag.Parse()
 
-	switch *checker {
-	case "partitioned", "monolithic", "both":
-	default:
-		fmt.Printf("unknown -checker %q (want partitioned, monolithic, or both)\n", *checker)
-		os.Exit(2)
-	}
-
 	runList, skipped, err := selectWorkloads(*wl)
+	var durable bool
+	if err == nil {
+		durable, err = resolveTM(*tm)
+	}
 	if err != nil {
 		fmt.Println(err)
 		os.Exit(2)
-	}
-	selected := func(name string) bool {
-		for _, w := range runList {
-			if w == name {
-				return true
-			}
-		}
-		return false
 	}
 
 	// On machines with fewer cores than torture threads, goroutines only
@@ -187,15 +232,15 @@ func main() {
 		runtime.GOMAXPROCS(want)
 	}
 
-	run := func(name string, fn func(sys stm.System, stop *atomic.Bool, rep *report)) bool {
-		sys := bench.NewTM(*tm, 1<<16)
+	run := func(name string, fn func(sys stm.System, stop *atomic.Bool, rep *report, threads int)) bool {
+		sys := newTM(*tm)
 		defer sys.Close()
 		var stop atomic.Bool
 		var rep report
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
-			fn(sys, &stop, &rep)
+			fn(sys, &stop, &rep, *threads)
 		}()
 		time.Sleep(*dur)
 		stop.Store(true)
@@ -208,47 +253,34 @@ func main() {
 	}
 
 	ok := true
-	if selected("bank") {
-		ok = run("bank", func(sys stm.System, stop *atomic.Bool, rep *report) { bank(sys, stop, rep, *threads) }) && ok
-	}
-	if selected("pairs") {
-		ok = run("pairs", func(sys stm.System, stop *atomic.Bool, rep *report) { pairToggle(sys, stop, rep, *threads) }) && ok
-	}
-	if selected("ledger") {
-		ok = run("ledger", func(sys stm.System, stop *atomic.Bool, rep *report) { ledger(sys, stop, rep, *threads) }) && ok
-	}
-	if selected("hist") {
-		ops := *opsPer
-		if ops <= 0 {
-			if *soak > 0 {
-				ops = 50000
-			} else {
-				ops = 300
+	for _, w := range workloads {
+		switch {
+		case !slices.Contains(runList, w.name):
+		case w.inv != nil:
+			ok = run(w.name, w.inv) && ok
+		case w.scen != nil && !durable:
+			// The registry decides, so the torture matrix and wal.Open agree.
+			fmt.Printf("%-8s tm=%-12s SKIPPED: backend cannot carry a WAL (needs snapshot reads and commit observation)\n", w.name, *tm)
+		case w.scen != nil:
+			ok = w.scen.torture(*tm, *threads, *seed, *dur) && ok
+		default:
+			ops := *opsPer
+			if ops <= 0 {
+				if *soak > 0 {
+					ops = 50000
+				} else {
+					ops = 300
+				}
 			}
+			ok = histTorture(histConfig{
+				tm: *tm, ds: *dsName, profile: *profName,
+				threads: *threads, ops: ops, seed: *seed, dur: *dur,
+				soak: *soak, key: *key, corpus: *corpus,
+				minModeSwitches: *minModeSw,
+			}) && ok
 		}
-		cfg := histConfig{
-			tm: *tm, ds: *dsName, profile: *profName,
-			threads: *threads, ops: ops, seed: *seed, dur: *dur,
-			soak: *soak, checker: *checker, corpus: *corpus,
-			minModeSwitches: *minModeSw,
-		}
-		ok = histTorture(cfg) && ok
 	}
-	if selected("crash") {
-		ok = crashTorture(crashConfig{tm: *tm, threads: *threads, seed: *seed, dur: *dur}) && ok
-	}
-	if selected("faultdisk") {
-		ok = faultdiskTorture(faultdiskConfig{tm: *tm, threads: *threads, seed: *seed, dur: *dur}) && ok
-	}
-	if selected("socket") {
-		ok = socketTorture(socketConfig{tm: *tm, threads: *threads, seed: *seed, dur: *dur}) && ok
-	}
-	if selected("replica") {
-		ok = replicaTorture(replicaConfig{tm: *tm, threads: *threads, seed: *seed, dur: *dur}) && ok
-	}
-	// The disk- and socket-bound workloads never ride "all" (they need a
-	// real tempdir/loopback and run much longer per round); say so instead
-	// of silently narrowing coverage.
+	// Say what "all" left out instead of silently narrowing coverage.
 	for _, name := range skipped {
 		fmt.Printf("%-8s skipped: run with -workload %s\n", name, name)
 	}
@@ -276,79 +308,37 @@ type histConfig struct {
 	seed            uint64
 	dur             time.Duration
 	soak            time.Duration // > 0: duration-bounded long histories
-	checker         string        // partitioned, monolithic, both
+	key             uint64        // failure report: dump only ops touching this key (0 = all)
 	corpus          string        // failing-seed corpus dir ("" = off)
 	minModeSwitches uint64        // fail if total mode transitions fall below this
 }
 
-// roundSeed derives round r's seed so that a reproducer run (-seed <failing
-// seed>, one round) hits round 0 with exactly the failing seed.
-func (c histConfig) roundSeed(r int) uint64 {
-	return c.seed + uint64(r)*0x9e3779b97f4a7c15
+// roundSeed derives round r's seed from the -seed flag, for the hist fuzzer
+// and the scenario engine alike: a reproducer run with the same base
+// re-derives the same seed at the same round, and a hist reproducer (-seed
+// <failing seed>, one round) hits round 0 with exactly the failing seed.
+func roundSeed(base uint64, r int) uint64 {
+	return base + uint64(r)*0x9e3779b97f4a7c15
 }
 
-// histCheck runs the selected checker(s). In "both" mode a verdict
-// disagreement is itself reported as a violation: a partitioned rejection
-// of a monolithically accepted history is a checker soundness bug, and the
-// reverse marks a cross-key coupling the conservative pass cannot see —
-// either deserves a loud report, which makes "both" a differential torture
-// for the checkers themselves (only sensible at sizes the monolithic
-// search can finish).
-func histCheck(checker string, hist []histcheck.Op) histcheck.Result {
-	switch checker {
-	case "monolithic":
-		return histcheck.Check(hist, 0)
-	case "both":
-		mono := histcheck.Check(hist, 0)
-		part := histcheck.CheckPartitioned(hist, 0)
-		if !mono.LimitHit && !part.LimitHit && mono.Ok != part.Ok {
-			detail := mono.Reason
-			if !part.Ok {
-				detail = part.Reason
-			}
-			return histcheck.Result{Reason: fmt.Sprintf(
-				"CHECKER DISAGREEMENT: monolithic ok=%v, partitioned ok=%v (rejection: %s)",
-				mono.Ok, part.Ok, detail)}
-		}
-		// A definite rejection from either oracle outranks the other's
-		// undecided (budget-tripped) verdict.
-		if !part.Ok && !part.LimitHit {
-			return part
-		}
-		if !mono.Ok && !mono.LimitHit {
-			return mono
-		}
-		if part.LimitHit {
-			return part
-		}
-		return mono
-	default: // partitioned
-		return histcheck.CheckPartitioned(hist, 0)
-	}
-}
-
-// histRound runs one record-and-check round; it reports the checker
-// result, the number of checked ops, and the per-thread op budget a corpus
-// entry needs to replay the round: the attempted count for fixed-size
-// rounds (discarded ops consume attempts and RNG draws too), and the
-// largest per-thread recorded count for soak rounds, where the deadline —
-// not the budget — decided the length.
-func histRound(c histConfig, dsName string, p histcheck.Profile, threads, ops int, seed uint64) (histcheck.Result, int, int, stm.Stats) {
-	sys := bench.NewTM(c.tm, 1<<16)
+// histRound runs one record-and-check round through the partitioned
+// P-compositional checker; it reports the verdict, the recorded history,
+// and the per-thread op budget a corpus entry needs to replay the round:
+// the attempted count for fixed-size rounds (discarded ops consume attempts
+// and RNG draws too), and the largest per-thread recorded count for soak
+// rounds, where the deadline — not the budget — decided the length.
+func histRound(c histConfig, dsName string, p histcheck.Profile, threads, ops int, seed uint64) (histcheck.Result, []histcheck.Op, int, stm.Stats) {
+	sys := newTM(c.tm)
 	defer sys.Close()
-	capacity := 4 * threads * ops
-	if capacity > 1<<16 {
-		// Soak slabs would otherwise size the structures (and the
-		// hashmap's 10× bucket array) by the op budget; the profiles' key
-		// ranges are tiny, so past this point extra capacity only buys
-		// slower full-structure scans and memory.
-		capacity = 1 << 16
-	}
-	m := bench.NewDS(dsName, capacity)
+	// Soak slabs would otherwise size the structures (and the hashmap's
+	// 10× bucket array) by the op budget; the profiles' key ranges are tiny,
+	// so past this point extra capacity only buys slower full-structure
+	// scans and memory.
+	m := must(registry.NewDS(dsName, min(4*threads*ops, 1<<16)))
 	h := histcheck.RunHistoryFor(sys, m, p, threads, ops, seed, c.soak)
 	st := sys.Stats()
 	if h.Dropped() != 0 {
-		return histcheck.Result{Reason: fmt.Sprintf("harness bug: %d ops dropped", h.Dropped())}, 0, 0, st
+		return histcheck.Result{Reason: fmt.Sprintf("harness bug: %d ops dropped", h.Dropped())}, nil, 0, st
 	}
 	hist := h.Ops()
 	replayOps := ops
@@ -364,7 +354,7 @@ func histRound(c histConfig, dsName string, p histcheck.Profile, threads, ops in
 			}
 		}
 	}
-	return histCheck(c.checker, hist), len(hist), replayOps, st
+	return histcheck.CheckPartitioned(hist, 0), hist, replayOps, st
 }
 
 // histTorture is the seeded, duration-bounded fuzz driver: rounds rotate
@@ -374,14 +364,10 @@ func histRound(c histConfig, dsName string, p histcheck.Profile, threads, ops in
 // the reproducing workload, and the failing configuration is promoted into
 // the seed corpus.
 func histTorture(c histConfig) bool {
-	structures := bench.DSNames
+	structures := []string{"abtree", "avl", "extbst", "hashmap"}
 	if c.ds != "all" {
-		known := false
-		for _, name := range bench.DSNames {
-			known = known || name == c.ds
-		}
-		if !known {
-			fmt.Printf("unknown data structure %q (want one of %v or all)\n", c.ds, bench.DSNames)
+		if _, err := registry.NewDS(c.ds, 1); err != nil {
+			fmt.Println(err)
 			return false
 		}
 		structures = []string{c.ds}
@@ -405,10 +391,10 @@ func histTorture(c histConfig) bool {
 	for time.Now().Before(deadline) {
 		dsName := structures[rounds%len(structures)]
 		p := profiles[(rounds/len(structures))%len(profiles)]
-		rs := c.roundSeed(rounds)
-		res, n, maxPerThread, st := histRound(c, dsName, p, c.threads, c.ops, rs)
+		rs := roundSeed(c.seed, rounds)
+		res, hist, maxPerThread, st := histRound(c, dsName, p, c.threads, c.ops, rs)
 		rounds++
-		checkedOps += n
+		checkedOps += len(hist)
 		relaxed += res.Relaxed
 		modeSwitches += st.ModeSwitches
 		if res.LimitHit {
@@ -417,14 +403,14 @@ func histTorture(c histConfig) bool {
 		}
 		if !res.Ok {
 			fmt.Printf("%-8s tm=%-12s VIOLATION round=%d ds=%s profile=%s seed=%d ops=%d\n  %s\n",
-				mode, c.tm, rounds-1, dsName, p.Name, rs, n, res.Reason)
+				mode, c.tm, rounds-1, dsName, p.Name, rs, len(hist), res.Reason)
 			// Only genuine non-linearizable verdicts are promoted: a
-			// checker disagreement or a harness bug would sit in the
-			// corpus as an entry the partitioned replay can never re-fire.
+			// harness bug would sit in the corpus as an entry the replay
+			// can never re-fire.
 			if strings.HasPrefix(res.Reason, "not linearizable") {
 				writeCorpusEntry(c, dsName, p.Name, maxPerThread, rs, res.Reason)
 			}
-			minimizeHist(c, dsName, p, maxPerThread, rs)
+			minimizeHist(c, dsName, p, maxPerThread, rs, hist)
 			return false
 		}
 	}
@@ -479,14 +465,13 @@ func writeCorpusEntry(c histConfig, dsName, profile string, ops int, seed uint64
 
 // minimizeHist shrinks a failing round — halving ops per thread, then
 // dropping threads — as long as the violation still reproduces (races make
-// this best-effort: each candidate gets a few attempts), and prints the
-// smallest reproducer found. Minimization replays at fixed op counts (no
-// soak deadline) so the printed reproducer is a plain, seed-echoing
-// command line; with the partitioned checker the verdict and failure
-// report are deterministic for a given recorded history (stable key order,
-// no map-iteration nondeterminism), though each replay re-races the
-// threads and so re-records its own history.
-func minimizeHist(c histConfig, dsName string, p histcheck.Profile, ops int, seed uint64) {
+// this best-effort: each candidate gets a few attempts), prints the
+// smallest reproducer found and then the report of the smallest failing
+// history it saw (failing is the round's own, for when nothing smaller
+// reproduces). Minimization replays at fixed op counts (no soak deadline)
+// so the printed reproducer is a plain, seed-echoing command line; each
+// replay re-races the threads and so re-records its own history.
+func minimizeHist(c histConfig, dsName string, p histcheck.Profile, ops int, seed uint64, failing []histcheck.Op) {
 	fixed := c
 	fixed.soak = 0
 	if ops < 1 {
@@ -494,8 +479,9 @@ func minimizeHist(c histConfig, dsName string, p histcheck.Profile, ops int, see
 	}
 	reproduces := func(threads, ops int) bool {
 		for attempt := 0; attempt < 4; attempt++ {
-			res, _, _, _ := histRound(fixed, dsName, p, threads, ops, seed)
-			if !res.Ok && !res.LimitHit {
+			res, hist, _, _ := histRound(fixed, dsName, p, threads, ops, seed)
+			if !res.Ok && !res.LimitHit && hist != nil {
+				failing = hist
 				return true
 			}
 		}
@@ -508,8 +494,72 @@ func minimizeHist(c histConfig, dsName string, p histcheck.Profile, ops int, see
 	for threads > 2 && reproduces(threads-1, ops) {
 		threads--
 	}
-	fmt.Printf("  minimized reproducer (seed %d):\n    go run ./cmd/stmtorture -workload hist -tm %s -ds %s -profile %s -threads %d -ops %d -seed %d -checker %s -dur 1s\n",
-		seed, c.tm, dsName, p.Name, threads, ops, seed, c.checker)
+	fmt.Printf("  minimized reproducer (seed %d):\n    go run ./cmd/stmtorture -workload hist -tm %s -ds %s -profile %s -threads %d -ops %d -seed %d -dur 1s\n",
+		seed, c.tm, dsName, p.Name, threads, ops, seed)
+	histReport(os.Stdout, failing, seed, c.key)
+}
+
+// histReport dumps a non-linearizable history so the violation can be read
+// by hand: the operations (only those touching key `only`, when non-zero),
+// then each key's point-op subhistory on its own, in ascending key order,
+// and for every key that is not green its fragment decomposition: the
+// quiescent-point cuts the partitioned checker searches, each fragment with
+// its tick window and an independently checked verdict from the monolithic
+// reference search (a fragment is replayed from an empty map, so a red
+// fragment-0 verdict always implicates its ops, while later red fragments
+// may just need earlier state — the per-key verdict is the authoritative
+// one). Range and size ops span keys and are excluded from projections; by
+// linearizability's locality a point-op history is linearizable iff every
+// per-key projection is, so a red projection always implicates its key,
+// while all-green projections point at the cross-key ops — or, if there are
+// none, at the checker itself (this is how its memoization bug was found).
+//
+// The report is deterministic for a given history: keys print in ascending
+// order, fragments in tick order, the seed is echoed on every verdict
+// line. Two reports that differ therefore implicate the race that recorded
+// two histories, not the printer.
+func histReport(w io.Writer, hist []histcheck.Op, seed, only uint64) {
+	verdict := func(r histcheck.Result) string {
+		switch {
+		case r.LimitHit:
+			return "undecided"
+		case !r.Ok:
+			return "VIOLATION: " + r.Reason
+		}
+		return "ok"
+	}
+	for _, op := range hist {
+		if only == 0 || op.Key == only || op.Kind == histcheck.Size ||
+			(op.Kind == histcheck.Range && op.Key <= only && only <= op.Val) {
+			fmt.Fprintln(w, "  ", op)
+		}
+	}
+	keys, byKey, cross := histcheck.PointsByKey(hist)
+	fmt.Fprintf(w, "  %d keys, %d cross-key ops (seed %d)\n", len(keys), len(cross), seed)
+	for _, k := range keys {
+		if only != 0 && k != only {
+			continue
+		}
+		sub := byKey[k]
+		r := histcheck.CheckPartitioned(sub, 0)
+		frags := histcheck.Fragments(sub)
+		fmt.Fprintf(w, "  key %d projection (%d ops, %d fragments, seed %d): %s\n",
+			k, len(sub), len(frags), seed, verdict(r))
+		if r.Ok && !r.LimitHit {
+			continue // only failing/undecided keys get the breakdown, so a soak report stays readable
+		}
+		for fi, frag := range frags {
+			lo, hi := frag[0].Inv, frag[0].Res
+			for _, op := range frag {
+				hi = max(hi, op.Res)
+			}
+			fmt.Fprintf(w, "    fragment %d/%d ticks [%d,%d] (%d ops): %s\n",
+				fi+1, len(frags), lo, hi, len(frag), verdict(histcheck.Check(frag, 0)))
+			for _, op := range frag {
+				fmt.Fprintln(w, "      ", op)
+			}
+		}
+	}
 }
 
 func bank(sys stm.System, stop *atomic.Bool, rep *report, threads int) {

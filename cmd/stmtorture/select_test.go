@@ -2,6 +2,7 @@ package main
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -36,5 +37,21 @@ func TestSelectWorkloads(t *testing.T) {
 	}
 	if _, _, err := selectWorkloads(""); err == nil {
 		t.Fatal("empty workload accepted silently")
+	}
+}
+
+// TestResolveTM pins the -tm resolution that runs before any workload: a
+// typo is the registry's error (main exits 2 on it — it used to panic the
+// in-process workloads and to pass the log-backed ones as SKIPPED), and a
+// known TM reports whether the log-backed workloads can run on it.
+func TestResolveTM(t *testing.T) {
+	if _, err := resolveTM("multivrse"); err == nil || !strings.Contains(err.Error(), "multiverse-eager") {
+		t.Fatalf("typo'd -tm: err = %v, want the registry's error listing the names", err)
+	}
+	for tm, want := range map[string]bool{"multiverse": true, "tl2": true, "dctl": true, "tinystm": false, "norec": false} {
+		durable, err := resolveTM(tm)
+		if err != nil || durable != want {
+			t.Errorf("resolveTM(%q) = %v, %v; want %v, nil", tm, durable, err, want)
+		}
 	}
 }

@@ -4,9 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"os"
 	"slices"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -36,147 +34,87 @@ import (
 // and a client that hits a write fault half-closes and reads to EOF — so
 // an operation with no response was never executed.
 
-type socketConfig struct {
-	tm      string
-	threads int
-	seed    uint64
-	dur     time.Duration
+var socketScenario = scenario{
+	name: "socket",
+	// Paths address injConn names: "cli-<worker>" on the client side,
+	// "srv-<n>" (accept order) on the server side.
+	sites: []faultSite{
+		{"faultless", nil},
+		{"cli-write-once", []fault.Rule{{Ops: fault.OpWrite, Path: "cli-", Kth: 30, Times: 1}}},
+		{"cli-write-torn", []fault.Rule{{Ops: fault.OpWrite, Path: "cli-", Kth: 20, Times: 3, Short: true}}},
+		{"cli-write-sticky-one", []fault.Rule{{Ops: fault.OpWrite, Path: "cli-0", Kth: 40}}},
+		{"srv-read-once", []fault.Rule{{Ops: fault.OpRead, Path: "srv-", Kth: 50, Times: 1}}},
+		{"srv-read-sticky-one", []fault.Rule{{Ops: fault.OpRead, Path: "srv-1", Kth: 60}}},
+		{"latency", []fault.Rule{{Ops: fault.OpRead | fault.OpWrite, Delay: 100 * time.Microsecond}}},
+	},
+	policyStride:  2,
+	shards:        []int{1, 2},
+	shardStride:   3,
+	dsStride:      5,
+	segBytes:      1 << 18,
+	groupInterval: 200 * time.Microsecond,
+	summary:       []string{"faulted", "conn-severs"},
+	body:          socketBody,
 }
 
-// connSite is one named conn-fault schedule (the socket counterpart of
-// faultdisk's faultSite). Paths address injConn names: "cli-<worker>" on
-// the client side, "srv-<n>" (accept order) on the server side.
-var connSites = []faultSite{
-	{"faultless", nil},
-	{"cli-write-once", []fault.Rule{{Ops: fault.OpWrite, Path: "cli-", Kth: 30, Times: 1}}},
-	{"cli-write-torn", []fault.Rule{{Ops: fault.OpWrite, Path: "cli-", Kth: 20, Times: 3, Short: true}}},
-	{"cli-write-sticky-one", []fault.Rule{{Ops: fault.OpWrite, Path: "cli-0", Kth: 40}}},
-	{"srv-read-once", []fault.Rule{{Ops: fault.OpRead, Path: "srv-", Kth: 50, Times: 1}}},
-	{"srv-read-sticky-one", []fault.Rule{{Ops: fault.OpRead, Path: "srv-1", Kth: 60}}},
-	{"latency", []fault.Rule{{Ops: fault.OpRead | fault.OpWrite, Delay: 100 * time.Microsecond}}},
-}
-
-func socketTorture(c socketConfig) bool {
-	if notDurable("socket", c.tm) {
-		return true
-	}
-	deadline := time.Now().Add(c.dur)
-	rounds, faulted, severed := 0, 0, uint64(0)
-	for time.Now().Before(deadline) {
-		site := connSites[rounds%len(connSites)]
-		policy := []wal.SyncPolicy{wal.SyncGroup, wal.SyncEveryCommit, wal.SyncNone}[(rounds/2)%3]
-		shards := []int{1, 2}[(rounds/3)%2]
-		dsName := []string{"hashmap", "abtree"}[(rounds/5)%2]
-		seed := c.seed + uint64(rounds)*0x9e3779b97f4a7c15
-		ok, sev := socketRound(c, site, policy, shards, dsName, seed, rounds)
-		severed += sev
-		if !ok {
-			fmt.Printf("socket   tm=%-12s VIOLATION round=%d site=%s policy=%s shards=%d ds=%s round-seed=%d (base seed %d)\n",
-				c.tm, rounds, site.name, policy, shards, dsName, seed, c.seed)
-			fmt.Printf("  reproduce (reaches round %d deterministically): go run ./cmd/stmtorture -workload socket -tm %s -threads %d -seed %d -dur 10m\n",
-				rounds, c.tm, c.threads, c.seed)
-			return false
-		}
-		if site.rules != nil {
-			faulted++
-		}
-		rounds++
-	}
-	fmt.Printf("socket   tm=%-12s rounds=%-5d faulted=%-4d conn-severs=%-5d violations=0\n",
-		c.tm, rounds, faulted, severed)
-	return true
-}
-
-// socketRound runs one serve → hammer-over-TCP → drain → crash → recover →
-// audit cycle. It reports (audit ok, connections severed by faults).
-func socketRound(c socketConfig, site faultSite, policy wal.SyncPolicy,
-	shards int, dsName string, seed uint64, round int) (bool, uint64) {
-	dir, err := os.MkdirTemp("", "stmtorture-socket-*")
-	if err != nil {
-		fmt.Printf("  socket round %d: tempdir: %v\n", round, err)
-		return false, 0
-	}
-	defer os.RemoveAll(dir)
-
+// socketBody runs one serve → hammer-over-TCP → drain → crash → recover →
+// audit cycle.
+func socketBody(rd *round) bool {
 	// The disk stays healthy (fault.OS): this workload isolates the conn
 	// seam, so a failed final Sync or lost acked write is the server's
 	// fault, not the disk's.
-	opts := wal.Options{
-		Dir: dir, Backend: c.tm, Shards: shards, DS: dsName,
-		Capacity: 1 << 12, LockTable: 1 << 14,
-		SegmentBytes: 1 << 18, Policy: policy,
-		GroupInterval: 200 * time.Microsecond,
-		Rec:           torRec,
-	}
-	m, l, err := wal.OpenWith(opts)
+	m, l, err := wal.OpenWith(rd.opts)
 	if err != nil {
-		fmt.Printf("  socket round %d: open: %v\n", round, err)
-		return false, 0
+		return rd.fail("open: %v", err)
 	}
+	defer l.Close()
 
 	// One injector carries both halves of the conn seam: the server wraps
 	// accepted conns as "srv-<n>", the clients wrap theirs as
 	// "cli-<worker>", and Heal (unused here) would disarm both at once.
-	inj := fault.NewInjector(fault.OS, seed, site.rules...)
+	inj := fault.NewInjector(fault.OS, rd.seed, rd.site.rules...)
 	srv := server.New(l.System(), m, l, server.Options{
-		Workers: c.threads, ConnFault: inj, DrainTimeout: 5 * time.Second,
+		Workers: rd.threads, ConnFault: inj, DrainTimeout: 5 * time.Second,
 	})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		fmt.Printf("  socket round %d: listen: %v\n", round, err)
-		l.Close()
-		return false, 0
+		return rd.fail("listen: %v", err)
 	}
 	srv.Start(ln)
 	addr := srv.Addr().String()
 
-	hist := histcheck.NewHistory(c.threads, crashSlabCap)
-	var stop atomic.Bool
 	var unexpected, severed atomic.Uint64
-	var wg sync.WaitGroup
-	for w := 0; w < c.threads; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			socketWorker(addr, inj, w, hist.Recorder(w), &stop,
-				seed^uint64(w+1)*0xbf58476d1ce4e5b9, &unexpected, &severed)
-		}(w)
-	}
+	rd.spawn(func(w int, rec *histcheck.Recorder, seed uint64) {
+		socketWorker(addr, inj, w, rec, &rd.stop, seed, &unexpected, &severed)
+	})
 	time.Sleep(80 * time.Millisecond)
-	stop.Store(true)
-	wg.Wait()
+	rd.quiesce()
+	rd.counts["conn-severs"] += int(severed.Load())
+	if rd.site.rules != nil {
+		rd.counts["faulted"]++
+	}
 
 	// Graceful drain; on a healthy disk the final Sync barrier must be
 	// clean — every response the clients saw as OK is now on disk.
 	if err := srv.Shutdown(10 * time.Second); err != nil {
-		fmt.Printf("  socket round %d: drain final sync failed on a healthy disk: %v\n", round, err)
-		l.Close()
-		return false, severed.Load()
+		return rd.fail("drain final sync failed on a healthy disk: %v", err)
 	}
 	if n := unexpected.Load(); n != 0 {
-		fmt.Printf("  socket round %d: %d operations resolved with impossible errors (degraded/severed/bad-request on a healthy run)\n", round, n)
-		l.Close()
-		return false, severed.Load()
+		return rd.fail("%d operations resolved with impossible errors (degraded/severed/bad-request on a healthy run)", n)
 	}
 
 	acked, _ := ds.ExportSorted(l.System(), m)
 	l.Crash()
 	l.Close()
 
-	m2, l2, err := wal.OpenWith(opts)
+	recovered, err := recoverState(rd.opts)
 	if err != nil {
-		fmt.Printf("  socket round %d: recovery failed: %v\n", round, err)
-		return false, severed.Load()
+		return rd.fail("recovery failed: %v", err)
 	}
-	recovered, _ := ds.ExportSorted(l2.System(), m2)
-	l2.Crash()
-	l2.Close()
 	if !slices.Equal(recovered, acked) {
-		fmt.Printf("  acked-but-lost across the wire: recovered %d pairs, drained server held %d\n",
-			len(recovered), len(acked))
-		return false, severed.Load()
+		return rd.fail("acked-but-lost across the wire: recovered %d pairs, drained server held %d", len(recovered), len(acked))
 	}
-	return auditPrefixConsistent(hist, recovered, round), severed.Load()
+	return rd.auditPrefix(recovered)
 }
 
 // socketWorker is crashWorker speaking the wire protocol: the same

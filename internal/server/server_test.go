@@ -146,59 +146,71 @@ func TestCrossShardBatchRefused(t *testing.T) {
 
 // TestAckedWritesSurviveRestart is the wire-level no-silent-loss contract:
 // every insert acked with a nil error over the socket must be present after
-// a graceful drain, log close, and recovery.
+// a graceful drain, log close, and recovery — under AckSync because each ack
+// waited for its fsync, under AckCommit (acks sent at the commit point, none
+// through the group-commit pipeline) because Shutdown's final Sync covers
+// them.
 func TestAckedWritesSurviveRestart(t *testing.T) {
-	dir := t.TempDir()
-	srv, l, _, addr := startServer(t, dir, 2, nil, server.Options{Workers: 4})
+	for _, c := range []struct {
+		name   string
+		ack    server.AckPolicy
+		synced bool // acks ride the group-commit pipeline
+	}{{"sync", server.AckSync, true}, {"commit", server.AckCommit, false}} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			srv, l, _, addr := startServer(t, dir, 2, nil, server.Options{Workers: 4, Ack: c.ack})
 
-	const workers, perWorker = 4, 120
-	acked := make([][]uint64, workers)
-	var wg sync.WaitGroup
-	for g := 0; g < workers; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			cl := dial(t, addr)
-			defer cl.Close()
-			for i := 0; i < perWorker; i++ {
-				k := uint64(g*10000 + i + 1)
-				if ins, err := cl.Insert(k, k); err == nil && ins {
-					acked[g] = append(acked[g], k)
+			const workers, perWorker = 4, 120
+			acked := make([][]uint64, workers)
+			var wg sync.WaitGroup
+			for g := 0; g < workers; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					cl := dial(t, addr)
+					defer cl.Close()
+					for i := 0; i < perWorker; i++ {
+						k := uint64(g*10000 + i + 1)
+						if ins, err := cl.Insert(k, k); err == nil && ins {
+							acked[g] = append(acked[g], k)
+						}
+					}
+				}(g)
+			}
+			wg.Wait()
+			if err := srv.Shutdown(10 * time.Second); err != nil {
+				t.Fatalf("shutdown: %v", err)
+			}
+			st := srv.Stats()
+			if st.Updates == 0 || (st.SyncedAcks > 0) != c.synced {
+				t.Fatalf("%d updates, %d acks through the group-commit pipeline: the %s arm of stage was not the one exercised",
+					st.Updates, st.SyncedAcks, c.name)
+			}
+			l.Close()
+
+			m2, l2, err := wal.OpenWith(walOpts(dir, 2, nil))
+			if err != nil {
+				t.Fatalf("reopen: %v", err)
+			}
+			defer l2.Close()
+			th := l2.System().Register()
+			defer th.Unregister()
+			pairs, ok := ds.Export(th, m2.(ds.Visitor), 1, ^uint64(0))
+			if !ok {
+				t.Fatal("export starved")
+			}
+			have := make(map[uint64]uint64, len(pairs))
+			for _, kv := range pairs {
+				have[kv.Key] = kv.Val
+			}
+			for g := range acked {
+				for _, k := range acked[g] {
+					if have[k] != k {
+						t.Fatalf("acked key %d lost after restart (have=%d)", k, have[k])
+					}
 				}
 			}
-		}(g)
-	}
-	wg.Wait()
-	if err := srv.Shutdown(10 * time.Second); err != nil {
-		t.Fatalf("shutdown: %v", err)
-	}
-	st := srv.Stats()
-	if st.SyncedAcks == 0 {
-		t.Fatal("no acks rode the group-commit pipeline; test exercised nothing")
-	}
-	l.Close()
-
-	m2, l2, err := wal.OpenWith(walOpts(dir, 2, nil))
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	defer l2.Close()
-	th := l2.System().Register()
-	defer th.Unregister()
-	pairs, ok := ds.Export(th, m2.(ds.Visitor), 1, ^uint64(0))
-	if !ok {
-		t.Fatal("export starved")
-	}
-	have := make(map[uint64]uint64, len(pairs))
-	for _, kv := range pairs {
-		have[kv.Key] = kv.Val
-	}
-	for g := range acked {
-		for _, k := range acked[g] {
-			if have[k] != k {
-				t.Fatalf("acked key %d lost after restart (have=%d)", k, have[k])
-			}
-		}
+		})
 	}
 }
 

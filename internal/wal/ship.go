@@ -38,11 +38,18 @@ type ShipReader struct {
 	rebases uint64
 }
 
-// shipTail is one shard directory's read position.
-type shipTail struct {
+// shipPos is one shard directory's read position.
+type shipPos struct {
 	picked   bool   // a segment has been picked (segment indexes start at 0)
 	segIdx   uint64 // segment currently tailed (valid when picked)
 	consumed int    // byte offset of the first unconsumed record (0: header unvalidated)
+}
+
+// shipTail is a shard's live position plus the one the current Poll started
+// from, which a failed Poll puts back.
+type shipTail struct {
+	shipPos
+	polled shipPos
 }
 
 // ShipRec is one shipped commit record.
@@ -93,6 +100,9 @@ func (r *ShipReader) Poll() (ShipBatch, error) {
 	if err != nil {
 		return ShipBatch{}, err
 	}
+	for _, t := range r.tails {
+		t.polled = t.shipPos
+	}
 	for _, sl := range ls.Shards {
 		t := r.tails[sl.Shard]
 		if t == nil {
@@ -101,6 +111,13 @@ func (r *ShipReader) Poll() (ShipBatch, error) {
 		}
 		recs, lost, err := r.pollTail(sl, t)
 		if err != nil {
+			// Tails advance in place as they read, so the records collected
+			// this poll — from earlier shards, or from this one's earlier
+			// segments — lie behind them; rewind every tail or they are
+			// never shipped.
+			for _, t := range r.tails {
+				t.shipPos = t.polled
+			}
 			return ShipBatch{}, err
 		}
 		if lost {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/ds"
+	"repro/internal/fault"
 	"repro/internal/stm"
 	"repro/internal/workload"
 )
@@ -281,4 +282,58 @@ func TestShipReaderIsReadOnly(t *testing.T) {
 		t.Fatalf("tailer modified the torn segment: len %d want %d (%v)", len(post), len(torn), err)
 	}
 	l.Close()
+}
+
+// TestShipReaderPollErrorLosesNothing: tails advance in place while a Poll
+// reads, so a read error partway through — a later shard's segment, or a
+// successor segment of the same shard — must rewind them; otherwise the
+// records already collected are dropped with the failed batch and the
+// follower silently diverges until its next rebase.
+func TestShipReaderPollErrorLosesNothing(t *testing.T) {
+	cases := []struct {
+		name      string
+		shards    int
+		faultPath string
+	}{
+		{"later-shard", 2, ShardDirName(1)},
+		{"successor-segment", 1, SegName(1)},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			m, l := mustOpen(t, testOpts(dir, "multiverse", c.shards, func(o *Options) {
+				o.SegmentBytes = 1 << 12 // several sealed segments per stream
+			}))
+			defer l.Close()
+			insertRange(t, l, m, 1, 1500)
+			if err := l.Sync(); err != nil {
+				t.Fatalf("Sync: %v", err)
+			}
+
+			inj := fault.NewInjector(fault.OS, 1, fault.Rule{Ops: fault.OpRead, Path: c.faultPath, Times: 1})
+			r := OpenShipReader(dir, inj)
+			sm := newShipModel()
+			failed := 0
+			for empty := 0; empty < 2; {
+				b, err := r.Poll()
+				if err != nil {
+					failed++
+					continue
+				}
+				if !b.Rebase && len(b.Recs) == 0 {
+					empty++
+					continue
+				}
+				empty = 0
+				sm.apply(b)
+			}
+			if failed != 1 || inj.Injected() != 1 {
+				t.Fatalf("%d polls failed, %d faults injected; want exactly one of each", failed, inj.Injected())
+			}
+			want := exportSorted(t, l, m)
+			if got := sm.pairs(); !pairsEqual(got, want) {
+				t.Fatalf("records lost across the failed poll: shipped %d pairs, log holds %d", len(got), len(want))
+			}
+		})
+	}
 }
