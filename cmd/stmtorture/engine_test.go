@@ -23,8 +23,8 @@ type sched struct {
 // TestScheduleEquality pins the round → parameters mapping of every
 // scenario table to the expressions the four hand-written loops used before
 // the engine replaced them (the replica site axis grew from 5 to 6 rows with
-// tail-read; nothing else moved). A reproducer printed by an older binary
-// must still reach the same round.
+// tail-read, the socket one from 7 to 8 with slow-loris; nothing else moved).
+// A reproducer printed by an older binary must still reach the same round.
 func TestScheduleEquality(t *testing.T) {
 	const base = 41
 	policies := []wal.SyncPolicy{wal.SyncGroup, wal.SyncEveryCommit, wal.SyncNone}
@@ -33,7 +33,7 @@ func TestScheduleEquality(t *testing.T) {
 	for _, c := range []struct {
 		s     *scenario
 		sites int
-	}{{&crashScenario, 0}, {&faultdiskScenario, 10}, {&socketScenario, 7}, {&replicaScenario, 6}} {
+	}{{&crashScenario, 0}, {&faultdiskScenario, 10}, {&socketScenario, 8}, {&replicaScenario, 6}} {
 		if len(c.s.sites) != c.sites {
 			t.Fatalf("%s has %d sites, want %d", c.s.name, len(c.s.sites), c.sites)
 		}
@@ -51,7 +51,7 @@ func TestScheduleEquality(t *testing.T) {
 				shards: []int{1, 2}[(r/5)%2], ds: dss[(r/7)%2],
 			},
 			&socketScenario: {
-				site: socketScenario.sites[r%7].name, policy: policies[(r/2)%3],
+				site: socketScenario.sites[r%8].name, policy: policies[(r/2)%3],
 				shards: []int{1, 2}[(r/3)%2], ds: dss[(r/5)%2],
 			},
 			&replicaScenario: {
@@ -71,7 +71,8 @@ func TestScheduleEquality(t *testing.T) {
 }
 
 // TestOneRoundPerMode runs real rounds — every audit mode of every scenario,
-// plus the replica's tail-read site in a drained round — end to end.
+// plus the replica's tail-read site in a drained round and the socket's
+// slow-loris site — end to end.
 func TestOneRoundPerMode(t *testing.T) {
 	for _, c := range []struct {
 		s      *scenario
@@ -79,7 +80,7 @@ func TestOneRoundPerMode(t *testing.T) {
 	}{
 		{&crashScenario, []int{0, 1, 2}},
 		{&faultdiskScenario, []int{0, 10}},
-		{&socketScenario, []int{1}},
+		{&socketScenario, []int{1, 7}},
 		{&replicaScenario, []int{0, 2, 5}},
 	} {
 		modes := map[string]bool{}
@@ -94,6 +95,9 @@ func TestOneRoundPerMode(t *testing.T) {
 		if len(modes) < len(c.s.modes) {
 			t.Errorf("%s: rounds %v reach modes %v of %v", c.s.name, c.rounds, modes, c.s.modes)
 		}
+	}
+	if p := socketScenario.params(1, 7); p.site.name != "slow-loris" {
+		t.Errorf("socket round 7 is %s, want the slow-loris site", p)
 	}
 	if p := replicaScenario.params(1, 5); p.site.name != "tail-read" || p.mode.name != "drained" || p.shards != 2 {
 		t.Errorf("replica round 5 is %s, want the tail-read site, drained, on two shards", p)

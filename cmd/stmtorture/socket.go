@@ -13,6 +13,7 @@ import (
 	"repro/internal/histcheck"
 	"repro/internal/server"
 	"repro/internal/server/client"
+	"repro/internal/server/wire"
 	"repro/internal/wal"
 	"repro/internal/workload"
 )
@@ -27,12 +28,21 @@ import (
 //
 // Rounds rotate deterministic fault.Injector schedules over the *conn*
 // seam: torn client request frames (short writes), mid-request server read
-// severs, sticky per-connection failures and added latency. The fault sites
-// are confined to client-side writes and server-side reads, which is what
-// keeps discarding unanswered operations sound: the server answers every
-// request it fully received before closing a connection (bounded drain),
-// and a client that hits a write fault half-closes and reads to EOF — so
-// an operation with no response was never executed.
+// severs, sticky per-connection failures, added latency, and a peer that
+// sends half a frame and stalls. The fault sites are confined to client-side
+// writes and server-side reads, which is what keeps discarding unanswered
+// operations sound: the server answers every request it fully received
+// before closing a connection (bounded drain), and a client that hits a
+// write fault half-closes and reads to EOF — so an operation with no
+// response was never executed.
+//
+// What a Kth counts on the server side: one Read there is one fill of the
+// connection's frame buffer — everything the peer sent since the last fill,
+// which for these workers (one outstanding call per connection) is one whole
+// request — and a read fault loses the fill it fires on (fault.Injector.Conn).
+// So an "srv-" rule's Kth is the request, counted over the matched
+// connections, that is severed after it was fully sent: it resolves
+// ErrUnanswered and was never executed.
 
 var socketScenario = scenario{
 	name: "socket",
@@ -43,9 +53,11 @@ var socketScenario = scenario{
 		{"cli-write-once", []fault.Rule{{Ops: fault.OpWrite, Path: "cli-", Kth: 30, Times: 1}}},
 		{"cli-write-torn", []fault.Rule{{Ops: fault.OpWrite, Path: "cli-", Kth: 20, Times: 3, Short: true}}},
 		{"cli-write-sticky-one", []fault.Rule{{Ops: fault.OpWrite, Path: "cli-0", Kth: 40}}},
-		{"srv-read-once", []fault.Rule{{Ops: fault.OpRead, Path: "srv-", Kth: 50, Times: 1}}},
-		{"srv-read-sticky-one", []fault.Rule{{Ops: fault.OpRead, Path: "srv-1", Kth: 60}}},
+		{"srv-read-once", []fault.Rule{{Ops: fault.OpRead, Path: "srv-", Kth: 17, Times: 1}}},
+		{"srv-read-sticky-one", []fault.Rule{{Ops: fault.OpRead, Path: "srv-1", Kth: 20}}},
 		{"latency", []fault.Rule{{Ops: fault.OpRead | fault.OpWrite, Delay: 100 * time.Microsecond}}},
+		// Tears the one frame the round's idle peer sends (see socketBody).
+		{"slow-loris", []fault.Rule{{Ops: fault.OpWrite, Path: "loris", Short: true}}},
 	},
 	policyStride:  2,
 	shards:        []int{1, 2},
@@ -87,7 +99,21 @@ func socketBody(rd *round) bool {
 	rd.spawn(func(w int, rec *histcheck.Recorder, seed uint64) {
 		socketWorker(addr, inj, w, rec, &rd.stop, seed, &unexpected, &severed)
 	})
-	time.Sleep(80 * time.Millisecond)
+	time.Sleep(40 * time.Millisecond)
+	// Mid-window (the workers hold srv-1..srv-<threads> by now) one more
+	// peer arrives: it sends a single ping and then holds its connection
+	// open, silent, through the drain. Only the slow-loris site has a rule
+	// for it — a short write, so half a frame arrives and nothing ever
+	// follows. Either way it must cost nobody an answer and must not hold
+	// up the Shutdown below.
+	idle, err := net.Dial("tcp", addr)
+	if err != nil {
+		return rd.fail("dial: %v", err)
+	}
+	defer idle.Close()
+	ping := wire.AppendFrame(nil, wire.AppendRequest(nil, &wire.Request{ID: 1, Op: wire.OpPing}))
+	inj.Conn(idle, "loris").Write(ping) // a torn write is the slow-loris site's point
+	time.Sleep(40 * time.Millisecond)
 	rd.quiesce()
 	rd.counts["conn-severs"] += int(severed.Load())
 	if rd.site.rules != nil {

@@ -14,7 +14,11 @@ import "net"
 // short write-fire writes a seeded-random proper prefix to the underlying
 // conn before failing, producing a genuinely torn frame on the peer's side
 // (the network shape of a torn tail); a Close fire still closes the
-// underlying conn, like a real close failure releasing the fd.
+// underlying conn, like a real close failure releasing the fd. A read-fire
+// first takes what the peer sent off the underlying conn and loses it: a
+// Read is usually issued long before its data exists, and a fault decided
+// then would always land between messages; this one lands after the peer's
+// bytes left it — the reset that eats a request in flight.
 func (inj *Injector) Conn(c net.Conn, name string) net.Conn {
 	return &injConn{inj: inj, Conn: c, name: name}
 }
@@ -29,6 +33,7 @@ func (c *injConn) Read(p []byte) (int, error) {
 	err, delay, _ := c.inj.decide(OpRead, c.name, len(p))
 	sleep(delay)
 	if err != nil {
+		c.Conn.Read(p)
 		return 0, err
 	}
 	return c.Conn.Read(p)

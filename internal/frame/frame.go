@@ -90,6 +90,95 @@ func noEOF(err error) error {
 	return err
 }
 
+// Reader decodes a stream of frames through a buffer, for a peer that
+// pipelines: one Read on the stream yields every frame already received, and
+// a payload is a slice of the buffer — no allocation per frame, no copy.
+type Reader struct {
+	src  io.Reader
+	max  int
+	buf  []byte
+	r, w int // buf[r:w] is read from src and not yet returned
+}
+
+// readerSize is a Reader's resting buffer: a few dozen small frames. A frame
+// that does not fit grows the buffer for as long as it is in it.
+const readerSize = 4 << 10
+
+// NewReader returns a Reader of frames of at most max payload bytes from r.
+func NewReader(r io.Reader, max int) *Reader {
+	return &Reader{src: r, max: max, buf: make([]byte, readerSize)}
+}
+
+// Next returns the next frame's payload, reading from the stream only if the
+// frame is not yet complete in the buffer. The payload is valid until the
+// following call. Errors are Read's: io.EOF at a frame boundary,
+// io.ErrUnexpectedEOF inside a frame, ErrCorrupt for a length above the cap
+// (checked before the buffer grows) or a bad checksum.
+func (fr *Reader) Next() ([]byte, error) {
+	if err := fr.fill(HeaderSize); err != nil {
+		return nil, err
+	}
+	n := int(binary.LittleEndian.Uint32(fr.buf[fr.r:]))
+	if n > fr.max {
+		return nil, fmt.Errorf("%w: payload length %d", ErrCorrupt, n)
+	}
+	if err := fr.fill(HeaderSize + n); err != nil {
+		return nil, err
+	}
+	sum := binary.LittleEndian.Uint32(fr.buf[fr.r+4:])
+	payload := fr.buf[fr.r+HeaderSize : fr.r+HeaderSize+n]
+	fr.r += HeaderSize + n
+	if Checksum(payload) != sum {
+		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
+	}
+	return payload, nil
+}
+
+// Buffered reports whether Next can answer from the buffer alone: a whole
+// frame is there (or a header that Next will reject). A half-received frame
+// is not — the caller can do something else first, like answering the frames
+// before it, instead of blocking on the rest.
+func (fr *Reader) Buffered() bool {
+	have := fr.w - fr.r
+	if have < HeaderSize {
+		return false
+	}
+	n := int(binary.LittleEndian.Uint32(fr.buf[fr.r:]))
+	return n > fr.max || have >= HeaderSize+n
+}
+
+// fill reads until need bytes are buffered.
+func (fr *Reader) fill(need int) error {
+	if fr.w-fr.r >= need {
+		return nil
+	}
+	// Make room at the front; what moves is less than one frame.
+	switch {
+	case need > len(fr.buf):
+		grown := make([]byte, need)
+		fr.w = copy(grown, fr.buf[fr.r:fr.w])
+		fr.buf, fr.r = grown, 0
+	case fr.r == fr.w && len(fr.buf) > readerSize && need <= readerSize:
+		fr.buf, fr.r, fr.w = make([]byte, readerSize), 0, 0 // the big frame is gone
+	case fr.r > 0:
+		fr.w = copy(fr.buf, fr.buf[fr.r:fr.w])
+		fr.r = 0
+	}
+	for fr.w < need {
+		n, err := fr.src.Read(fr.buf[fr.w:])
+		fr.w += n
+		switch {
+		case fr.w >= need:
+			return nil // a sticky error comes back on the next Read
+		case err == io.EOF && fr.w > 0:
+			return io.ErrUnexpectedEOF
+		case err != nil:
+			return err
+		}
+	}
+	return nil
+}
+
 // Next decodes the frame at image[off:], a file image. ok=false means no
 // valid frame starts there — the image ends (off == len(image): a clean
 // boundary) or what follows is torn: a partial header, a length above max

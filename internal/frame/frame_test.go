@@ -102,10 +102,11 @@ func TestNextStopsAtFirstViolation(t *testing.T) {
 	}
 }
 
-// FuzzReadNext: over arbitrary bytes, Read on a stream and Next on the same
-// bytes as an image agree frame for frame and stop at the same offset, and
-// neither returns a payload above the cap (Read allocates only after the
-// cap check, so that also bounds its allocation).
+// FuzzReadNext: over arbitrary bytes, Read on a stream, a Reader over the
+// same stream delivered in small pieces, and Next on the same bytes as an
+// image agree frame for frame and stop at the same offset with the same
+// error, and none returns a payload above the cap (Read and Reader allocate
+// only after the cap check, so that also bounds their allocation).
 func FuzzReadNext(f *testing.F) {
 	f.Add([]byte{}, uint16(16))
 	f.Add(Append(Append(nil, []byte("one")), []byte("two")), uint16(16))
@@ -114,9 +115,15 @@ func FuzzReadNext(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, capArg uint16) {
 		max := int(capArg)
 		r := bytes.NewReader(data)
+		buffered := NewReader(&pieces{data: data, n: 1 + len(data)%5}, max)
 		off := 0
 		for {
 			fromStream, err := Read(r, nil, max)
+			fromBuffer, berr := buffered.Next()
+			if !bytes.Equal(fromBuffer, fromStream) || !sameError(berr, err) {
+				t.Fatalf("at %d: Reader gives %d bytes, err=%v; Read gives %d bytes, err=%v",
+					off, len(fromBuffer), berr, len(fromStream), err)
+			}
 			fromImage, next, ok := Next(data, off, max)
 			if (err == nil) != ok {
 				t.Fatalf("at %d: Read err=%v but Next ok=%v", off, err, ok)
@@ -136,4 +143,94 @@ func FuzzReadNext(f *testing.F) {
 			off = next
 		}
 	})
+}
+
+// pieces is a stream that hands out at most n bytes per Read.
+type pieces struct {
+	data []byte
+	n    int
+}
+
+func (p *pieces) Read(b []byte) (int, error) {
+	if len(p.data) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(b[:min(len(b), p.n)], p.data)
+	p.data = p.data[n:]
+	return n, nil
+}
+
+// sameError: the bare EOFs match exactly, ErrCorrupt by class.
+func sameError(a, b error) bool {
+	if errors.Is(a, ErrCorrupt) || errors.Is(b, ErrCorrupt) {
+		return errors.Is(a, ErrCorrupt) && errors.Is(b, ErrCorrupt)
+	}
+	return a == b
+}
+
+// TestReaderRuns pins what the server's run loop leans on: one Read on the
+// stream yields every frame in it, Buffered says whether the next one is
+// whole — a half-received frame is not, and does not hide the ones before it
+// — payloads alias the buffer, and an oversized frame grows the buffer only
+// while it is in it.
+func TestReaderRuns(t *testing.T) {
+	var stream []byte
+	for _, p := range []string{"a", "bb", "ccc"} {
+		stream = Append(stream, []byte(p))
+	}
+	half := len(stream) - 2 // "ccc" is cut short
+	src := &countingReader{chunks: [][]byte{stream[:half], stream[half:]}}
+	fr := NewReader(src, 1<<20)
+	if fr.Buffered() {
+		t.Fatal("Buffered before anything was read")
+	}
+	for i, want := range []string{"a", "bb"} {
+		got, err := fr.Next()
+		if err != nil || string(got) != want {
+			t.Fatalf("frame %d: %q err=%v, want %q", i, got, err, want)
+		}
+		if src.reads != 1 {
+			t.Fatalf("frame %d cost %d reads on the stream, want the one that delivered it", i, src.reads)
+		}
+		if fr.Buffered() != (i == 0) {
+			t.Fatalf("after frame %d: Buffered=%v with a half-received frame next", i, fr.Buffered())
+		}
+	}
+	if got, err := fr.Next(); err != nil || string(got) != "ccc" || src.reads != 2 {
+		t.Fatalf("completed frame: %q err=%v after %d reads", got, err, src.reads)
+	}
+	if _, err := fr.Next(); err != io.EOF {
+		t.Fatalf("end of stream err = %v, want io.EOF", err)
+	}
+
+	big := bytes.Repeat([]byte{9}, 3*readerSize)
+	fr = NewReader(bytes.NewReader(Append(Append(nil, big), []byte("small"))), len(big))
+	if got, err := fr.Next(); err != nil || !bytes.Equal(got, big) {
+		t.Fatalf("oversized frame: %d bytes err=%v", len(got), err)
+	}
+	if got, err := fr.Next(); err != nil || string(got) != "small" || len(fr.buf) != readerSize {
+		t.Fatalf("after the oversized frame: %q err=%v, buffer %d bytes (want it back at %d)", got, err, len(fr.buf), readerSize)
+	}
+	fr = NewReader(bytes.NewReader(Append(nil, big)), len(big)-1)
+	if _, err := fr.Next(); !errors.Is(err, ErrCorrupt) || len(fr.buf) != readerSize {
+		t.Fatalf("over-cap frame: err=%v, buffer %d bytes (the cap check must come before growth)", err, len(fr.buf))
+	}
+}
+
+// countingReader delivers one chunk per Read and counts the calls.
+type countingReader struct {
+	chunks [][]byte
+	reads  int
+}
+
+func (c *countingReader) Read(b []byte) (int, error) {
+	if len(c.chunks) == 0 {
+		return 0, io.EOF
+	}
+	c.reads++
+	n := copy(b, c.chunks[0])
+	if c.chunks[0] = c.chunks[0][n:]; len(c.chunks[0]) == 0 {
+		c.chunks = c.chunks[1:]
+	}
+	return n, nil
 }

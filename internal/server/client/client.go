@@ -43,7 +43,9 @@ import (
 // Sentinel errors. Status-mapped errors (ErrAborted, ErrCrossShard,
 // ErrDegraded, ErrSevered, ErrBadRequest, ErrTooLarge) are definite server
 // verdicts; ErrNotSent/ErrUnanswered are transport outcomes (see package
-// comment).
+// comment). ErrBusy is the server refusing the connection at its limit: it
+// comes joined to the transport outcome of every request the connection was
+// asked to carry, none of which the server read.
 var (
 	ErrNotSent    = errors.New("client: request not sent")
 	ErrUnanswered = errors.New("client: connection closed before response")
@@ -54,6 +56,7 @@ var (
 	ErrSevered    = errors.New("client: server log severed")
 	ErrBadRequest = errors.New("client: bad request")
 	ErrTooLarge   = errors.New("client: response exceeds the frame cap")
+	ErrBusy       = errors.New("client: server is at its connection limit")
 )
 
 func statusErr(st wire.Status) error {
@@ -72,6 +75,8 @@ func statusErr(st wire.Status) error {
 		return ErrBadRequest
 	case wire.StatusTooLarge:
 		return ErrTooLarge
+	case wire.StatusBusy:
+		return ErrBusy
 	}
 	return fmt.Errorf("client: unknown status %d", byte(st))
 }
@@ -99,6 +104,7 @@ type Client struct {
 	mu      sync.Mutex
 	pending map[uint64]chan wire.Response
 	dead    bool
+	refused error // why, if the server said so before closing (ErrBusy)
 
 	seq        atomic.Uint64
 	readerDone chan struct{}
@@ -132,18 +138,22 @@ func Dial(addr string, o Options) (*Client, error) {
 }
 
 func (cl *Client) readLoop() {
-	var buf []byte
+	// Buffered like the server's side: one read on the socket yields every
+	// response of a run. ParseResponse copies what it keeps.
+	fr := wire.NewReader(cl.nc)
 	for {
-		payload, err := wire.ReadFrame(cl.nc, buf)
+		payload, err := fr.Next()
 		if err != nil {
 			break
 		}
-		buf = payload[:0]
 		resp, perr := wire.ParseResponse(payload)
 		if perr != nil {
 			break
 		}
 		cl.mu.Lock()
+		if resp.ID == 0 && resp.Status != wire.StatusOK {
+			cl.refused = statusErr(resp.Status) // request ids start at 1: this is about the connection
+		}
 		ch := cl.pending[resp.ID]
 		delete(cl.pending, resp.ID)
 		cl.mu.Unlock()
@@ -169,14 +179,23 @@ func (cl *Client) closeWrite() {
 	}
 }
 
+// respChans recycles the one-response channels requests wait on — most of
+// the bytes a request used to cost this side. A channel goes back only once
+// its response has been received: it is empty then, and the reader dropped
+// it from pending before sending, so nobody else holds it. One the reader
+// closed (unanswered) or that never got an answer is left to the collector.
+var respChans = sync.Pool{New: func() any { return make(chan wire.Response, 1) }}
+
 // do sends one request and waits for its response.
 func (cl *Client) do(req *wire.Request) (wire.Response, error) {
 	req.ID = cl.seq.Add(1)
-	ch := make(chan wire.Response, 1)
+	ch := respChans.Get().(chan wire.Response)
 	cl.mu.Lock()
 	if cl.dead {
+		err := cl.down(fmt.Errorf("connection down: %w", ErrNotSent))
 		cl.mu.Unlock()
-		return wire.Response{}, fmt.Errorf("connection down: %w", ErrNotSent)
+		respChans.Put(ch) // never registered: still ours alone
+		return wire.Response{}, err
 	}
 	cl.pending[req.ID] = ch
 	cl.mu.Unlock()
@@ -203,9 +222,22 @@ func (cl *Client) do(req *wire.Request) (wire.Response, error) {
 
 	resp, ok := <-ch
 	if !ok {
-		return wire.Response{}, ErrUnanswered
+		cl.mu.Lock()
+		defer cl.mu.Unlock()
+		return wire.Response{}, cl.down(ErrUnanswered)
 	}
+	respChans.Put(ch)
 	return resp, statusErr(resp.Status)
+}
+
+// down is the error of a request the dead connection did not carry through:
+// the transport outcome, joined to the server's reason when it gave one.
+// Caller holds cl.mu.
+func (cl *Client) down(outcome error) error {
+	if cl.refused != nil {
+		return fmt.Errorf("%w: %w", cl.refused, outcome)
+	}
+	return outcome
 }
 
 func (cl *Client) forget(id uint64) {

@@ -2,45 +2,43 @@
 // WAL-backed ds.Map (internal/shard + internal/wal) over TCP using the
 // length-prefixed binary protocol of internal/server/wire.
 //
-// # Architecture
+// # Architecture: runs, not requests
 //
-// Connections multiplex onto a bounded worker pool: each accepted conn gets
-// a reader goroutine (frame parsing only) and a writer goroutine (response
-// serialization only), while every request is executed by one of Workers
-// pool goroutines, each owning its own registered shard.Thread — stm.Thread
-// is single-owner, so the pool, not the connection count, bounds TM
-// registration. The request queue is bounded; a saturated pool backpressures
-// readers instead of buffering unboundedly.
+// Each accepted conn has a reader goroutine that does the work and a writer
+// goroutine that only delivers group-commit acks. The reader reads through a
+// buffer, so one read on the socket yields every frame the peer pipelined;
+// it borrows one of Workers registered TM threads (stm.Thread is
+// single-owner, so that free list, not the connection count, bounds TM
+// registration — and it lends in arrival order), executes inline the *run* of
+// complete frames it already holds, appends every response to the conn's one
+// output buffer, returns the thread, and issues one write for the run. A run
+// ends when no further complete frame is buffered — a half-received frame
+// never holds back the answers to the frames before it — or at a run bound,
+// which also keeps a busy connection from monopolizing a thread.
 //
 // # Pipelined group commit across connections
 //
-// Read-only requests (search/range/size) ack as soon as they execute. An
-// update's response is *staged*, not sent: a dedicated syncer goroutine
-// repeatedly swaps out everything staged since its last cycle, calls
-// wal.Log.Sync once, and only then releases those responses to their
-// connections' writers. A commit therefore acks on the wire only after the
-// fsync covering it — the WAL's no-silent-loss contract extended to the
-// protocol — and one fsync amortizes over every connection's in-flight
-// batch: the fsync duration is the poll cycle, and all requests executed
-// during fsync N's flight ride fsync N+1 together.
-//
-// When Sync cannot ack (stall timeout elapsed, log severed), the staged
-// responses are released with the wal.Health mapped onto a wire status —
-// StatusDegraded / StatusSevered — instead of hanging the clients; the
-// errors.Is-able wal.ErrSevered/ErrDegraded sentinels make that mapping
-// string-free.
+// Reads ack in their run's write. An update's response is *staged*, not
+// sent: a syncer goroutine repeatedly swaps out everything staged since its
+// last cycle, calls wal.Log.Sync once, and only then appends those responses
+// to their conns' output buffers and signals the writers — it never touches
+// a socket, so a peer that stopped reading cannot delay another's acks. A
+// commit therefore acks on the wire only after the fsync covering it — the
+// WAL's no-silent-loss contract extended to the protocol — and one fsync
+// amortizes over every connection's in-flight batch: all requests executed
+// during fsync N's flight ride fsync N+1 together. When Sync cannot ack
+// (stall timeout, severed log), the staged responses are released as
+// StatusDegraded / StatusSevered instead of hanging clients.
 //
 // # Failure injection
 //
-// Options.ConnFault threads the PR 6 fault.Injector schedule API over every
+// Options.ConnFault threads the fault.Injector schedule API over every
 // accepted conn's read/write seam (paths "srv-1", "srv-2", ... in accept
-// order), so torn reads, stalled writes and mid-request severs get the same
-// deterministic inject → degrade → heal → audit treatment the disk got. A
-// conn whose read side fails is *drained*, not dropped: the server finishes
-// every request it fully received and flushes their responses before
-// closing, so a client that keeps reading until EOF learns the definite
-// outcome of everything it fully sent — the property the socket torture's
-// history audit builds on.
+// order). A conn whose read side fails is *drained*, not dropped: the server
+// finishes every request it fully received and flushes their responses
+// before closing, so a client that keeps reading until EOF learns the
+// definite outcome of everything it fully sent — the property the socket
+// torture's history audit builds on.
 package server
 
 import (
@@ -72,78 +70,68 @@ const (
 	AckCommit
 )
 
-func (p AckPolicy) String() string {
-	if p == AckCommit {
-		return "commit"
-	}
-	return "sync"
-}
+var ackNames = [...]string{AckSync: "sync", AckCommit: "commit"}
 
-// AckByName maps the flag spelling to a policy.
+func (p AckPolicy) String() string { return ackNames[p] }
+
+// AckByName maps the flag spelling ("" is the default) to a policy.
 func AckByName(name string) (AckPolicy, bool) {
-	switch name {
-	case "sync", "":
-		return AckSync, true
-	case "commit":
-		return AckCommit, true
+	for p, n := range ackNames {
+		if name == n {
+			return AckPolicy(p), true
+		}
 	}
-	return AckSync, false
+	return AckSync, name == ""
 }
 
 // Options configures a Server. The zero value of every field selects a
 // sensible default.
 type Options struct {
-	// Workers is the execution pool size (default 4). Each worker owns one
-	// registered TM thread for the server's lifetime.
+	// Workers is how many requests execute at once (default 4): the TM
+	// threads registered for the server's lifetime, lent one run at a time.
 	Workers int
 	// Ack selects the update ack policy (default AckSync).
 	Ack AckPolicy
 	// ConnFault, when set, wraps every accepted conn with the injector's
 	// fault schedule under the name "srv-<n>".
 	ConnFault *fault.Injector
-	// DrainTimeout bounds how long a closing conn waits for its in-flight
-	// requests to finish before responses are abandoned (default 10s).
+	// DrainTimeout bounds how long a closing conn waits for its staged acks
+	// before responses are abandoned (default 10s).
 	DrainTimeout time.Duration
-	// ReadOnly refuses every update with StatusReadOnly before executing
-	// it — the mode a follower replica serves in: reads are answered from
-	// the continuously replayed state, writes belong to the leader.
+	// ReadOnly refuses every update with StatusReadOnly unexecuted — the
+	// mode a follower replica serves in: writes belong to the leader.
 	ReadOnly bool
 	// Obs is the metrics registry the server publishes on: its own
 	// counters, per-op latency histograms, and — when it created the
 	// registry itself (Obs nil) — the log's and shards' collectors too,
-	// so OpStats always answers with a complete snapshot. Pass the
-	// process-wide registry to share one scrape surface with the WAL.
+	// so OpStats always answers with a complete snapshot.
 	Obs *obs.Registry
 	// Rec, when set, receives ack-batch flight-recorder events.
 	Rec *obs.Recorder
-	// Trace, when set, samples requests deterministically (every Nth frame
-	// per the tracer's configuration) and records per-stage spans — decode,
-	// queue-wait, execute, ack-stage, sync-wait, ack-write, total — into its
-	// ring. The sampled trace id is also threaded into the STM (per-attempt
-	// spans) and the WAL (append/coalesce/fsync spans) via stm.SetTrace and
-	// the commit observer. Nil disables tracing at zero cost.
+	// Trace, when set, samples every Nth frame and records per-stage spans
+	// — queue-wait, decode, execute, ack-stage, sync-wait, ack-write, total
+	// — into its ring; the sampled id also reaches the STM (per-attempt
+	// spans) and the WAL (append/coalesce/fsync spans). Nil: no tracing.
 	Trace *obs.Tracer
 }
 
-const (
-	// queuePerWorker sizes the request queue (queuePerWorker × Workers). A
-	// full queue backpressures connection readers.
-	queuePerWorker = 4
-	// outboundDepth bounds each connection's response queue.
-	outboundDepth = 256
-	// writeTimeout bounds one response write; a conn whose peer stops
-	// reading is marked dead instead of wedging its writer.
+const ( // bounds: constants, not knobs
+	// A run ends after runFrames requests or runBytes of responses.
+	runFrames = 64
+	runBytes  = 64 << 10
+	// A conn is not read from while maxStaged of its acks are parked with
+	// the syncer. With the flush that ends every run — it blocks while the
+	// peer is not reading — that bounds what a conn can make the server hold.
+	maxStaged = 256
+	// Past maxConns live conns, one is answered wire.StatusBusy — within
+	// refuseTimeout, or not at all — and closed.
+	maxConns      = 1024
+	refuseTimeout = 100 * time.Millisecond
+	// idleTimeout closes a conn that completes no frame for that long.
+	idleTimeout = 5 * time.Minute
+	// writeTimeout bounds one write; then the conn is marked dead.
 	writeTimeout = 10 * time.Second
 )
-
-func (o *Options) fill() {
-	if o.Workers <= 0 {
-		o.Workers = 4
-	}
-	if o.DrainTimeout <= 0 {
-		o.DrainTimeout = 10 * time.Second
-	}
-}
 
 // Stats is a snapshot of the server's counters.
 type Stats struct {
@@ -155,33 +143,21 @@ type Stats struct {
 	FailedAcks uint64 // staged acks released with a degraded/severed status
 }
 
-type request struct {
-	c     *srvConn
-	raw   []byte
-	trace uint64 // sampled trace id (0: unsampled)
-	t0    int64  // frame-received ns, start of the request's server lifetime
+// traceCtx follows one sampled request through the server (trace 0: none).
+type traceCtx struct {
+	trace uint64
+	t0    int64 // frame-received ns, start of the request's server lifetime
+	at    int64 // ns it entered its current wait: staged, or appended for the write
 }
 
 type stagedAck struct {
-	c        *srvConn
-	resp     wire.Response
-	trace    uint64
-	t0       int64
-	stagedNs int64 // when the ack was parked, for the ack-stage span
-}
-
-// outFrame is one framed response plus the trace context the writer needs to
-// close out the ack-write and total spans.
-type outFrame struct {
-	b     []byte
-	trace uint64
-	t0    int64 // request's frame-received ns (total span start)
-	enqNs int64 // response enqueue ns (ack-write span start)
+	c    *srvConn
+	resp wire.Response
+	tc   traceCtx
 }
 
 // Server serves the wire protocol over a sharded system. Updates are logged
-// through l (may be nil for a purely in-memory server; updates then ack at
-// commit).
+// through l (nil for a purely in-memory server; updates then ack at commit).
 type Server struct {
 	sys  *shard.System
 	m    ds.Map
@@ -189,8 +165,10 @@ type Server struct {
 	opts Options
 
 	ln       net.Listener
-	reqq     chan request
+	threads  chan stm.Thread // the free list: Workers registered threads
 	stopSync chan struct{}
+	maxConns int           // the two bounds a test has to lower to reach
+	idle     time.Duration // (idleTimeout)
 
 	mu       sync.Mutex
 	conns    map[*srvConn]struct{}
@@ -198,15 +176,12 @@ type Server struct {
 
 	acceptWG sync.WaitGroup
 	connWG   sync.WaitGroup
-	workerWG sync.WaitGroup
 	syncWG   sync.WaitGroup
-	stopping atomic.Bool
 
 	ackMu     sync.Mutex
 	staged    []stagedAck
 	ackNotify chan struct{}
 
-	connSeq    atomic.Uint64
 	accepted   atomic.Uint64
 	requests   atomic.Uint64
 	updates    atomic.Uint64
@@ -215,29 +190,30 @@ type Server struct {
 	failedAcks atomic.Uint64
 
 	reg    *obs.Registry
-	rec    *obs.Recorder
-	opHist [maxOp + 1]*obs.Hist // per-op request latency, indexed by wire.Op
+	opHist [wire.OpTrace + 1]*obs.Hist // per-op request latency, indexed by wire.Op
 }
-
-// maxOp is the highest wire.Op value the latency-histogram table covers.
-const maxOp = wire.OpTrace
 
 // New builds a server over an already-open system. sys must be the system
 // the map m runs on (for a WAL-backed map, l.System()).
 func New(sys *shard.System, m ds.Map, l *wal.Log, opts Options) *Server {
-	opts.fill()
+	if opts.Workers <= 0 {
+		opts.Workers = 4
+	}
+	if opts.DrainTimeout <= 0 {
+		opts.DrainTimeout = 10 * time.Second
+	}
 	s := &Server{
 		sys: sys, m: m, l: l, opts: opts,
-		reqq:      make(chan request, queuePerWorker*opts.Workers),
+		threads:   make(chan stm.Thread, opts.Workers),
 		stopSync:  make(chan struct{}),
+		maxConns:  maxConns,
+		idle:      idleTimeout,
 		conns:     make(map[*srvConn]struct{}),
 		ackNotify: make(chan struct{}, 1),
-		rec:       opts.Rec,
 	}
 	// OpStats must always answer, so a server handed no registry builds a
 	// private one and registers every layer it can see onto it; a shared
-	// registry is assumed to carry the log's collectors already (OpenWith
-	// registers them).
+	// one is assumed to carry the log's collectors (OpenWith registers them).
 	if opts.Obs != nil {
 		s.reg = opts.Obs
 	} else {
@@ -259,14 +235,13 @@ func New(sys *shard.System, m ds.Map, l *wal.Log, opts Options) *Server {
 		emit("server.synced_acks", st.SyncedAcks)
 		emit("server.failed_acks", st.FailedAcks)
 	})
-	for op := wire.OpPing; op <= maxOp; op++ {
+	for op := wire.OpPing; op <= wire.OpTrace; op++ {
 		s.opHist[op] = s.reg.Hist("server.lat." + op.String())
 	}
 	return s
 }
 
-// Registry returns the metrics registry OpStats snapshots — the one passed
-// in Options.Obs, or the private one New built.
+// Registry returns the registry OpStats snapshots: Options.Obs, or New's own.
 func (s *Server) Registry() *obs.Registry { return s.reg }
 
 // Start begins serving on ln and returns immediately. The listener is owned
@@ -274,8 +249,7 @@ func (s *Server) Registry() *obs.Registry { return s.reg }
 func (s *Server) Start(ln net.Listener) {
 	s.ln = ln
 	for i := 0; i < s.opts.Workers; i++ {
-		s.workerWG.Add(1)
-		go s.worker()
+		s.threads <- s.sys.Register()
 	}
 	s.syncWG.Add(1)
 	go s.syncLoop()
@@ -299,80 +273,77 @@ func (s *Server) Stats() Stats {
 }
 
 // Shutdown drains gracefully: stop accepting, half-close every conn's read
-// side, let in-flight requests execute and their (group-committed) responses
-// flush, then stop the pool and the syncer. timeout bounds the connection
-// drain; conns still alive past it are force-closed (their drain then
-// converges within DrainTimeout). A final Sync barrier covers everything
-// executed; its error (nil on a healthy log) is returned. Idempotent — the
-// second and later calls return nil immediately.
+// side, let received requests execute and their (group-committed) responses
+// flush, then stop the syncer and unregister the threads. timeout bounds the
+// drain; conns alive past it are force-closed (their drain then converges
+// within DrainTimeout). A final Sync barrier covers everything executed; its
+// error (nil on a healthy log) is returned. Later calls return nil at once.
 func (s *Server) Shutdown(timeout time.Duration) error {
-	if !s.stopping.CompareAndSwap(false, true) {
+	s.mu.Lock()
+	again := s.draining
+	s.draining = true
+	s.mu.Unlock()
+	if again {
 		return nil
 	}
-	s.mu.Lock()
-	s.draining = true
-	conns := make([]*srvConn, 0, len(s.conns))
-	for c := range s.conns {
-		conns = append(conns, c)
-	}
-	s.mu.Unlock()
 	if s.ln != nil {
 		s.ln.Close()
 	}
 	s.acceptWG.Wait()
-	for _, c := range conns {
+	s.mu.Lock()
+	for c := range s.conns {
 		c.closeRead()
 	}
+	s.mu.Unlock()
 	drained := make(chan struct{})
 	go func() { s.connWG.Wait(); close(drained) }()
 	if timeout > 0 {
 		select {
 		case <-drained:
 		case <-time.After(timeout):
-			s.mu.Lock()
-			for c := range s.conns {
-				c.nc.Close()
-			}
-			s.mu.Unlock()
 		}
-	} else {
-		s.mu.Lock()
-		for c := range s.conns {
-			c.nc.Close()
-		}
-		s.mu.Unlock()
 	}
+	s.mu.Lock()
+	for c := range s.conns { // whoever is left; nobody, after a drain in time
+		c.nc.Close()
+	}
+	s.mu.Unlock()
 	<-drained
-	close(s.reqq)
-	s.workerWG.Wait()
 	close(s.stopSync)
 	s.syncWG.Wait()
+	for len(s.threads) > 0 { // every reader has exited, so every thread is back
+		(<-s.threads).Unregister()
+	}
 	if s.l != nil && s.l.Health() == wal.Healthy {
 		return s.l.Sync()
 	}
 	return nil
 }
 
-// Close force-closes every connection and stops the server without waiting
-// for drains.
+// Close force-closes every connection and stops without waiting for drains.
 func (s *Server) Close() { s.Shutdown(0) }
-
-// --- accept / per-conn goroutines ---
 
 func (s *Server) acceptLoop() {
 	defer s.acceptWG.Done()
-	for {
+	for n := 1; ; n++ {
 		nc, err := s.ln.Accept()
 		if err != nil {
 			return // listener closed by Shutdown
 		}
 		if s.opts.ConnFault != nil {
-			nc = s.opts.ConnFault.Conn(nc, fmt.Sprintf("srv-%d", s.connSeq.Add(1)))
+			nc = s.opts.ConnFault.Conn(nc, fmt.Sprintf("srv-%d", n))
 		}
-		c := &srvConn{s: s, nc: nc, outq: make(chan outFrame, outboundDepth)}
+		c := &srvConn{s: s, nc: nc}
+		c.cond = sync.NewCond(&c.mu)
 		s.mu.Lock()
-		if s.draining {
+		refuse := len(s.conns) >= s.maxConns
+		if s.draining || refuse {
 			s.mu.Unlock()
+			if refuse {
+				// Bounded: accepting must not wait on a peer ignoring its refusal.
+				nc.SetWriteDeadline(time.Now().Add(refuseTimeout))
+				nc.Write(wire.AppendResponseFrame(nil, &wire.Response{Status: wire.StatusBusy}))
+			}
 			nc.Close()
 			continue
 		}
@@ -389,87 +360,173 @@ type srvConn struct {
 	s  *Server
 	nc net.Conn
 
-	outq      chan outFrame
-	outMu     sync.Mutex
-	outClosed bool
+	// wmu serializes flushes — the reader's after each run, the writer's
+	// after the syncer released acks — so responses reach the socket whole
+	// and in order. Its holder owns spare, the buffer the last flush emptied.
+	wmu   sync.Mutex
+	spare []byte
 
-	pending atomic.Int64 // requests dispatched, response not yet enqueued
-	dead    atomic.Bool  // response write failed; discard further output
+	mu       sync.Mutex
+	cond     *sync.Cond // staged shrank, or a flag below was set
+	out      []byte     // framed responses awaiting the next flush
+	spans    []traceCtx // the sampled ones among them
+	staged   int        // update acks parked with the syncer
+	released bool       // out holds acks from the syncer: the writer's cue to flush
+	done     bool       // the reader has drained: the writer flushes what is left and closes
+	dead     bool       // a write failed or the drain timed out: output is discarded
+
+	readClosed atomic.Bool // Shutdown shut the read side: a re-armed deadline must not undo it
 }
 
-// readLoop parses frames and dispatches them to the worker pool. On any
-// read error — clean EOF, torn frame, checksum mismatch, injected fault —
-// it stops reading and drains: waits for every dispatched request's
-// response to reach the outbound queue, then lets the writer flush and
-// close. Requests the server fully received are therefore always answered,
-// even when the conn is going away.
+// readLoop executes the conn's runs (see the package comment). On any read
+// error — EOF, torn frame, bad checksum, idle deadline, injected fault — it
+// drains: answers what it executed, waits for its staged acks to come back
+// from the syncer, then lets the writer close.
 func (s *Server) readLoop(c *srvConn) {
-	for {
-		// A fresh payload per frame: the request owns it across the worker hop.
-		raw, err := wire.ReadFrame(c.nc, nil)
+	defer s.connWG.Done()
+	fr := wire.NewReader(c.nc)
+	var th stm.Thread // borrowed for the current run
+	var traced bool   // th carries a sampled request's trace id
+	var tc traceCtx
+	endRun := func() {
+		if traced {
+			stm.SetTrace(th, s.opts.Trace, 0)
+			traced = false
+		}
+		s.threads <- th
+		th = nil
+		c.flush()
+	}
+	for frames := 0; ; frames++ {
+		if th != nil && (frames == runFrames || !fr.Buffered() || c.full()) {
+			endRun()
+		}
+		if th == nil {
+			// Between runs: one Read on the socket from here is one fill of
+			// the buffer — a whole run's worth of frames, or part of one.
+			frames = 0
+			if !c.admit() {
+				break
+			}
+			c.nc.SetReadDeadline(time.Now().Add(s.idle))
+			if c.readClosed.Load() {
+				c.closeRead() // Shutdown raced the re-arm; shut the read side again
+			}
+		}
+		raw, err := fr.Next()
 		if err != nil || len(raw) < 9 {
 			break // len < 9 is unparseable: no request id to answer under; sever
 		}
-		tid := s.opts.Trace.SampleID()
-		var t0 int64
-		if tid != 0 {
-			t0 = time.Now().UnixNano()
+		if th == nil {
+			if s.opts.Trace != nil {
+				tc.t0 = time.Now().UnixNano() // the whole run arrived with this fill
+			}
+			th = <-s.threads
 		}
-		c.pending.Add(1)
-		s.reqq <- request{c: c, raw: raw, trace: tid, t0: t0}
+		// Thread the sampled trace id into the STM hooks and the WAL's commit
+		// observer; skipped on the unsampled → unsampled fast path.
+		tc.trace = s.opts.Trace.SampleID()
+		if tc.trace != 0 || traced {
+			stm.SetTrace(th, s.opts.Trace, tc.trace)
+			traced = tc.trace != 0
+		}
+		s.handle(th, c, raw, tc)
 	}
-	deadline := time.Now().Add(s.opts.DrainTimeout)
-	for c.pending.Load() > 0 && time.Now().Before(deadline) {
-		time.Sleep(100 * time.Microsecond)
+	if th != nil {
+		endRun()
 	}
-	c.closeOut()
-	s.connWG.Done()
+	c.mu.Lock()
+	expire := time.AfterFunc(s.opts.DrainTimeout, c.fail)
+	for c.staged > 0 && !c.dead {
+		c.cond.Wait()
+	}
+	expire.Stop()
+	c.done = true
+	c.cond.Broadcast()
+	c.mu.Unlock()
 }
 
+// admit blocks the reader while too many of its acks are staged, and reports
+// whether the connection is still worth reading from.
+func (c *srvConn) admit() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for c.staged >= maxStaged && !c.dead {
+		c.cond.Wait()
+	}
+	return !c.dead
+}
+
+// full ends a run early: its responses are worth a write of their own, or
+// the staged-ack bound is reached.
+func (c *srvConn) full() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.out) >= runBytes || c.staged >= maxStaged
+}
+
+// fail gives up on the connection's output.
+func (c *srvConn) fail() {
+	c.mu.Lock()
+	c.dead = true
+	c.out, c.spans = nil, nil
+	c.cond.Broadcast()
+	c.mu.Unlock()
+}
+
+// writeLoop delivers what the syncer appended — the syncer only signals, the
+// possibly slow write happens here — and closes once the reader has drained.
 func (s *Server) writeLoop(c *srvConn) {
 	defer func() {
+		c.fail() // anything released from here on has nowhere to go
 		c.nc.Close()
 		s.mu.Lock()
 		delete(s.conns, c)
 		s.mu.Unlock()
 		s.connWG.Done()
 	}()
-	for f := range c.outq {
-		if c.dead.Load() {
-			continue // keep draining so finish() never blocks forever
+	for {
+		c.mu.Lock()
+		for !c.released && !c.done {
+			c.cond.Wait()
 		}
-		c.nc.SetWriteDeadline(time.Now().Add(writeTimeout))
-		if _, err := c.nc.Write(f.b); err != nil {
-			c.dead.Store(true)
-		} else if f.trace != 0 {
-			end := time.Now().UnixNano()
-			s.opts.Trace.Record(f.trace, obs.StageAckWrite, 0, f.enqNs, end-f.enqNs, 0, 0)
-			s.opts.Trace.Record(f.trace, obs.StageTotal, 0, f.t0, end-f.t0, 0, 0)
+		last := c.done
+		c.mu.Unlock()
+		c.flush()
+		if last {
+			return
 		}
 	}
 }
 
-// finish enqueues one framed response and retires its request. Responses
-// after closeOut (a drain that timed out) are dropped.
-func (c *srvConn) finish(f outFrame) {
-	c.outMu.Lock()
-	if !c.outClosed {
-		c.outq <- f
+// flush writes everything in the output buffer with one Write.
+func (c *srvConn) flush() {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	c.mu.Lock()
+	buf, spans := c.out, c.spans
+	c.out, c.spans, c.released = c.spare[:0], nil, false
+	c.mu.Unlock()
+	c.spare = buf
+	if len(buf) == 0 {
+		return
 	}
-	c.outMu.Unlock()
-	c.pending.Add(-1)
-}
-
-func (c *srvConn) closeOut() {
-	c.outMu.Lock()
-	if !c.outClosed {
-		c.outClosed = true
-		close(c.outq)
+	c.nc.SetWriteDeadline(time.Now().Add(writeTimeout))
+	if _, err := c.nc.Write(buf); err != nil {
+		c.fail()
+		return
 	}
-	c.outMu.Unlock()
+	if len(spans) > 0 {
+		end := time.Now().UnixNano()
+		for _, tc := range spans {
+			c.s.opts.Trace.Record(tc.trace, obs.StageAckWrite, 0, tc.at, end-tc.at, 0, 0)
+			c.s.opts.Trace.Record(tc.trace, obs.StageTotal, 0, tc.t0, end-tc.t0, 0, 0)
+		}
+	}
 }
 
 func (c *srvConn) closeRead() {
+	c.readClosed.Store(true)
 	if cr, ok := c.nc.(interface{ CloseRead() error }); ok {
 		cr.CloseRead()
 		return
@@ -477,51 +534,36 @@ func (c *srvConn) closeRead() {
 	c.nc.SetReadDeadline(time.Now())
 }
 
-// --- execution ---
-
-func (s *Server) worker() {
-	defer s.workerWG.Done()
-	th := s.sys.Register()
-	defer th.Unregister()
-	var lastTrace uint64
-	for req := range s.reqq {
-		// Thread the sampled trace id into the STM hooks so per-attempt
-		// spans and the WAL's commit observer tag their records with it.
-		// Skipped entirely on the unsampled → unsampled fast path.
-		if req.trace != 0 || lastTrace != 0 {
-			stm.SetTrace(th, s.opts.Trace, req.trace)
-			lastTrace = req.trace
-		}
-		s.handle(th, req)
+// respond appends one framed response to the output buffer; the run's flush
+// — or, for an ack the syncer releases (unstage 1), the writer's — sends it.
+func (c *srvConn) respond(resp *wire.Response, tc traceCtx, unstage int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.staged -= unstage
+	c.released = c.released || unstage > 0
+	if c.dead {
+		return
 	}
-}
-
-func (s *Server) respond(c *srvConn, resp *wire.Response, trace uint64, t0 int64) {
-	f := outFrame{
-		// 40 bytes hold the frame header and any fixed-size response.
-		b:     wire.AppendResponseFrame(make([]byte, 0, 40), resp),
-		trace: trace, t0: t0,
+	c.out = wire.AppendResponseFrame(c.out, resp)
+	if tc.trace != 0 {
+		tc.at = time.Now().UnixNano()
+		c.spans = append(c.spans, tc)
 	}
-	if trace != 0 {
-		f.enqNs = time.Now().UnixNano()
-	}
-	c.finish(f)
 }
 
 // stage parks a committed update's response until the fsync covering its
-// commit completes (or sends it straight away under AckCommit / no log).
-func (s *Server) stage(c *srvConn, resp *wire.Response, trace uint64, t0 int64) {
+// commit completes (or answers straight away under AckCommit / no log).
+func (s *Server) stage(c *srvConn, resp *wire.Response, tc traceCtx) {
 	s.updates.Add(1)
 	if s.l == nil || s.opts.Ack == AckCommit {
-		s.respond(c, resp, trace, t0)
+		c.respond(resp, tc, 0)
 		return
 	}
-	var stagedNs int64
-	if trace != 0 {
-		stagedNs = time.Now().UnixNano()
-	}
+	c.mu.Lock()
+	c.staged++
+	c.mu.Unlock()
 	s.ackMu.Lock()
-	s.staged = append(s.staged, stagedAck{c: c, resp: *resp, trace: trace, t0: t0, stagedNs: stagedNs})
+	s.staged = append(s.staged, stagedAck{c: c, resp: *resp, tc: tc})
 	s.ackMu.Unlock()
 	select {
 	case s.ackNotify <- struct{}{}:
@@ -529,129 +571,114 @@ func (s *Server) stage(c *srvConn, resp *wire.Response, trace uint64, t0 int64) 
 	}
 }
 
-// failStatus classifies a refused or starved transaction by the log's
-// health, so clients see degraded/severed instead of a bare retry signal.
-func (s *Server) failStatus() wire.Status {
-	if s.l != nil {
-		switch s.l.Health() {
-		case wal.Degraded:
-			return wire.StatusDegraded
-		case wal.Severed:
-			return wire.StatusSevered
-		}
-	}
-	return wire.StatusAborted
-}
-
-func (s *Server) handle(th stm.Thread, req request) {
+// handle executes one request and appends (an update: stages) its response.
+func (s *Server) handle(th stm.Thread, c *srvConn, raw []byte, tc traceCtx) {
 	s.requests.Add(1)
 	var preParseNs int64
-	if req.trace != 0 {
+	if tc.trace != 0 {
+		// queue-wait: for a TM thread and the frames ahead in the run.
 		preParseNs = time.Now().UnixNano()
-		s.opts.Trace.Record(req.trace, obs.StageQueueWait, 0, req.t0, preParseNs-req.t0, 0, 0)
+		s.opts.Trace.Record(tc.trace, obs.StageQueueWait, 0, tc.t0, preParseNs-tc.t0, 0, 0)
 	}
-	r, perr := wire.ParseRequest(req.raw)
-	if req.trace != 0 {
+	r, perr := wire.ParseRequest(raw)
+	if tc.trace != 0 {
 		// The decode span's a-field carries the wire request id — the hook a
 		// client uses to correlate its i-th request with a trace id.
 		now := time.Now().UnixNano()
-		s.opts.Trace.Record(req.trace, obs.StageDecode, uint64(r.Op), preParseNs, now-preParseNs, r.ID, 0)
+		s.opts.Trace.Record(tc.trace, obs.StageDecode, uint64(r.Op), preParseNs, now-preParseNs, r.ID, 0)
 	}
 	resp := wire.Response{ID: r.ID, Op: r.Op}
 	if perr != nil {
 		resp.Status = wire.StatusBadRequest
-		s.respond(req.c, &resp, req.trace, req.t0)
+		c.respond(&resp, tc, 0)
 		return
 	}
-	// Per-op latency covers execution up to response enqueue (for updates,
-	// staging — ack-side fsync latency is the syncer's metric, not the
-	// op's). ~100ns of clock reads against a wire round trip is noise.
+	// Per-op latency is the execution alone (ack-side fsync latency is the
+	// syncer's metric); the execute span ends where ack-stage begins.
 	start := time.Now()
-	defer func() {
-		s.opHist[r.Op].Record(time.Since(start))
-		if req.trace != 0 {
-			s.opts.Trace.Record(req.trace, obs.StageExecute, uint64(r.Op),
-				start.UnixNano(), time.Since(start).Nanoseconds(), r.ID, 0)
-		}
-	}()
-	switch r.Op {
-	case wire.OpPing:
-		s.respond(req.c, &resp, req.trace, req.t0)
-	case wire.OpSearch:
-		v, found, ok := ds.Search(th, s.m, r.Key)
-		if !ok {
-			resp.Status = s.failStatus()
-		} else {
-			resp.OK, resp.Val = found, v
-		}
-		s.respond(req.c, &resp, req.trace, req.t0)
-	case wire.OpRange:
-		count, sum, ok := ds.Range(th, s.m, r.Key, r.Val)
-		if !ok {
-			resp.Status = s.failStatus()
-		} else {
-			resp.Count, resp.Sum = uint64(count), sum
-		}
-		s.respond(req.c, &resp, req.trace, req.t0)
-	case wire.OpSize:
-		n, ok := ds.Size(th, s.m)
-		if !ok {
-			resp.Status = s.failStatus()
-		} else {
-			resp.Count = uint64(n)
-		}
-		s.respond(req.c, &resp, req.trace, req.t0)
-	case wire.OpInsert, wire.OpDelete:
-		if r.Key == 0 {
-			resp.Status = wire.StatusBadRequest
-			s.respond(req.c, &resp, req.trace, req.t0)
-			return
-		}
-		if st := s.refuseUpdate(); st != wire.StatusOK {
-			resp.Status = st
-			s.respond(req.c, &resp, req.trace, req.t0)
-			return
-		}
-		var res, ok bool
-		if r.Op == wire.OpInsert {
-			res, ok = ds.Insert(th, s.m, r.Key, r.Val)
-		} else {
-			res, ok = ds.Delete(th, s.m, r.Key)
-		}
-		if !ok {
-			resp.Status = s.failStatus()
-			s.respond(req.c, &resp, req.trace, req.t0)
-			return
-		}
-		resp.OK = res
-		s.stage(req.c, &resp, req.trace, req.t0)
-	case wire.OpBatch:
-		s.handleBatch(th, req, &r, &resp)
-	case wire.OpStats:
-		blob, err := s.reg.JSON()
-		if err != nil {
-			resp.Status = wire.StatusBadRequest
-		} else {
-			resp.Blob = blob
-		}
-		s.respond(req.c, &resp, req.trace, req.t0)
-	case wire.OpTrace:
-		blob, err := s.opts.Trace.JSON()
-		if err != nil {
-			resp.Status = wire.StatusBadRequest
-		} else {
-			resp.Blob = blob
-		}
-		s.respond(req.c, &resp, req.trace, req.t0)
-	default:
-		resp.Status = wire.StatusBadRequest
-		s.respond(req.c, &resp, req.trace, req.t0)
+	update := s.execute(th, &r, &resp)
+	took := time.Since(start)
+	s.opHist[r.Op].Record(took)
+	if tc.trace != 0 {
+		tc.at = start.UnixNano() + took.Nanoseconds()
+		s.opts.Trace.Record(tc.trace, obs.StageExecute, uint64(r.Op), start.UnixNano(), took.Nanoseconds(), r.ID, 0)
+	}
+	if update {
+		s.stage(c, &resp, tc)
+	} else {
+		c.respond(&resp, tc, 0)
 	}
 }
 
-// refuseUpdate rejects updates on a severed log before executing them: an
-// in-memory commit whose durability is terminally gone must not look like a
-// retryable failure.
+// execute runs r and fills resp (the body travels only under StatusOK, so a
+// failed op's leftovers are harmless). It reports whether r committed an
+// update, whose ack must wait for its fsync.
+func (s *Server) execute(th stm.Thread, r *wire.Request, resp *wire.Response) (update bool) {
+	ok, n, err := true, 0, error(nil)
+	switch r.Op {
+	case wire.OpPing:
+	case wire.OpSearch:
+		resp.Val, resp.OK, ok = ds.Search(th, s.m, r.Key)
+	case wire.OpRange:
+		n, resp.Sum, ok = ds.Range(th, s.m, r.Key, r.Val)
+	case wire.OpSize:
+		n, ok = ds.Size(th, s.m)
+	case wire.OpInsert, wire.OpDelete:
+		if r.Key == 0 {
+			resp.Status = wire.StatusBadRequest
+		} else if resp.Status = s.refuseUpdate(); resp.Status == wire.StatusOK {
+			if r.Op == wire.OpInsert {
+				resp.OK, ok = ds.Insert(th, s.m, r.Key, r.Val)
+			} else {
+				resp.OK, ok = ds.Delete(th, s.m, r.Key)
+			}
+			update = ok
+		}
+	case wire.OpBatch:
+		if resp.Status = s.refuseBatch(r.Batch); resp.Status == wire.StatusOK && len(r.Batch) > 0 {
+			// Captured instead of r and resp, which would move to the heap
+			// on every request of every kind.
+			batch, results := r.Batch, make([]bool, len(r.Batch))
+			ok = th.Atomic(func(tx stm.Txn) {
+				for i, b := range batch {
+					if b.Del {
+						results[i] = s.m.DeleteTx(tx, b.Key)
+					} else {
+						results[i] = s.m.InsertTx(tx, b.Key, b.Val)
+					}
+				}
+			})
+			resp.Results, update = results, ok
+		}
+	case wire.OpStats:
+		resp.Blob, err = s.reg.JSON()
+	case wire.OpTrace:
+		resp.Blob, err = s.opts.Trace.JSON()
+	default:
+		resp.Status = wire.StatusBadRequest
+	}
+	resp.Count = uint64(n)
+	if err != nil {
+		resp.Status = wire.StatusBadRequest
+	}
+	if !ok {
+		// Starved or refused: classified by the log's health, so clients
+		// see degraded/severed instead of a bare retry signal.
+		resp.Status = wire.StatusAborted
+		if s.l != nil {
+			resp.Status = healthStatus[s.l.Health()]
+		}
+	}
+	return update
+}
+
+// healthStatus is the status of a transaction that did not commit.
+var healthStatus = [...]wire.Status{
+	wal.Healthy: wire.StatusAborted, wal.Degraded: wire.StatusDegraded, wal.Severed: wire.StatusSevered,
+}
+
+// refuseUpdate rejects updates on a severed log unexecuted: an in-memory
+// commit whose durability is terminally gone must not look retryable.
 func (s *Server) refuseUpdate() wire.Status {
 	if s.opts.ReadOnly {
 		return wire.StatusReadOnly
@@ -662,62 +689,30 @@ func (s *Server) refuseUpdate() wire.Status {
 	return wire.StatusOK
 }
 
-func (s *Server) handleBatch(th stm.Thread, req request, r *wire.Request, resp *wire.Response) {
-	c := req.c
-	if len(r.Batch) == 0 {
-		s.respond(c, resp, req.trace, req.t0) // empty transaction: trivially committed
-		return
-	}
-	home := -1
-	for _, b := range r.Batch {
+// refuseBatch is refuseUpdate after the batch's own checks. Cross-shard
+// update transactions do not exist (internal/shard panics on them), so a
+// mixed batch is refused unexecuted; an empty one is trivially committed.
+func (s *Server) refuseBatch(batch []wire.BatchOp) wire.Status {
+	for _, b := range batch {
 		if b.Key == 0 {
-			resp.Status = wire.StatusBadRequest
-			s.respond(c, resp, req.trace, req.t0)
-			return
+			return wire.StatusBadRequest
 		}
-		sh := s.sys.ShardOf(b.Key)
-		if home == -1 {
-			home = sh
-		} else if sh != home {
-			// Cross-shard update transactions do not exist (internal/shard
-			// panics on them); refuse before executing anything.
-			resp.Status = wire.StatusCrossShard
-			s.respond(c, resp, req.trace, req.t0)
-			return
+		if s.sys.ShardOf(b.Key) != s.sys.ShardOf(batch[0].Key) {
+			return wire.StatusCrossShard
 		}
 	}
-	if st := s.refuseUpdate(); st != wire.StatusOK {
-		resp.Status = st
-		s.respond(c, resp, req.trace, req.t0)
-		return
+	if len(batch) == 0 {
+		return wire.StatusOK
 	}
-	results := make([]bool, len(r.Batch))
-	batch := r.Batch
-	ok := th.Atomic(func(tx stm.Txn) {
-		for i, b := range batch {
-			if b.Del {
-				results[i] = s.m.DeleteTx(tx, b.Key)
-			} else {
-				results[i] = s.m.InsertTx(tx, b.Key, b.Val)
-			}
-		}
-	})
-	if !ok {
-		resp.Status = s.failStatus()
-		s.respond(c, resp, req.trace, req.t0)
-		return
-	}
-	resp.Results = results
-	s.stage(c, resp, req.trace, req.t0)
+	return s.refuseUpdate()
 }
 
-// --- group-commit syncer ---
-
-// syncLoop is the cross-connection group-commit pipeline: swap out
-// everything staged since the last cycle, fsync once, release all of it.
+// syncLoop is the group-commit pipeline: swap out everything staged since
+// the last cycle, fsync once, release all of it.
 func (s *Server) syncLoop() {
 	defer s.syncWG.Done()
 	stopping := false
+	var spare []stagedAck // the batch before this one, emptied: staging reuses its array
 	for {
 		if !stopping {
 			select {
@@ -728,18 +723,20 @@ func (s *Server) syncLoop() {
 		}
 		s.ackMu.Lock()
 		batch := s.staged
-		s.staged = nil
+		s.staged = spare[:0]
 		s.ackMu.Unlock()
 		if len(batch) > 0 {
 			s.releaseBatch(batch)
 		} else if stopping {
 			return
 		}
+		clear(batch) // drop the conns and result slices it points at
+		spare = batch
 	}
 }
 
 func (s *Server) releaseBatch(batch []stagedAck) {
-	var syncT0 int64
+	var syncT0, syncEnd int64
 	if s.opts.Trace != nil {
 		syncT0 = time.Now().UnixNano()
 	}
@@ -747,13 +744,11 @@ func (s *Server) releaseBatch(batch []stagedAck) {
 	st := wire.StatusOK
 	synced := uint64(1)
 	if err != nil {
+		// ErrDegraded, or any unclassified failure: the commit applied in
+		// memory but no fsync covers it; a later Sync may still persist it.
+		st = wire.StatusDegraded
 		if errors.Is(err, wal.ErrSevered) {
 			st = wire.StatusSevered
-		} else {
-			// ErrDegraded, or any unclassified failure: the commit applied
-			// in memory but the fsync did not cover it; the records remain
-			// retained and a later Sync may still persist them.
-			st = wire.StatusDegraded
 		}
 		s.failedAcks.Add(uint64(len(batch)))
 		synced = 0
@@ -761,22 +756,26 @@ func (s *Server) releaseBatch(batch []stagedAck) {
 		s.syncedAcks.Add(uint64(len(batch)))
 	}
 	s.syncRounds.Add(1)
-	s.rec.Record(obs.EvAckBatch, uint64(len(batch)), synced, 0)
-	var syncEnd int64
+	s.opts.Rec.Record(obs.EvAckBatch, uint64(len(batch)), synced, 0)
 	if syncT0 != 0 {
 		syncEnd = time.Now().UnixNano()
 	}
 	for i := range batch {
-		if batch[i].trace != 0 {
-			// ack-stage: parked waiting for the syncer to pick the batch up;
-			// sync-wait: the shared fsync flight. b carries the batch size —
-			// how many acks this fsync amortized over.
-			s.opts.Trace.Record(batch[i].trace, obs.StageAckStage, 0,
-				batch[i].stagedNs, syncT0-batch[i].stagedNs, batch[i].resp.ID, uint64(len(batch)))
-			s.opts.Trace.Record(batch[i].trace, obs.StageSyncWait, 0,
-				syncT0, syncEnd-syncT0, batch[i].resp.ID, uint64(len(batch)))
+		a := &batch[i]
+		if a.tc.trace != 0 {
+			// ack-stage: parked until the syncer picked the batch up;
+			// sync-wait: the shared fsync flight. b is the batch size.
+			s.opts.Trace.Record(a.tc.trace, obs.StageAckStage, 0,
+				a.tc.at, syncT0-a.tc.at, a.resp.ID, uint64(len(batch)))
+			s.opts.Trace.Record(a.tc.trace, obs.StageSyncWait, 0,
+				syncT0, syncEnd-syncT0, a.resp.ID, uint64(len(batch)))
 		}
-		batch[i].resp.Status = st
-		s.respond(batch[i].c, &batch[i].resp, batch[i].trace, batch[i].t0)
+		a.resp.Status = st
+		a.c.respond(&a.resp, a.tc, 1)
+	}
+	// Only now wake the writers, each for its whole share of the batch (a
+	// Broadcast nobody waits on is free).
+	for i := range batch {
+		batch[i].c.cond.Broadcast()
 	}
 }

@@ -36,11 +36,22 @@ func walOpts(dir string, shards int, mod func(*wal.Options)) wal.Options {
 // listener. The caller owns shutdown ordering (server first, then log).
 func startServer(t *testing.T, dir string, shards int, mod func(*wal.Options), sopts server.Options) (*server.Server, *wal.Log, ds.Map, string) {
 	t.Helper()
+	return startLimited(t, dir, shards, mod, sopts, nil)
+}
+
+// startLimited is startServer with a hook that runs before Start (for
+// Server.SetLimits).
+func startLimited(t *testing.T, dir string, shards int, mod func(*wal.Options), sopts server.Options,
+	before func(*server.Server)) (*server.Server, *wal.Log, ds.Map, string) {
+	t.Helper()
 	m, l, err := wal.OpenWith(walOpts(dir, shards, mod))
 	if err != nil {
 		t.Fatalf("OpenWith: %v", err)
 	}
 	srv := server.New(l.System(), m, l, sopts)
+	if before != nil {
+		before(srv)
+	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("listen: %v", err)
@@ -351,11 +362,13 @@ func TestClientWriteFaultDrain(t *testing.T) {
 // conn severs it mid-request; the fully-sent request resolves as
 // ErrUnanswered and was not executed.
 func TestServerReadFaultUnanswered(t *testing.T) {
-	// Each request costs the server three reads (1-byte header probe,
-	// header rest, payload); failing the 6th read severs the conn on
-	// request 2's payload — after the client fully sent it.
+	// One Read on the server's side is one fill of the connection's frame
+	// buffer: everything the peer has sent since the last one. This client
+	// waits for each answer before it sends again, so fill k is request k,
+	// whole; failing the 2nd severs the conn after the client fully sent
+	// request 2 and before the server saw a byte of it.
 	inj := fault.NewInjector(fault.OS, 3,
-		fault.Rule{Ops: fault.OpRead, Path: "srv-1", Kth: 6})
+		fault.Rule{Ops: fault.OpRead, Path: "srv-1", Kth: 2})
 	srv, l, _, addr := startServer(t, t.TempDir(), 1, nil,
 		server.Options{Workers: 2, ConnFault: inj})
 	defer l.Close()

@@ -21,9 +21,9 @@
 //	response payload: u64 id | u8 op | u8 status | body
 //
 // The id is a client-chosen correlation token: the server answers every
-// fully received request exactly once, but — because connections multiplex
-// onto a worker pool and update acks ride the group-commit pipeline —
-// responses may arrive out of order. Response bodies are present only for
+// fully received request exactly once, but — because update acks ride the
+// group-commit pipeline while reads are answered at once — responses may
+// arrive out of order. Response bodies are present only for
 // StatusOK; every other status closes the request with an empty body.
 package wire
 
@@ -134,6 +134,11 @@ const (
 	// StatusTooLarge: the response body (a stats or trace blob) would not
 	// fit in one frame. The request executed; ask for less.
 	StatusTooLarge
+	// StatusBusy: the server is at its connection limit. It is the whole
+	// conversation: sent once, under request id 0, on a connection the
+	// server then closes without reading from it — nothing sent on that
+	// connection was executed.
+	StatusBusy
 )
 
 func (s Status) String() string {
@@ -154,6 +159,8 @@ func (s Status) String() string {
 		return "read-only"
 	case StatusTooLarge:
 		return "too-large"
+	case StatusBusy:
+		return "busy"
 	}
 	return fmt.Sprintf("status(%d)", byte(s))
 }
@@ -172,6 +179,12 @@ func AppendFrame(dst, payload []byte) []byte { return frame.Append(dst, payload)
 func ReadFrame(r io.Reader, buf []byte) ([]byte, error) {
 	return frame.Read(r, buf, MaxFramePayload)
 }
+
+// NewReader returns a buffered reader of frames of at most MaxFramePayload
+// bytes from r: what a connection's receiving side reads through, so that
+// one read on the socket yields every frame already received. See
+// frame.Reader.
+func NewReader(r io.Reader) *frame.Reader { return frame.NewReader(r, MaxFramePayload) }
 
 // BatchOp is one mutation of an OpBatch transaction.
 type BatchOp struct {

@@ -89,6 +89,74 @@ func TestSyncRetainsOnWriteFault(t *testing.T) {
 	reopenAndCheck(t, dir, acked)
 }
 
+// TestMidFlushAppendsSurviveFailedFlush: commits keep arriving while a flush
+// is in its write or fsync (gateFS holds it there), and that flush then
+// fails. The retained bytes and the records appended meanwhile must reach
+// the disk in commit order — the mid-flush records overwrite and delete keys
+// of the retained ones, so replaying them ahead would rebuild another state
+// — and the retained gauge must return to 0 once the log heals.
+func TestMidFlushAppendsSurviveFailedFlush(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		park fault.Op
+		rule fault.Rule
+	}{
+		// Write 1 on a segment is its header, at open; write 2 is the first
+		// flush's — the one the gate holds.
+		{"write-error", fault.OpWrite, fault.Rule{Ops: fault.OpWrite, Path: "wal-", Kth: 2, Times: 1}},
+		{"short-write", fault.OpWrite, fault.Rule{Ops: fault.OpWrite, Path: "wal-", Kth: 2, Times: 1, Short: true}},
+		{"fsync-error", fault.OpSync, fault.Rule{Ops: fault.OpSync, Path: "wal-", Kth: 1, Times: 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			inj := fault.NewInjector(fault.OS, 1, tc.rule)
+			gate := newGateFS(inj)
+			m, l := mustOpen(t, faultOpts(dir, inj, func(o *Options) { o.FS = gate }))
+			gate.arm(tc.park)
+			ledger := map[uint64]uint64{}
+			insertRange(t, l, m, 1, 51)
+			for k := uint64(1); k < 51; k++ {
+				ledger[k] = k
+			}
+			gate.awaitParked(t) // the flusher took some prefix of those and is mid-I/O
+
+			gate.whileParked(t, "the mid-flush commits", func() {
+				th := l.System().Register()
+				defer th.Unregister()
+				for k := uint64(1); k <= 10; k++ {
+					if del, ok := ds.Delete(th, m, k); !ok || !del {
+						t.Errorf("mid-flush delete %d: del=%v ok=%v", k, del, ok)
+					}
+					delete(ledger, k)
+				}
+				for _, k := range []uint64{5, 51, 52, 53} {
+					if ins, ok := ds.Insert(th, m, k, k*100); !ok || !ins {
+						t.Errorf("mid-flush insert %d: ins=%v ok=%v", k, ins, ok)
+					}
+					ledger[k] = k * 100
+				}
+			})
+			close(gate.release) // the held call now reaches the injector and fails
+
+			syncHeals(t, l, 2*time.Second)
+			st := l.Stats()
+			if st.FlushFailures == 0 {
+				t.Fatal("the held flush did not fail: test exercised nothing")
+			}
+			if st.Retained != 0 {
+				t.Fatalf("healed log retains %d records", st.Retained)
+			}
+			want := modelPairs(ledger)
+			if got := exportSorted(t, l, m); !pairsEqual(got, want) {
+				t.Fatalf("live state has %d pairs, ledger %d", len(got), len(want))
+			}
+			l.Crash()
+			l.Close()
+			reopenAndCheck(t, dir, want)
+		})
+	}
+}
+
 // TestFsyncPoisonNeverResyncs: after a failed fsync the segment is sealed
 // and its fd never fsynced again (the kernel may have dropped the dirty
 // pages); retained records land in a fresh segment and survive.

@@ -21,34 +21,53 @@ type segInfo struct {
 
 // stream is one shard's log: the stm.CommitObserver installed on that
 // shard's TM instance. ObserveCommit encodes the committed redo into an
-// in-memory buffer under the stream mutex — the only work done inside the
-// commit critical section under the SyncNone/SyncGroup policies — and the
-// Log's group-commit flusher moves buffers to disk. Under SyncEveryCommit
-// the committing thread itself writes and fsyncs before its commit becomes
-// visible to conflicting transactions.
+// in-memory buffer under the append lock (inMu) — an encode and a few stores,
+// the only work done inside the commit critical section under the
+// SyncNone/SyncGroup policies, and never behind a disk operation: the
+// transaction still holds its write locks there, and a commit parked behind
+// an fsync parks every reader of its words too. The Log's group-commit
+// flusher moves buffers to disk under the flush lock (mu). Under
+// SyncEveryCommit the committing thread itself takes the flush lock, and
+// writes and fsyncs before its commit becomes visible to conflicting
+// transactions.
 //
-// Record bytes move buf → unsynced → fsync-covered. buf holds encoded
-// records not yet fully written to the active segment; unsynced holds bytes
-// written but not yet covered by a successful fsync. Neither is ever
-// dropped on an I/O error: a failed flush *retains* everything, degrades
-// the stream, and the flusher retries with capped backoff until the disk
-// heals — so a later nil-returning Sync still vouches for every record
-// appended before it, and a record is forgotten only once it is durable (or
-// the process dies, which is exactly what recovery's prefix contract
-// covers).
+// Record bytes move in → buf → unsynced → fsync-covered. in holds what
+// ObserveCommit appended since the last flush attempt began; a flush attempt
+// starts by taking all of it onto buf, which holds encoded records not yet
+// fully written to the active segment; unsynced holds bytes written but not
+// yet covered by a successful fsync. None is ever dropped on an I/O error: a
+// failed flush *retains* everything, degrades the stream, and the flusher
+// retries with capped backoff until the disk heals — so a later
+// nil-returning Sync still vouches for every record appended before it, and
+// a record is forgotten only once it is durable (or the process dies, which
+// is exactly what recovery's prefix contract covers).
 //
-// Within a stream the buffer order is the shard's commit observation order,
+// Within a stream the append order is the shard's commit observation order,
 // so the on-disk byte sequence — and any crash-cut prefix of it — is a
 // causally consistent prefix of that shard's committed history. Retention
-// preserves this: retained bytes are re-appended ahead of anything newer.
+// preserves this: retained bytes are re-appended ahead of anything newer
+// (in is only ever taken onto the *end* of buf).
+//
+// Two locks, never held in the other order than mu → inMu: inMu guards the
+// four in* fields and nothing else, and is never held across I/O; mu
+// serializes flush attempts and owns everything from buf down — file,
+// segments, retention and failure state.
 type stream struct {
 	l     *Log
 	shard int
 	dir   string
 
+	inMu       sync.Mutex
+	in         []byte      // encoded records no flush attempt has taken yet
+	inRecs     int         // records in in
+	inMaxTs    uint64      // highest commit ts in in
+	inPend     []pendTrace // traced records in in; see pend
+	inDegraded bool        // mirrors degraded: appends keep the retained gauge current
+
 	mu           sync.Mutex
 	buf          []byte // encoded records not yet fully written
 	bufRecs      int
+	bufMaxTs     uint64 // highest commit ts taken from in and not yet folded into a segment's maxTs
 	unsynced     []byte // written to the active segment, not yet fsync-covered
 	unsyncedRecs int
 	unsyncedSegs []unsyncedSeg // SyncNone: segments sealed without fsync; a Sync barrier covers them by path
@@ -70,7 +89,7 @@ type stream struct {
 	nextRetry  time.Time // flusher backoff gate; explicit Sync attempts ignore it
 	closed     bool
 
-	retainedG atomic.Uint64 // gauge: records retained past a failed flush
+	retainedG atomic.Uint64 // gauge: records retained past a failed flush; written under inMu
 
 	// pend holds the append times of traced records awaiting their covering
 	// fsync, so a successful sync flush can close one wal-coalesce and one
@@ -165,22 +184,32 @@ func (s *stream) ObserveCommit(ts, trace uint64, redo []stm.RedoRec) {
 	if traced {
 		t0 = time.Now().UnixNano()
 	}
-	s.mu.Lock()
-	s.buf = appendRecord(s.buf, ts, trace, redo)
-	s.bufRecs++
-	if ts > s.seg.maxTs {
-		s.seg.maxTs = ts
+	every := s.l.opts.Policy == SyncEveryCommit
+	if every {
+		// The flush lock first: this commit's record is written and fsynced
+		// by the inline flush below, in observation order.
+		s.mu.Lock()
+		defer s.mu.Unlock()
+	}
+	s.inMu.Lock()
+	s.in = appendRecord(s.in, ts, trace, redo)
+	s.inRecs++
+	if ts > s.inMaxTs {
+		s.inMaxTs = ts
 	}
 	if traced {
 		now := time.Now().UnixNano()
 		s.l.trace.Record(trace, obs.StageWalAppend, uint64(s.shard), t0, now-t0, ts, 0)
-		if len(s.pend) < maxPendTraces {
-			s.pend = append(s.pend, pendTrace{trace: trace, ns: now})
+		if len(s.inPend) < maxPendTraces {
+			s.inPend = append(s.inPend, pendTrace{trace: trace, ns: now})
 		}
 	}
+	if s.inDegraded {
+		s.retainedG.Add(1)
+	}
+	s.inMu.Unlock()
 	s.l.records.Add(1)
-	switch {
-	case s.l.opts.Policy == SyncEveryCommit:
+	if every {
 		if err := s.flushLocked(true); err != nil && s.l.opts.DegradedMode == DegradeStall {
 			// Stall: the commit is already decided — the observer cannot
 			// un-commit it — so hold its visibility (we still own the
@@ -189,10 +218,25 @@ func (s *stream) ObserveCommit(ts, trace uint64, redo []stm.RedoRec) {
 			// unacked backlog grows; only a nil Sync ever vouches for it.
 			s.stallLocked()
 		}
-	case s.degraded:
-		s.retainedG.Store(uint64(s.bufRecs + s.unsyncedRecs))
 	}
-	s.mu.Unlock()
+}
+
+// takeInLocked starts a flush attempt: everything appended so far moves onto
+// the end of buf (a slice swap when nothing is retained there), behind any
+// retained bytes. Caller holds s.mu.
+func (s *stream) takeInLocked() {
+	s.inMu.Lock()
+	if len(s.buf) == 0 {
+		s.buf, s.in = s.in, s.buf
+	} else {
+		s.buf = append(s.buf, s.in...)
+		s.in = s.in[:0]
+	}
+	s.bufRecs += s.inRecs
+	s.bufMaxTs = max(s.bufMaxTs, s.inMaxTs)
+	s.pend = append(s.pend, s.inPend[:min(len(s.inPend), maxPendTraces-len(s.pend))]...)
+	s.inRecs, s.inMaxTs, s.inPend = 0, 0, s.inPend[:0]
+	s.inMu.Unlock()
 }
 
 // stallLocked retries the inline flush with backoff until it succeeds, the
@@ -214,16 +258,17 @@ func (s *stream) stallLocked() {
 	}
 }
 
-// flushLocked makes one attempt to move retained state to disk: repair the
-// active segment (seal + fresh open) if needed, drain the buffer, fsync
-// when sync is set, and rotate past SegmentBytes. On failure every byte
-// stays retained and the stream degrades; nil means the buffer is drained
-// and — when sync was set — everything appended before this call is
-// durable. Caller holds s.mu.
+// flushLocked makes one attempt to move everything appended so far to disk:
+// take in onto buf, repair the active segment (seal + fresh open) if needed,
+// drain the buffer, fsync when sync is set, and rotate past SegmentBytes. On
+// failure every byte stays retained and the stream degrades; nil means the
+// buffer is drained and — when sync was set — everything appended before
+// this call is durable. Caller holds s.mu.
 func (s *stream) flushLocked(sync bool) error {
 	if s.closed {
 		return fmt.Errorf("wal: shard %d: flush on a closed stream", s.shard)
 	}
+	s.takeInLocked()
 	batch := s.bufRecs + s.unsyncedRecs // records this attempt makes durable
 	if s.needSeal {
 		if err := s.sealLocked(); err != nil {
@@ -235,6 +280,12 @@ func (s *stream) flushLocked(sync bool) error {
 			return s.failLocked(err)
 		}
 	}
+	// The timestamps taken from in belong to the segment that receives the
+	// bytes — this one, whatever was active when they were observed. From
+	// here the inheritance in openSegmentLocked carries them along if the
+	// bytes have to move again.
+	s.seg.maxTs = max(s.seg.maxTs, s.bufMaxTs)
+	s.bufMaxTs = 0
 	if len(s.buf) > 0 {
 		n, err := s.f.Write(s.buf)
 		if n > 0 {
@@ -431,7 +482,12 @@ func (s *stream) failLocked(err error) error {
 		d = s.l.opts.RetryBackoffMax
 	}
 	s.nextRetry = time.Now().Add(d)
-	s.retainedG.Store(uint64(s.bufRecs + s.unsyncedRecs))
+	// Inside the append lock, so the gauge and the appends that keep it
+	// current from here agree on what was counted.
+	s.inMu.Lock()
+	s.inDegraded = true
+	s.retainedG.Store(uint64(s.bufRecs + s.unsyncedRecs + s.inRecs))
+	s.inMu.Unlock()
 	return err
 }
 
@@ -451,8 +507,11 @@ func (s *stream) healLocked() {
 			s.l.exhaustedStreams.Add(-1)
 		}
 		s.l.rec.Record(obs.EvWalHealed, uint64(s.shard), uint64(episode.Nanoseconds()), 0)
+		s.inMu.Lock()
+		s.inDegraded = false
+		s.retainedG.Store(0)
+		s.inMu.Unlock()
 	}
-	s.retainedG.Store(0)
 }
 
 // truncateBelow removes completed segments whose every record's commit ts
@@ -528,8 +587,8 @@ func (s *stream) close(severed bool) error {
 	return err
 }
 
-// retained reports the stream's retained-record gauge without taking s.mu
-// (Stats may be polled while a stalled flush holds the lock).
+// retained reports the stream's retained-record gauge without taking a lock
+// (Stats may be polled while a stalled flush holds s.mu).
 func (s *stream) retained() uint64 { return s.retainedG.Load() }
 
 // fsyncPath reopens path and fsyncs it — covering a segment that was sealed
