@@ -19,19 +19,15 @@ import (
 
 // Config describes one benchmark run (one plotted point).
 type Config struct {
-	TM        string
-	DS        string
-	Threads   int // worker threads (counted in throughput)
-	Updaters  int // dedicated updater threads (not counted)
-	Mix       workload.Mix
-	KeyRange  uint64 // key space; prefill targets half of it
-	Prefill   int
-	Zipf      bool    // zipfian(Theta) keys instead of uniform
-	Theta     float64 // zipf exponent (paper: 0.9)
-	Duration  time.Duration
-	Trials    int
-	Seed      uint64
-	LockTable int
+	TM       string
+	DS       string
+	Threads  int // worker threads (counted in throughput)
+	Updaters int // dedicated updater threads (not counted)
+	Mix      workload.Mix
+	Prefill  int  // keys held at the start: half of the key space
+	Zipf     bool // zipfian(zipfTheta) keys instead of uniform
+	Duration time.Duration
+	Trials   int
 	// SampleEvery enables a throughput time series (paper Fig 8 samples
 	// every 200ms).
 	SampleEvery time.Duration
@@ -47,25 +43,26 @@ func (c *Config) fill() {
 	if c.Threads == 0 {
 		c.Threads = 1
 	}
-	if c.KeyRange == 0 {
-		c.KeyRange = 2 * uint64(c.Prefill)
-	}
 	if c.Duration == 0 {
 		c.Duration = 200 * time.Millisecond
 	}
 	if c.Trials == 0 {
 		c.Trials = 1
 	}
-	if c.Seed == 0 {
-		c.Seed = 42
-	}
-	if c.LockTable == 0 {
-		c.LockTable = 1 << 16
-	}
-	if c.Theta == 0 {
-		c.Theta = 0.9
-	}
 }
+
+// What every experiment shares (no figure varies them).
+const (
+	baseSeed      = 42
+	lockTableSize = 1 << 16
+	zipfTheta     = 0.9 // the paper's zipf exponent
+	// rqSpan converts "RQ of k keys" into a key-space span: with half the
+	// key space filled, a span of 2 covers one key in expectation.
+	rqSpan = 2
+)
+
+// keyRange is the key space: prefill fills half of it.
+func (c Config) keyRange() uint64 { return 2 * uint64(c.Prefill) }
 
 // Sample is one time-series point.
 type Sample struct {
@@ -102,7 +99,7 @@ func Run(cfg Config) Result {
 	var agg Result
 	agg.Config = cfg
 	for trial := 0; trial < cfg.Trials; trial++ {
-		r := runTrial(cfg, cfg.Seed+uint64(trial)*7919)
+		r := runTrial(cfg, baseSeed+uint64(trial)*7919)
 		agg.OpsPerSec += r.OpsPerSec
 		agg.RQsPerSec += r.RQsPerSec
 		agg.Commits += r.Commits
@@ -157,7 +154,7 @@ func runTrial(cfg Config, seed uint64) Result {
 		runtime.GOMAXPROCS(want)
 		defer runtime.GOMAXPROCS(prev)
 	}
-	sys := NewTM(cfg.TM, cfg.LockTable)
+	sys := NewTM(cfg.TM, lockTableSize)
 	defer sys.Close()
 	m := NewDS(cfg.DS, max(cfg.Prefill*2, 1024))
 	prefill(sys, m, cfg, seed)
@@ -176,7 +173,6 @@ func runTrial(cfg Config, seed uint64) Result {
 		startGate = make(chan struct{})
 	)
 	dist := newDist(cfg)
-	rqSpan := rqSpan(cfg)
 
 	maxUpdaters := cfg.Updaters
 	for _, p := range cfg.Phases {
@@ -385,7 +381,7 @@ func prefill(sys stm.System, m ds.Map, cfg Config, seed uint64) {
 	r := workload.NewRng(seed * 31)
 	n := 0
 	for n < cfg.Prefill {
-		key := r.Next()%cfg.KeyRange + 1
+		key := r.Next()%cfg.keyRange() + 1
 		if ins, ok := ds.Insert(th, m, key, key); ok && ins {
 			n++
 		}
@@ -394,22 +390,9 @@ func prefill(sys stm.System, m ds.Map, cfg Config, seed uint64) {
 
 func newDist(cfg Config) workload.KeyDist {
 	if cfg.Zipf {
-		return workload.NewZipfian(cfg.KeyRange, cfg.Theta, true)
+		return workload.NewZipfian(cfg.keyRange(), zipfTheta, true)
 	}
-	return workload.Uniform{N: cfg.KeyRange}
-}
-
-// rqSpan converts "RQ of k keys" into a key-space span: with Prefill keys in
-// KeyRange, a span of KeyRange/Prefill covers one key in expectation.
-func rqSpan(cfg Config) uint64 {
-	if cfg.Prefill == 0 {
-		return 1
-	}
-	s := cfg.KeyRange / uint64(cfg.Prefill)
-	if s == 0 {
-		s = 1
-	}
-	return s
+	return workload.Uniform{N: cfg.keyRange()}
 }
 
 // String renders a result row.

@@ -47,8 +47,5 @@ func NewShardedDS(sys *shard.System, name string, capacity int) ds.Map {
 	return shard.NewMap(sys, func(int) ds.Map { return NewDS(name, per) })
 }
 
-// DSNames lists the evaluated data structures.
-var DSNames = []string{"abtree", "avl", "extbst", "hashmap"}
-
 // NewDS builds a data structure by registry name with a key-capacity hint.
 func NewDS(name string, capacity int) ds.Map { return must(registry.NewDS(name, capacity)) }

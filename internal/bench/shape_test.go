@@ -26,7 +26,7 @@ const (
 
 func longReadTree(sys stm.System) ds.Map {
 	m := NewDS("abtree", longKeyRange)
-	prefill(sys, m, Config{Prefill: longKeyRange / 2, KeyRange: longKeyRange}, 1)
+	prefill(sys, m, Config{Prefill: longKeyRange / 2}, 1)
 	return m
 }
 

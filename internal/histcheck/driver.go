@@ -51,16 +51,10 @@ func ProfileByName(name string) (Profile, bool) {
 	return Profile{}, false
 }
 
-// Run drives threads workers, each performing exactly opsPerThread
-// operations on m drawn from profile p, recording every completed operation.
-// It returns the history's ops, ready for Check. Slabs are sized to the op
-// count, so nothing is ever dropped.
-func Run(sys stm.System, m ds.Map, p Profile, threads, opsPerThread int, seed uint64) []Op {
-	return RunHistory(sys, m, p, threads, opsPerThread, seed).Ops()
-}
-
-// RunHistory is Run returning the full History (for callers that also want
-// Dropped or per-recorder access).
+// RunHistory drives threads workers, each performing exactly opsPerThread
+// operations on m drawn from profile p, recording every completed operation,
+// and returns the History (its Ops are ready for Check). Slabs are sized to
+// the op count, so nothing is ever dropped.
 func RunHistory(sys stm.System, m ds.Map, p Profile, threads, opsPerThread int, seed uint64) *History {
 	return RunHistoryFor(sys, m, p, threads, opsPerThread, seed, 0)
 }

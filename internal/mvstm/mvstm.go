@@ -82,7 +82,7 @@ const (
 )
 
 // Config holds Multiverse's tunable parameters. Zero values select the
-// paper's evaluation defaults (§5): K1=100, K2=16, K3=28, S=10, L=10, P=10%.
+// paper's evaluation defaults (§5): K1=100, K2=16, K3=28, S=10.
 type Config struct {
 	// LockTableSize is the shared size of the lock, VLT and bloom
 	// tables (rounded up to a power of two). Default 1<<20.
@@ -108,12 +108,6 @@ type Config struct {
 	// Mode U bit is cleared; also the divisor of the small-transaction
 	// read-count threshold.
 	S int
-	// L: length of the commit-timestamp-delta average list used by the
-	// unversioning heuristic (§4.4).
-	L int
-	// P: fraction of the (descending) delta list averaged to form the
-	// unversioning threshold. Default 0.10.
-	P float64
 	// UnversionThreshold, when non-zero, overrides the §4.4 heuristic
 	// with a fixed clock-delta threshold (used by tests and ablations).
 	UnversionThreshold uint64
@@ -146,6 +140,16 @@ type Config struct {
 	stm.ObsConfig
 }
 
+// The §4.4 unversioning heuristic's two parameters at the paper's §5 values;
+// nothing varies them, so they are not Config fields.
+const (
+	// paramL is the length of the commit-timestamp-delta average list.
+	paramL = 10
+	// paramP is the fraction of the (descending) delta list averaged to form
+	// the unversioning threshold.
+	paramP = 0.10
+)
+
 func (c *Config) fill() {
 	if c.LockTableSize == 0 {
 		c.LockTableSize = 1 << 20
@@ -161,12 +165,6 @@ func (c *Config) fill() {
 	}
 	if c.S == 0 {
 		c.S = 10
-	}
-	if c.L == 0 {
-		c.L = 10
-	}
-	if c.P == 0 {
-		c.P = 0.10
 	}
 	if c.BGInterval == 0 {
 		c.BGInterval = 100 * time.Microsecond
@@ -248,7 +246,7 @@ func newSystem(cfg Config) *System {
 	s.vlt = make([]vltBucket, n)
 	s.dirty = make([]atomic.Uint64, (n+63)/64)
 	s.minModeUReads.Store(^uint64(0))
-	s.deltas.init(cfg.L, cfg.P)
+	s.deltas.init(paramL, paramP)
 	s.Reg.Add(&s.bgCtr)
 	if cfg.PinnedMode == PinU {
 		s.modeCounter.Store(uint64(ModeU))

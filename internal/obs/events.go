@@ -3,9 +3,6 @@ package obs
 import (
 	"fmt"
 	"io"
-	"math/bits"
-	"sort"
-	"sync/atomic"
 	"time"
 )
 
@@ -54,32 +51,24 @@ const (
 	EvViolation
 )
 
+var kindNames = [...]string{
+	EvAbort:         "abort",
+	EvModeSwitch:    "mode-switch",
+	EvWalDegraded:   "wal-degraded",
+	EvWalHealed:     "wal-healed",
+	EvWalSevered:    "wal-severed",
+	EvCkptBegin:     "ckpt-begin",
+	EvCkptEnd:       "ckpt-end",
+	EvCkptSkip:      "ckpt-trunc-skip",
+	EvGroupCommit:   "group-commit",
+	EvAckBatch:      "ack-batch",
+	EvReplicaRebase: "replica-rebase",
+	EvViolation:     "violation",
+}
+
 func (k EventKind) String() string {
-	switch k {
-	case EvAbort:
-		return "abort"
-	case EvModeSwitch:
-		return "mode-switch"
-	case EvWalDegraded:
-		return "wal-degraded"
-	case EvWalHealed:
-		return "wal-healed"
-	case EvWalSevered:
-		return "wal-severed"
-	case EvCkptBegin:
-		return "ckpt-begin"
-	case EvCkptEnd:
-		return "ckpt-end"
-	case EvCkptSkip:
-		return "ckpt-trunc-skip"
-	case EvGroupCommit:
-		return "group-commit"
-	case EvAckBatch:
-		return "ack-batch"
-	case EvReplicaRebase:
-		return "replica-rebase"
-	case EvViolation:
-		return "violation"
+	if int(k) < len(kindNames) && kindNames[k] != "" {
+		return kindNames[k]
 	}
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
@@ -92,66 +81,24 @@ type Event struct {
 	A, B, C uint64
 }
 
-type evSlot struct {
-	seq  atomic.Uint64 // 0 while a writer is mid-publish
-	ns   atomic.Int64
-	kind atomic.Uint32
-	a    atomic.Uint64
-	b    atomic.Uint64
-	c    atomic.Uint64
-}
-
 // Recorder is a fixed-size lock-free ring of structured events. Record is
 // allocation-free and safe from any goroutine; a nil *Recorder records
 // nothing, so layers thread an optional recorder without branching beyond
 // the nil check inside Record. Readers (Events, Dump) run concurrently
 // with writers and drop slots caught mid-rewrite.
-type Recorder struct {
-	slots []evSlot
-	mask  uint64
-	next  atomic.Uint64
-}
-
-// DefaultRingSize is the ring capacity binaries use unless overridden.
-const DefaultRingSize = 4096
+type Recorder struct{ ring }
 
 // NewRecorder returns a recorder with capacity size rounded up to a power
 // of two (minimum 16; size <= 0 selects DefaultRingSize).
-func NewRecorder(size int) *Recorder {
-	if size <= 0 {
-		size = DefaultRingSize
-	}
-	if size < 16 {
-		size = 16
-	}
-	if size&(size-1) != 0 {
-		size = 1 << bits.Len(uint(size))
-	}
-	return &Recorder{slots: make([]evSlot, size), mask: uint64(size - 1)}
-}
+func NewRecorder(size int) *Recorder { return &Recorder{newRing(size)} }
 
 // Record appends one event, overwriting the oldest when the ring is full.
 // Safe on a nil receiver (no-op).
-//
-// Publication protocol: the writer claims a unique sequence number, clears
-// the slot's seq to 0, stores the payload fields, then stores the sequence
-// number last. A reader that sees the same non-zero seq before and after
-// loading the fields observed a fully published event; any interleaved
-// rewrite changes seq (it strictly increases per slot) and the reader
-// discards the slot.
 func (r *Recorder) Record(kind EventKind, a, b, c uint64) {
 	if r == nil {
 		return
 	}
-	seq := r.next.Add(1)
-	s := &r.slots[(seq-1)&r.mask]
-	s.seq.Store(0)
-	s.ns.Store(time.Now().UnixNano())
-	s.kind.Store(uint32(kind))
-	s.a.Store(a)
-	s.b.Store(b)
-	s.c.Store(c)
-	s.seq.Store(seq)
+	r.publish([ringWords]uint64{uint64(time.Now().UnixNano()), uint64(kind), a, b, c})
 }
 
 // Len returns the number of events recorded so far (not capped at ring
@@ -160,7 +107,7 @@ func (r *Recorder) Len() uint64 {
 	if r == nil {
 		return 0
 	}
-	return r.next.Load()
+	return r.published()
 }
 
 // Events returns the decodable events currently in the ring, oldest first.
@@ -169,27 +116,11 @@ func (r *Recorder) Events() []Event {
 	if r == nil {
 		return nil
 	}
-	out := make([]Event, 0, len(r.slots))
-	for i := range r.slots {
-		s := &r.slots[i]
-		seq1 := s.seq.Load()
-		if seq1 == 0 {
-			continue
-		}
-		ev := Event{
-			Seq:    seq1,
-			UnixNs: s.ns.Load(),
-			Kind:   EventKind(s.kind.Load()),
-			A:      s.a.Load(),
-			B:      s.b.Load(),
-			C:      s.c.Load(),
-		}
-		if s.seq.Load() != seq1 {
-			continue // torn: a writer rewrote the slot while we read it
-		}
-		out = append(out, ev)
+	entries := r.scan()
+	out := make([]Event, len(entries))
+	for i, e := range entries {
+		out[i] = Event{Seq: e.seq, UnixNs: int64(e.w[0]), Kind: EventKind(e.w[1]), A: e.w[2], B: e.w[3], C: e.w[4]}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
 	return out
 }
 

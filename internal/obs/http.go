@@ -18,8 +18,7 @@ import (
 // valid empty document with every=0).
 func Handler(reg *Registry, rec *Recorder, tr *Tracer) http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/obs", func(w http.ResponseWriter, req *http.Request) {
-		b, err := reg.JSON()
+	serveJSON := func(w http.ResponseWriter, b []byte, err error) {
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
@@ -27,6 +26,10 @@ func Handler(reg *Registry, rec *Recorder, tr *Tracer) http.Handler {
 		w.Header().Set("Content-Type", "application/json")
 		w.Write(b)
 		w.Write([]byte("\n"))
+	}
+	mux.HandleFunc("/debug/obs", func(w http.ResponseWriter, req *http.Request) {
+		b, err := reg.JSON()
+		serveJSON(w, b, err)
 	})
 	mux.HandleFunc("/debug/obs/events", func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -34,13 +37,7 @@ func Handler(reg *Registry, rec *Recorder, tr *Tracer) http.Handler {
 	})
 	mux.HandleFunc("/debug/obs/trace", func(w http.ResponseWriter, req *http.Request) {
 		b, err := tr.JSON()
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(b)
-		w.Write([]byte("\n"))
+		serveJSON(w, b, err)
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

@@ -19,7 +19,8 @@ func get(t *testing.T, h http.Handler, path string) *httptest.ResponseRecorder {
 
 func TestHandlerSnapshot(t *testing.T) {
 	reg := NewRegistry()
-	reg.Counter("test.hits").Add(0, 3)
+	reg.Func(func(emit func(string, uint64)) { emit("test.hits", 3) })
+	reg.Hist("test.lat").RecordNs(1000)
 	h := Handler(reg, nil, nil)
 
 	w := get(t, h, "/debug/obs")
@@ -33,7 +34,7 @@ func TestHandlerSnapshot(t *testing.T) {
 	if err := json.Unmarshal(w.Body.Bytes(), &snap); err != nil {
 		t.Fatalf("body not JSON: %v", err)
 	}
-	if snap.Version == 0 || snap.Counters["test.hits"] != 3 {
+	if snap.Version == 0 || snap.Counters["test.hits"] != 3 || snap.Hists["test.lat"].Count != 1 {
 		t.Fatalf("snapshot diverged: %+v", snap)
 	}
 }

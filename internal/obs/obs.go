@@ -1,37 +1,36 @@
 // Package obs is the unified observability plane: a process-wide metrics
-// registry (striped counters, gauges, log-linear latency histograms, and
-// poll-time collector callbacks), a fixed-size flight recorder of structured
-// events, and the HTTP scrape surface stmserve mounts under -obs.
+// registry (poll-time collector callbacks and log-linear latency histograms),
+// a fixed-size flight recorder of structured events, a sampled span tracer
+// over the same ring, and the HTTP scrape surface stmserve mounts under -obs.
 //
 // It is a leaf package (stdlib only), like internal/server/wire, so every
 // runtime layer — the TM backends, internal/shard, internal/wal,
 // internal/server, internal/replica — and every binary can import it without
 // import cycles. Layers never pay for instrumentation they did not ask for:
-// a nil *Recorder records nothing (one branch), and registries are plain
-// values created by binaries and tests, not process globals, so concurrent
-// systems in one test process never collide on metric names.
+// a nil *Recorder or *Tracer records nothing (one branch), and registries are
+// plain values created by binaries and tests, not process globals, so
+// concurrent systems in one test process never collide on metric names.
 //
 // # Registry
 //
-// A Registry holds named metrics. Counters are striped across padded cells
-// so concurrent increments from different worker slots do not share cache
-// lines, and incrementing allocates nothing. Collector callbacks registered
-// with Func/Text are polled only at snapshot time; they let a layer expose
-// counters it already maintains (wal.Log's atomics, shard.System's
-// per-shard stm.Stats) as live registry entries without double counting on
-// the hot path. Snapshot() folds everything into one versioned,
-// JSON-encodable view with flat dotted names ("shard.0.commits",
+// A Registry holds collectors and named histograms. Collector callbacks
+// registered with Func/Text are polled only at snapshot time; they let a
+// layer expose counters it already maintains (wal.Log's atomics,
+// shard.System's per-shard stm.Stats) as live registry entries without
+// double counting on the hot path. Snapshot() folds everything into one
+// versioned, JSON-encodable view with flat dotted names ("shard.0.commits",
 // "wal.health", "server.lat.insert").
 //
-// # Flight recorder
+// # Flight recorder and tracer
 //
 // A Recorder is a fixed-size ring of structured events (abort reasons, mode
 // switches, WAL health transitions, checkpoint lifecycle, group-commit batch
-// sizes, replica rebases). Recording is lock-free: a writer claims the next
+// sizes, replica rebases); a Tracer is the same ring (ring.go) holding the
+// spans of sampled requests. Recording is lock-free: a writer claims the next
 // slot by sequence number and publishes fields through atomics; readers
 // re-check the slot's sequence stamp and discard slots caught mid-rewrite,
 // so Dump is safe (and race-detector clean) against concurrent recording.
-// The ring is dumpable on demand, on SIGQUIT (cmd/stmserve), and
+// The event ring is dumpable on demand, on SIGQUIT (cmd/stmserve), and
 // automatically on an stmtorture violation.
 package obs
 

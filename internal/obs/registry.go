@@ -2,99 +2,27 @@ package obs
 
 import (
 	"encoding/json"
+	"maps"
+	"slices"
 	"sync"
-	"sync/atomic"
 )
-
-// NumStripes is the number of padded cells a Counter spreads its increments
-// across. Callers pass a stable per-thread slot (worker index, shard index)
-// so concurrent increments land on different cache lines. Power of two.
-const NumStripes = 64
-
-type ctrCell struct {
-	v atomic.Uint64
-	_ [56]byte // pad to a cache line so neighbouring stripes don't false-share
-}
-
-// Counter is a striped monotonically increasing counter. Inc/Add are
-// allocation-free and contention-free when callers use distinct slots;
-// Value folds the stripes at read time.
-type Counter struct {
-	cells [NumStripes]ctrCell
-}
-
-// Inc adds 1 on the stripe for slot (any int; masked internally).
-func (c *Counter) Inc(slot int) { c.cells[uint(slot)%NumStripes].v.Add(1) }
-
-// Add adds n on the stripe for slot.
-func (c *Counter) Add(slot int, n uint64) { c.cells[uint(slot)%NumStripes].v.Add(n) }
-
-// Value returns the sum over all stripes.
-func (c *Counter) Value() uint64 {
-	var n uint64
-	for i := range c.cells {
-		n += c.cells[i].v.Load()
-	}
-	return n
-}
-
-// Gauge is a last-write-wins instantaneous value.
-type Gauge struct {
-	v atomic.Uint64
-}
-
-// Set stores the gauge value.
-func (g *Gauge) Set(v uint64) { g.v.Store(v) }
-
-// Value returns the current gauge value.
-func (g *Gauge) Value() uint64 { return g.v.Load() }
 
 // Registry is a named collection of metrics plus collector callbacks polled
 // at snapshot time. Registries are plain values — binaries and tests create
 // their own, so concurrent systems in one process never collide on names.
-// Metric lookup takes a mutex; hot paths hold on to the returned *Counter /
-// *Gauge / *Hist and never touch the registry again.
+// Numbers and strings come from collectors (Func, Text) over atomics their
+// layer already maintains; latencies from Hists. Histogram lookup takes a
+// mutex; hot paths hold on to the returned *Hist and never touch the registry
+// again.
 type Registry struct {
-	mu       sync.Mutex
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	hists    map[string]*Hist
-	funcs    []func(emit func(name string, v uint64))
-	texts    []func(emit func(name, v string))
+	mu    sync.Mutex
+	hists map[string]*Hist
+	funcs []func(emit func(name string, v uint64))
+	texts []func(emit func(name, v string))
 }
 
 // NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{
-		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
-		hists:    make(map[string]*Hist),
-	}
-}
-
-// Counter returns the named counter, creating it on first use.
-func (r *Registry) Counter(name string) *Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c := r.counters[name]
-	if c == nil {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
-}
-
-// Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g := r.gauges[name]
-	if g == nil {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
-}
+func NewRegistry() *Registry { return &Registry{hists: make(map[string]*Hist)} }
 
 // Hist returns the named histogram, creating it on first use.
 func (r *Registry) Hist(name string) *Hist {
@@ -111,8 +39,8 @@ func (r *Registry) Hist(name string) *Hist {
 // Func registers a collector polled at snapshot time. Layers that already
 // maintain their own atomics (wal.Log, shard.System) register one closure
 // emitting them, so the registry is live without hot-path double counting.
-// Emitting a name that a counter/gauge or another collector also emits is
-// allowed; the later emission wins.
+// Emitting a name that another collector also emits is allowed; the later
+// emission wins.
 func (r *Registry) Func(f func(emit func(name string, v uint64))) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -128,13 +56,12 @@ func (r *Registry) Text(f func(emit func(name, v string))) {
 }
 
 // SnapshotVersion identifies the Snapshot wire/JSON schema. Consumers
-// (stmtop, CI smoke scrapes) should check it before interpreting fields.
+// (stmctl top, CI smoke scrapes) should check it before interpreting fields.
 const SnapshotVersion = 1
 
 // Snapshot is one consistent-enough view of a registry: flat dotted names,
-// JSON-encodable, versioned. Counter and gauge values land in Counters;
-// string-valued entries (health states) in Text; histogram summaries in
-// Hists.
+// JSON-encodable, versioned. Func emissions land in Counters; string-valued
+// entries (health states) in Text; histogram summaries in Hists.
 type Snapshot struct {
 	Version  int                     `json:"version"`
 	Counters map[string]uint64       `json:"counters"`
@@ -148,59 +75,22 @@ type Snapshot struct {
 // subsystems without lock-ordering concerns.
 func (r *Registry) Snapshot() Snapshot {
 	r.mu.Lock()
-	counters := make([]struct {
-		name string
-		c    *Counter
-	}, 0, len(r.counters))
-	for name, c := range r.counters {
-		counters = append(counters, struct {
-			name string
-			c    *Counter
-		}{name, c})
-	}
-	gauges := make([]struct {
-		name string
-		g    *Gauge
-	}, 0, len(r.gauges))
-	for name, g := range r.gauges {
-		gauges = append(gauges, struct {
-			name string
-			g    *Gauge
-		}{name, g})
-	}
-	hists := make([]struct {
-		name string
-		h    *Hist
-	}, 0, len(r.hists))
-	for name, h := range r.hists {
-		hists = append(hists, struct {
-			name string
-			h    *Hist
-		}{name, h})
-	}
-	funcs := make([]func(emit func(string, uint64)), len(r.funcs))
-	copy(funcs, r.funcs)
-	texts := make([]func(emit func(string, string)), len(r.texts))
-	copy(texts, r.texts)
+	hists := maps.Clone(r.hists)
+	funcs := slices.Clone(r.funcs)
+	texts := slices.Clone(r.texts)
 	r.mu.Unlock()
 
 	s := Snapshot{
 		Version:  SnapshotVersion,
 		Counters: make(map[string]uint64),
 	}
-	for _, e := range counters {
-		s.Counters[e.name] = e.c.Value()
-	}
-	for _, e := range gauges {
-		s.Counters[e.name] = e.g.Value()
-	}
 	for _, f := range funcs {
 		f(func(name string, v uint64) { s.Counters[name] = v })
 	}
 	if len(hists) > 0 {
 		s.Hists = make(map[string]HistSnapshot, len(hists))
-		for _, e := range hists {
-			s.Hists[e.name] = e.h.Snapshot()
+		for name, h := range hists {
+			s.Hists[name] = h.Snapshot()
 		}
 	}
 	if len(texts) > 0 {

@@ -2,8 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"math/bits"
-	"sort"
 	"sync/atomic"
 )
 
@@ -77,7 +75,7 @@ func (s Stage) String() string {
 }
 
 // StageByName is the inverse of Stage.String (0, false for unknown names).
-// stmtrace uses it to decode span JSON back into typed stages.
+// Consumers of span JSON use it to get typed stages back.
 func StageByName(name string) (Stage, bool) {
 	for i, n := range stageNames {
 		if n == name {
@@ -98,17 +96,6 @@ type Span struct {
 	A, B    uint64 // stage-dependent payload words (see Stage docs)
 }
 
-type spanSlot struct {
-	seq     atomic.Uint64 // 0 while a writer is mid-publish
-	trace   atomic.Uint64
-	stage   atomic.Uint32
-	src     atomic.Uint64
-	startNs atomic.Int64
-	durNs   atomic.Int64
-	a       atomic.Uint64
-	b       atomic.Uint64
-}
-
 // Tracer records sampled per-transaction spans into a fixed-size lock-free
 // ring, with the same discipline as the event Recorder: Record is
 // allocation-free and safe from any goroutine, a nil *Tracer records nothing
@@ -117,13 +104,11 @@ type spanSlot struct {
 // id — so overhead is a fixed, testable fraction and traces are reproducible
 // under a seeded workload.
 type Tracer struct {
-	slots []spanSlot
-	mask  uint64
-	next  atomic.Uint64
+	ring
 	ctr   atomic.Uint64
 	every uint64
 	// hists[stage] aggregates per-stage durations into the registry as
-	// trace.stage.<name>, so stmtop's breakdown pane works from OpStats
+	// trace.stage.<name>, so stmctl top's breakdown pane works from OpStats
 	// alone. nil entries (no registry) skip aggregation.
 	hists [NumStages]*Hist
 }
@@ -134,19 +119,10 @@ type Tracer struct {
 // When reg is non-nil, per-stage duration histograms are registered as
 // trace.stage.<name>.
 func NewTracer(size, every int, reg *Registry) *Tracer {
-	if size <= 0 {
-		size = DefaultRingSize
-	}
-	if size < 16 {
-		size = 16
-	}
-	if size&(size-1) != 0 {
-		size = 1 << bits.Len(uint(size))
-	}
 	if every < 1 {
 		every = 1
 	}
-	t := &Tracer{slots: make([]spanSlot, size), mask: uint64(size - 1), every: uint64(every)}
+	t := &Tracer{ring: newRing(size), every: uint64(every)}
 	if reg != nil {
 		for st := 1; st < NumStages; st++ {
 			t.hists[st] = reg.Hist("trace.stage." + Stage(st).String())
@@ -185,17 +161,7 @@ func (t *Tracer) Record(id uint64, st Stage, src uint64, startNs, durNs int64, a
 	if t == nil || id == 0 {
 		return
 	}
-	seq := t.next.Add(1)
-	s := &t.slots[(seq-1)&t.mask]
-	s.seq.Store(0)
-	s.trace.Store(id)
-	s.stage.Store(uint32(st))
-	s.src.Store(src)
-	s.startNs.Store(startNs)
-	s.durNs.Store(durNs)
-	s.a.Store(a)
-	s.b.Store(b)
-	s.seq.Store(seq)
+	t.publish([ringWords]uint64{id, uint64(st), src, uint64(startNs), uint64(durNs), a, b})
 	if int(st) < NumStages {
 		if h := t.hists[st]; h != nil && durNs >= 0 {
 			h.RecordNs(uint64(durNs))
@@ -209,7 +175,7 @@ func (t *Tracer) Len() uint64 {
 	if t == nil {
 		return 0
 	}
-	return t.next.Load()
+	return t.published()
 }
 
 // Spans returns the decodable spans currently in the ring, oldest first.
@@ -218,29 +184,12 @@ func (t *Tracer) Spans() []Span {
 	if t == nil {
 		return nil
 	}
-	out := make([]Span, 0, len(t.slots))
-	for i := range t.slots {
-		s := &t.slots[i]
-		seq1 := s.seq.Load()
-		if seq1 == 0 {
-			continue
-		}
-		sp := Span{
-			Seq:     seq1,
-			Trace:   s.trace.Load(),
-			Stage:   Stage(s.stage.Load()),
-			Src:     s.src.Load(),
-			StartNs: s.startNs.Load(),
-			DurNs:   s.durNs.Load(),
-			A:       s.a.Load(),
-			B:       s.b.Load(),
-		}
-		if s.seq.Load() != seq1 {
-			continue // torn: a writer rewrote the slot while we read it
-		}
-		out = append(out, sp)
+	entries := t.scan()
+	out := make([]Span, len(entries))
+	for i, e := range entries {
+		out[i] = Span{Seq: e.seq, Trace: e.w[0], Stage: Stage(e.w[1]), Src: e.w[2],
+			StartNs: int64(e.w[3]), DurNs: int64(e.w[4]), A: e.w[5], B: e.w[6]}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
 	return out
 }
 
@@ -254,7 +203,7 @@ type TraceDump struct {
 	Spans   []SpanJSON `json:"spans"`
 }
 
-// SpanJSON is one span with the stage rendered by name, the schema stmtrace
+// SpanJSON is one span with the stage rendered by name, the schema stmctl trace
 // and /debug/obs/trace consumers parse.
 type SpanJSON struct {
 	Seq     uint64 `json:"seq"`

@@ -84,6 +84,8 @@ type Shipper struct {
 	acked atomic.Uint64    // cumulative acked sequence
 
 	wbuf []byte // frame under construction; send runs on Run's goroutine only
+	rbuf []byte // one chunk of file bytes, same goroutine
+	read uint64 // file bytes read so far (tests bound it by what was shipped)
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -98,6 +100,7 @@ func NewShipper(conn net.Conn, dir string, opts ShipperOptions) *Shipper {
 		conn: conn,
 		opts: opts,
 		sent: make(map[string]int64),
+		rbuf: make([]byte, chunkBytes),
 		stop: make(chan struct{}),
 	}
 }
@@ -224,31 +227,55 @@ func (s *Shipper) round() error {
 }
 
 // shipFile sends whatever of rel the follower lacks: a truncate if the file
-// shrank (seal truncation), appends for new bytes. A file deleted between
-// scan and read is left to the next round's delete pass.
+// shrank (seal truncation), appends for new bytes. Only the bytes past what
+// the follower holds are read — [have, size) of a file that is append-only
+// or truncate-only — so a round costs the delta, not the directory. A file
+// deleted between scan and read is left to the next round's delete pass; a
+// read that comes up short (the file shrank after Stat) ships what it got.
 func (s *Shipper) shipFile(rel string) error {
-	data, err := os.ReadFile(filepath.Join(s.dir, rel))
-	if err != nil {
+	gone := func(err error) error {
 		if os.IsNotExist(err) {
 			return nil
 		}
 		return err
 	}
-	cur, have := int64(len(data)), s.sent[rel]
+	path := filepath.Join(s.dir, rel)
+	fi, err := os.Stat(path)
+	if err != nil {
+		return gone(err)
+	}
+	cur, have := fi.Size(), s.sent[rel]
 	if cur < have {
 		if err := s.send(&shipMsg{kind: msgTruncate, path: rel, n: uint64(cur)}); err != nil {
 			return err
 		}
 		have = cur
 	}
-	for off := have; off < cur; {
-		end := min(off+chunkBytes, cur)
-		if err := s.send(&shipMsg{kind: msgAppend, path: rel, n: uint64(off), data: data[off:end]}); err != nil {
+	s.sent[rel] = have
+	if have == cur {
+		return nil
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return gone(err)
+	}
+	defer f.Close()
+	for have < cur {
+		n, err := f.ReadAt(s.rbuf[:min(chunkBytes, cur-have)], have)
+		s.read += uint64(n)
+		if n > 0 {
+			if err := s.send(&shipMsg{kind: msgAppend, path: rel, n: uint64(have), data: s.rbuf[:n]}); err != nil {
+				return err
+			}
+			have += int64(n)
+			s.sent[rel] = have
+		}
+		if err == io.EOF {
+			return nil
+		} else if err != nil {
 			return err
 		}
-		off = end
 	}
-	s.sent[rel] = cur
 	return nil
 }
 

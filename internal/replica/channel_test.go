@@ -104,6 +104,38 @@ func TestChannelShipsDirectory(t *testing.T) {
 	}
 }
 
+// TestShipperReadsOnlyTheDelta: a round costs what it ships. The shipper
+// Stats every file but reads only the bytes past what the follower holds, so
+// over a session — two bursts of leader writes, then well over a hundred idle
+// rounds at the pair's 200µs cadence — the file bytes it read are bounded by
+// the payload bytes the receiver took in. (A shipper that read each file
+// whole every round would overshoot that bound on the first idle round.)
+func TestShipperReadsOnlyTheDelta(t *testing.T) {
+	leaderDir, followerDir := t.TempDir(), t.TempDir()
+	m, l := mustLeader(t, leaderOpts(leaderDir, "multiverse", 2, nil))
+	defer l.Close()
+	sh, rc, wait := shipPair(t, leaderDir, followerDir, nil)
+	r, err := Open(Options{Dir: followerDir})
+	if err != nil {
+		t.Fatalf("Open follower: %v", err)
+	}
+	defer r.Close()
+	for seed := uint64(71); seed <= 72; seed++ {
+		churn(t, l, m, seed, 400)
+		if err := l.Sync(); err != nil {
+			t.Fatalf("Sync: %v", err)
+		}
+		awaitEqual(t, r, l, m, 10*time.Second)
+	}
+	time.Sleep(50 * time.Millisecond)
+	sh.Stop()
+	rc.Stop()
+	wait() // sh.read is Run's own until it returns
+	if sh.read == 0 || sh.read > rc.Bytes() {
+		t.Fatalf("shipper read %d file bytes to ship %d payload bytes", sh.read, rc.Bytes())
+	}
+}
+
 // TestChannelTornTransfer: a fault-injected short write tears a frame on
 // the wire. The session dies (CRC framing refuses the torn frame), the
 // follower redials, and the manifest resync completes the transfer with

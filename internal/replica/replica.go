@@ -96,8 +96,6 @@ type Options struct {
 	DS string
 	// Capacity is the expected key count (default 1<<16).
 	Capacity int
-	// LockTable sizes each shard's lock table (default 1<<16).
-	LockTable int
 	// FS is the filesystem seam the tail reads through (default fault.OS);
 	// an Injector here fault-tests the reading side.
 	FS fault.FS
@@ -119,6 +117,10 @@ type Options struct {
 // pollInterval is the applier's idle backoff.
 const pollInterval = 500 * time.Microsecond
 
+// lockTable sizes each follower shard's lock table: wal.Options' default, so
+// the leader a follower is promoted to has the same.
+const lockTable = 1 << 16
+
 func (o *Options) fill() error {
 	if o.Dir == "" {
 		return fmt.Errorf("replica: Options.Dir is required")
@@ -131,9 +133,6 @@ func (o *Options) fill() error {
 	}
 	if o.Capacity == 0 {
 		o.Capacity = 1 << 16
-	}
-	if o.LockTable == 0 {
-		o.LockTable = 1 << 16
 	}
 	if o.FS == nil {
 		o.FS = fault.OS
@@ -200,7 +199,7 @@ func Open(opts Options) (*Replica, error) {
 	if !registry.Durable(opts.Backend) {
 		return nil, fmt.Errorf("replica: backend %q cannot follow (needs snapshot reads)", opts.Backend)
 	}
-	backend, err := registry.ShardBackend(opts.Backend, registry.Params{LockTable: opts.LockTable}, nil)
+	backend, err := registry.ShardBackend(opts.Backend, registry.Params{LockTable: lockTable}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -367,13 +366,12 @@ func (r *Replica) Close() {
 func (r *Replica) Promote() (ds.Map, *wal.Log, error) {
 	r.Close()
 	return wal.OpenWith(wal.Options{
-		Dir:       r.opts.Dir,
-		Backend:   r.opts.Backend,
-		Shards:    r.opts.Shards,
-		DS:        r.opts.DS,
-		Capacity:  r.opts.Capacity,
-		LockTable: r.opts.LockTable,
-		FS:        r.opts.FS,
+		Dir:      r.opts.Dir,
+		Backend:  r.opts.Backend,
+		Shards:   r.opts.Shards,
+		DS:       r.opts.DS,
+		Capacity: r.opts.Capacity,
+		FS:       r.opts.FS,
 	})
 }
 

@@ -71,7 +71,7 @@ const (
 	OpBatch
 	// OpStats requests a metrics snapshot (empty body; reply: the server's
 	// obs.Registry snapshot as JSON bytes). The blob is self-describing
-	// (it carries a version field) so tooling like stmtop can evolve
+	// (it carries a version field) so tooling like stmctl top can evolve
 	// independently of the binary protocol.
 	OpStats
 	// OpTrace requests the server's sampled-trace span ring (empty body;

@@ -56,7 +56,11 @@ func (l *Log) Checkpoint() (CheckpointInfo, error) {
 	}
 	start := time.Now()
 
-	image := make(map[uint64]uint64, len(l.lastImage)+64)
+	hint := len(l.lastImage)
+	if l.lastImage == nil { // an incarnation's first scan
+		hint = l.recoveredPairs
+	}
+	image := make(map[uint64]uint64, hint+64)
 	ts, ok := l.ckptTh.Snapshot(func(tx stm.Txn) {
 		clear(image) // the body reruns after a re-freeze
 		l.inner.VisitTx(tx, 1, ^uint64(0), func(k, v uint64) { image[k] = v })

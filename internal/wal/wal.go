@@ -412,12 +412,12 @@ func OpenWith(opts Options) (m ds.Map, l *Log, err error) {
 	l.lastCkptTs.Store(rec.ckptTs)
 	l.ckptFiles = rec.ckpts
 	l.legacySegs = rec.liveSegs
-	l.lastImage = rec.image
 	// The recovered image is checkpoint chain *plus replayed log suffix*,
 	// so it is not the state any on-disk checkpoint describes: an
 	// incremental diff against it could not be chained at the next
 	// recovery. The first checkpoint of a new incarnation is therefore
-	// always full.
+	// always full, and the image is not kept as lastImage: nothing would
+	// ever diff against it, and it is one map entry per recovered pair.
 	l.incrSinceFull = l.opts.FullEvery
 
 	// Phase 2: streams, each appending a fresh segment after the highest

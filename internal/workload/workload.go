@@ -79,12 +79,10 @@ func (r *Rng) Float64() float64 { return float64(r.Next()>>11) / (1 << 53) }
 // Intn returns a uniform value in [0,n).
 func (r *Rng) Intn(n int) int { return int(r.Next() % uint64(n)) }
 
-// KeyDist draws keys in [1, Range].
+// KeyDist draws keys from a key space [1, N].
 type KeyDist interface {
 	// Draw returns the next key.
 	Draw(r *Rng) uint64
-	// Range returns the key-space size.
-	Range() uint64
 }
 
 // Uniform draws keys uniformly from [1, N].
@@ -92,9 +90,6 @@ type Uniform struct{ N uint64 }
 
 // Draw implements KeyDist.
 func (u Uniform) Draw(r *Rng) uint64 { return r.Next()%u.N + 1 }
-
-// Range implements KeyDist.
-func (u Uniform) Range() uint64 { return u.N }
 
 // Zipfian draws keys from [1, N] with a Zipf distribution of the given
 // exponent (the paper uses 0.9, below the s>1 domain of math/rand's Zipf,
@@ -155,9 +150,6 @@ func (z *Zipfian) Draw(r *Rng) uint64 {
 	h *= 0xc6a4a7935bd1e995
 	return h%z.n + 1
 }
-
-// Range implements KeyDist.
-func (z *Zipfian) Range() uint64 { return z.n }
 
 // Phase is one interval of a time-varying workload (paper Fig 8).
 type Phase struct {
