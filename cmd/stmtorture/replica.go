@@ -39,7 +39,10 @@ var replicaScenario = scenario{
 		{"clean", nil},
 		{"torn-write", []fault.Rule{{Ops: fault.OpWrite, Path: "ship", Kth: 7, Times: 1, Err: fault.EIO, Short: true}}},
 		{"write-eio", []fault.Rule{{Ops: fault.OpWrite, Path: "ship", Kth: 11, Times: 2, Err: fault.EIO}}},
-		{"read-eio", []fault.Rule{{Ops: fault.OpRead, Path: "ship", Kth: 5, Times: 1, Err: fault.EIO}}},
+		// A Shipper reads one thing, the follower's hello, in three Reads
+		// (frame header in two, payload): the fault lands inside the first
+		// session's, which dies before it has shipped a byte.
+		{"read-eio", []fault.Rule{{Ops: fault.OpRead, Path: "ship", Kth: 2, Times: 1, Err: fault.EIO}}},
 		{"latency", []fault.Rule{{Ops: fault.OpRead | fault.OpWrite, Path: "ship", Delay: 200 * time.Microsecond}}},
 		// The follower opens on a quiesced leader, so its first tailing poll
 		// has collected all of shard 0 when shard 1's first read fails: a
@@ -63,6 +66,11 @@ var replicaScenario = scenario{
 // on any injected fault — torn frames kill it by CRC-framing design — and
 // the loop redials; the manifest resync completes the transfer. Close stop
 // to sever; the returned WaitGroup drains when the feed has fully exited.
+//
+// This is the one redial loop outside internal/replica, whose own
+// (replica.Options.Leader) dials a listener and sees only the receiving end:
+// the schedule here tears the sending end, so the harness makes both ends of
+// every session itself and opens the follower over the directory they fill.
 func shipFeed(leaderDir, followerDir string, inj *fault.Injector, stop chan struct{}) *sync.WaitGroup {
 	var wg sync.WaitGroup
 	wg.Add(1)

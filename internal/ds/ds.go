@@ -47,18 +47,6 @@ type KV struct{ Key, Val uint64 }
 // Export atomically snapshots m's pairs in [lo, hi]. The snapshot is
 // serializable with encoding/gob or encoding/json as-is.
 func Export(th stm.Thread, m Visitor, lo, hi uint64) (pairs []KV, ok bool) {
-	return ExportCap(th, m, lo, hi, 0)
-}
-
-// ExportCap is Export with a capacity hint: the pair slice is preallocated
-// to capHint entries, so exporting a map whose size is known (a prior
-// SizeTx, a checkpointer's previous image) appends without regrowing — the
-// visit body may re-run on TM retries, and each regrowth inside it is an
-// allocation made once per attempt. capHint <= 0 falls back to growth.
-func ExportCap(th stm.Thread, m Visitor, lo, hi uint64, capHint int) (pairs []KV, ok bool) {
-	if capHint > 0 {
-		pairs = make([]KV, 0, capHint)
-	}
 	ok = th.ReadOnly(func(tx stm.Txn) {
 		pairs = pairs[:0] // the body may re-run
 		m.VisitTx(tx, lo, hi, func(k, v uint64) {

@@ -8,8 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/ds"
-	"repro/internal/ds/hashmap"
-	"repro/internal/mvstm"
 )
 
 // TestKVSerializationRoundTrip pins the wire-compatibility of []ds.KV — the
@@ -60,39 +58,5 @@ func TestKVSerializationRoundTrip(t *testing.T) {
 				t.Fatalf("json: round trip diverged: %v vs %v", backJSON, pairs)
 			}
 		})
-	}
-}
-
-// TestExportCapDoesNotRegrow: an export with a sufficient capacity hint
-// appends in place — same backing array, no regrowth — so a sized map
-// (SizeTx, a retained image) exports without per-attempt reallocation.
-func TestExportCapDoesNotRegrow(t *testing.T) {
-	sys := mvstm.New(mvstm.Config{LockTableSize: 1 << 12})
-	defer sys.Close()
-	th := sys.Register()
-	defer th.Unregister()
-	m := hashmap.New(1024, 512)
-	const n = 300
-	for i := uint64(1); i <= n; i++ {
-		ds.Insert(th, m, i, i*2)
-	}
-	sz, ok := ds.Size(th, m)
-	if !ok || sz != n {
-		t.Fatalf("size = %d, %v; want %d", sz, ok, n)
-	}
-	pairs, ok := ds.ExportCap(th, m, 1, ^uint64(0), sz)
-	if !ok {
-		t.Fatal("export starved")
-	}
-	if len(pairs) != n {
-		t.Fatalf("exported %d pairs want %d", len(pairs), n)
-	}
-	if cap(pairs) != sz {
-		t.Fatalf("export regrew its slice: cap=%d, hint was %d", cap(pairs), sz)
-	}
-	// And the unhinted path still works (growth, same contents).
-	loose, ok := ds.Export(th, m, 1, ^uint64(0))
-	if !ok || len(loose) != n {
-		t.Fatalf("unhinted export: %d pairs, ok=%v", len(loose), ok)
 	}
 }

@@ -20,13 +20,20 @@
 // durable before truncating), so a sever at any frame boundary leaves the
 // follower with at worst a stale-but-consistent directory: segments the
 // leader already pruned plus, possibly, a partial checkpoint file that
-// parse validation rejects. Nothing readable ever has a gap.
+// parse validation rejects. Nothing readable ever has a gap — once a mirror
+// has been filled: during its first fill the segments are there before the
+// checkpoints, so records the leader truncated long ago are missing until
+// the chain is complete, and the ShipReader tailing it takes each longer
+// chain as a new base when it shows up (wal.ShipReader.Poll).
 //
-// Flow control is a windowed cumulative ack: the Receiver acks every frame
-// with its sequence number, and the Shipper stalls once more than shipWindow
-// frames are unacknowledged. A stalled ack stream (fault.Injector Delay on
-// the conn's reads) therefore back-pressures shipping instead of ballooning
-// memory.
+// There is no flow control of the channel's own, because none is needed:
+// the Shipper is synchronous — one chunk read from a file, framed, handed to
+// a blocking Write — so the memory a session holds is one chunk buffer plus
+// one frame buffer whatever the follower does, and everything in flight sits
+// in the kernel's socket buffers, which TCP's window bounds. A stalled or
+// dead follower (fault.Injector Delay on its conn's reads) therefore
+// back-pressures shipping through that Write instead of ballooning memory.
+// After its hello the follower sends nothing.
 package replica
 
 import (
@@ -50,13 +57,9 @@ import (
 // what shifts replica-apply spans into the leader's timebase.
 const clockInterval = 200 * time.Millisecond
 
-const (
-	// chunkBytes caps one append message's data (well under
-	// wire.MaxFramePayload, with headroom for the path header).
-	chunkBytes = 256 << 10
-	// shipWindow is the maximum number of unacknowledged frames in flight.
-	shipWindow = 64
-)
+// chunkBytes caps one append message's data (well under
+// wire.MaxFramePayload, with headroom for the path header).
+const chunkBytes = 256 << 10
 
 // ShipperOptions tunes the leader side of the channel.
 type ShipperOptions struct {
@@ -79,13 +82,11 @@ type Shipper struct {
 	conn net.Conn
 	opts ShipperOptions
 
-	sent  map[string]int64 // relative path -> bytes the follower holds
-	seq   atomic.Uint64    // frames sent
-	acked atomic.Uint64    // cumulative acked sequence
+	sent map[string]int64 // relative path -> bytes the follower holds
 
-	wbuf []byte // frame under construction; send runs on Run's goroutine only
-	rbuf []byte // one chunk of file bytes, same goroutine
-	read uint64 // file bytes read so far (tests bound it by what was shipped)
+	wbuf []byte        // frame under construction; send runs on Run's goroutine only
+	rbuf []byte        // one chunk of file bytes, same goroutine
+	read atomic.Uint64 // file bytes read so far (tests bound it by what the follower took in)
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -120,8 +121,6 @@ func (s *Shipper) Run() error {
 	if err := s.readHello(); err != nil {
 		return s.finish(err)
 	}
-	ackErr := make(chan error, 1)
-	go s.readAcks(ackErr)
 	if err := s.sendClock(); err != nil {
 		return s.finish(err)
 	}
@@ -141,8 +140,6 @@ func (s *Shipper) Run() error {
 		select {
 		case <-s.stop:
 			return s.finish(nil)
-		case err := <-ackErr:
-			return s.finish(err)
 		case <-tick.C:
 		}
 	}
@@ -157,7 +154,7 @@ func (s *Shipper) finish(err error) error {
 }
 
 // readHello seeds the sent map from the follower's manifest, so a redial
-// resumes where the last session's acked bytes left off instead of
+// resumes where the last session's received bytes left off instead of
 // re-shipping the directory.
 func (s *Shipper) readHello() error {
 	m, _, err := readShipMsg(s.conn, nil)
@@ -171,29 +168,6 @@ func (s *Shipper) readHello() error {
 		s.sent[f.path] = int64(f.size)
 	}
 	return nil
-}
-
-// readAcks drains cumulative acks off the connection.
-func (s *Shipper) readAcks(out chan<- error) {
-	var buf []byte
-	for {
-		m, next, err := readShipMsg(s.conn, buf)
-		if err != nil {
-			out <- fmt.Errorf("reading ack: %w", err)
-			return
-		}
-		buf = next
-		if m.kind != msgAck {
-			out <- fmt.Errorf("expected ack, got ship message kind %d", m.kind)
-			return
-		}
-		for {
-			cur := s.acked.Load()
-			if m.n <= cur || s.acked.CompareAndSwap(cur, m.n) {
-				break
-			}
-		}
-	}
 }
 
 // round ships one scan's delta. Order is the invariant (see package
@@ -262,7 +236,7 @@ func (s *Shipper) shipFile(rel string) error {
 	defer f.Close()
 	for have < cur {
 		n, err := f.ReadAt(s.rbuf[:min(chunkBytes, cur-have)], have)
-		s.read += uint64(n)
+		s.read.Add(uint64(n))
 		if n > 0 {
 			if err := s.send(&shipMsg{kind: msgAppend, path: rel, n: uint64(have), data: s.rbuf[:n]}); err != nil {
 				return err
@@ -280,27 +254,16 @@ func (s *Shipper) shipFile(rel string) error {
 }
 
 // sendClock restates the leader's wall clock (read as late as possible —
-// right before the frame is written — so queueing in send never inflates
-// the follower's offset estimate by more than the window stall).
+// right before the frame is written — so the follower's offset estimate is
+// inflated by no more than the write's own stall).
 func (s *Shipper) sendClock() error {
 	return s.send(&shipMsg{kind: msgClock, n: uint64(time.Now().UnixNano())})
 }
 
-// send waits for window space, then writes one frame.
-func (s *Shipper) send(m *shipMsg) error {
-	for s.seq.Load()-s.acked.Load() >= shipWindow {
-		select {
-		case <-s.stop:
-			return fmt.Errorf("stopped while awaiting acks")
-		case <-time.After(100 * time.Microsecond):
-		}
-	}
-	var err error
-	if s.wbuf, err = writeShipMsg(s.conn, s.wbuf, m); err != nil {
-		return err
-	}
-	s.seq.Add(1)
-	return nil
+// send writes one frame; the blocking Write is the channel's back-pressure.
+func (s *Shipper) send(m *shipMsg) (err error) {
+	s.wbuf, err = writeShipMsg(s.conn, s.wbuf, m)
+	return err
 }
 
 // Receiver applies a Shipper's frames into a local directory, keeping it a
@@ -311,40 +274,30 @@ type Receiver struct {
 	dir  string
 	conn net.Conn
 
-	// OnClock, when set before Run, is called with the updated clock-offset
-	// estimate (ns, follower minus leader) after every clock frame. stmship
-	// uses it to publish the offset across redialed sessions.
-	OnClock func(offsetNs int64)
-
 	bytes atomic.Uint64
 
-	clockOff atomic.Int64
-	clockSet atomic.Bool
+	// clockOff is the clock-offset estimate (ns, follower minus leader): the
+	// minimum (recvLocal - leaderSent) over this session's clock frames, so
+	// it overestimates the true offset by at most the minimum one-way
+	// latency. A Replica running the feed points it at its own word, which
+	// so carries the newest session's estimate across redials.
+	clockOff *atomic.Int64
+	clockSet bool // a clock frame arrived this session; Run's goroutine only
 
-	stop     chan struct{}
 	stopOnce sync.Once
 }
 
 // NewReceiver wraps conn; call Run to serve. dir is created if missing.
 func NewReceiver(conn net.Conn, dir string) *Receiver {
-	return &Receiver{dir: dir, conn: conn, stop: make(chan struct{})}
+	return &Receiver{dir: dir, conn: conn, clockOff: new(atomic.Int64)}
 }
 
 // Bytes reports applied volume.
 func (r *Receiver) Bytes() uint64 { return r.bytes.Load() }
 
-// ClockOffsetNs returns the current clock-offset estimate (ns, follower
-// minus leader): the minimum (recvLocal - leaderSent) over every clock
-// frame this session, so it overestimates the true offset by at most the
-// minimum one-way latency. 0 until the first clock frame arrives.
-func (r *Receiver) ClockOffsetNs() int64 { return r.clockOff.Load() }
-
 // Stop terminates the session; Run returns shortly after.
 func (r *Receiver) Stop() {
-	r.stopOnce.Do(func() {
-		close(r.stop)
-		r.conn.Close()
-	})
+	r.stopOnce.Do(func() { r.conn.Close() })
 }
 
 // Run sends the manifest hello, then applies frames until the connection
@@ -357,8 +310,7 @@ func (r *Receiver) Run() error {
 	if err := r.sendHello(); err != nil {
 		return fmt.Errorf("replica: receiver: %w", err)
 	}
-	var seq uint64
-	var rbuf, wbuf []byte
+	var rbuf []byte
 	fail := func(err error) error {
 		r.Stop()
 		return fmt.Errorf("replica: receiver: %w", err)
@@ -377,10 +329,6 @@ func (r *Receiver) Run() error {
 		}
 		rbuf = payload
 		r.bytes.Add(uint64(len(payload)))
-		seq++
-		if wbuf, err = writeShipMsg(r.conn, wbuf, &shipMsg{kind: msgAck, n: seq}); err != nil {
-			return fail(err)
-		}
 	}
 }
 
@@ -411,12 +359,9 @@ func (r *Receiver) apply(m *shipMsg) error {
 	switch m.kind {
 	case msgClock:
 		off := time.Now().UnixNano() - int64(m.n)
-		if !r.clockSet.Load() || off < r.clockOff.Load() {
+		if !r.clockSet || off < r.clockOff.Load() {
 			r.clockOff.Store(off)
-			r.clockSet.Store(true)
-		}
-		if r.OnClock != nil {
-			r.OnClock(r.clockOff.Load())
+			r.clockSet = true
 		}
 		return nil
 	case msgAppend:

@@ -1,7 +1,10 @@
 package replica
 
 import (
+	"bytes"
 	"net"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -9,12 +12,12 @@ import (
 	"repro/internal/ds"
 	"repro/internal/fault"
 	"repro/internal/wal"
+	"repro/internal/workload"
 )
 
-// shipPair wires a Shipper to a Receiver over real TCP, optionally fault-
-// injecting the shipper's side of the connection. Returns the receiver and
-// a wait function that blocks until both sides exited.
-func shipPair(t *testing.T, leaderDir, followerDir string, inj *fault.Injector) (*Shipper, *Receiver, func()) {
+// connPair is one loopback TCP connection: the accepted (shipper's) end and
+// the dialed (receiver's) end.
+func connPair(t *testing.T) (sc, cc net.Conn) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -28,14 +31,16 @@ func shipPair(t *testing.T, leaderDir, followerDir string, inj *fault.Injector) 
 		}
 		ln.Close()
 	}()
-	cc, err := net.Dial("tcp", ln.Addr().String())
+	cc, err = net.Dial("tcp", ln.Addr().String())
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
-	sc := <-accepted
-	if inj != nil {
-		sc = inj.Conn(sc, "ship")
-	}
+	return <-accepted, cc
+}
+
+// runPair runs a Shipper on sc and a Receiver on cc. Returns both and a wait
+// function that blocks until both sides exited.
+func runPair(sc, cc net.Conn, leaderDir, followerDir string) (*Shipper, *Receiver, func()) {
 	sh := NewShipper(sc, leaderDir, ShipperOptions{Interval: 200 * time.Microsecond})
 	rc := NewReceiver(cc, followerDir)
 	var wg sync.WaitGroup
@@ -43,6 +48,17 @@ func shipPair(t *testing.T, leaderDir, followerDir string, inj *fault.Injector) 
 	go func() { defer wg.Done(); _ = sh.Run() }()
 	go func() { defer wg.Done(); _ = rc.Run() }()
 	return sh, rc, wg.Wait
+}
+
+// shipPair wires a Shipper to a Receiver over real TCP, optionally fault-
+// injecting the shipper's side of the connection as "ship".
+func shipPair(t *testing.T, leaderDir, followerDir string, inj *fault.Injector) (*Shipper, *Receiver, func()) {
+	t.Helper()
+	sc, cc := connPair(t)
+	if inj != nil {
+		sc = inj.Conn(sc, "ship")
+	}
+	return runPair(sc, cc, leaderDir, followerDir)
 }
 
 // awaitEqual polls until the follower's exported state equals the
@@ -99,8 +115,8 @@ func TestChannelShipsDirectory(t *testing.T) {
 		t.Fatalf("Sync: %v", err)
 	}
 	awaitEqual(t, r, l, m, 10*time.Second)
-	if sh.acked.Load() == 0 {
-		t.Fatal("no frame was ever acked: the channel exercised nothing")
+	if rc.Bytes() == 0 {
+		t.Fatal("the receiver took in nothing: the channel exercised nothing")
 	}
 }
 
@@ -130,9 +146,9 @@ func TestShipperReadsOnlyTheDelta(t *testing.T) {
 	time.Sleep(50 * time.Millisecond)
 	sh.Stop()
 	rc.Stop()
-	wait() // sh.read is Run's own until it returns
-	if sh.read == 0 || sh.read > rc.Bytes() {
-		t.Fatalf("shipper read %d file bytes to ship %d payload bytes", sh.read, rc.Bytes())
+	wait()
+	if read := sh.read.Load(); read == 0 || read > rc.Bytes() {
+		t.Fatalf("shipper read %d file bytes to ship %d payload bytes", read, rc.Bytes())
 	}
 }
 
@@ -174,36 +190,64 @@ func TestChannelTornTransfer(t *testing.T) {
 	awaitEqual(t, r, l, m, 10*time.Second)
 }
 
-// TestChannelStalledAcks: delaying every ack read on the shipper's side
-// back-pressures the window instead of losing anything; the transfer still
-// completes.
-func TestChannelStalledAcks(t *testing.T) {
+// TestChannelStalledFollower: a follower that is slow to read — every Read
+// on its side of the conn delayed — back-pressures the shipper through its
+// blocking Write, with no flow control of the channel's own. The transfer
+// completes byte for byte, and while it is stalled the shipper has read from
+// disk at most what the receiver took in plus what the kernel's socket
+// buffers hold plus the chunk in each side's hands: it queues nothing.
+func TestChannelStalledFollower(t *testing.T) {
 	leaderDir, followerDir := t.TempDir(), t.TempDir()
-	m, l := mustLeader(t, leaderOpts(leaderDir, "multiverse", 1, nil))
-	defer l.Close()
-	churn(t, l, m, 51, 300)
-	if err := l.Sync(); err != nil {
-		t.Fatalf("Sync: %v", err)
+	// The channel moves bytes, not records: any file with a segment's name
+	// ships. 8 MiB is several times the bound below, so the bound bites.
+	rel := filepath.Join(wal.ShardDirName(0), wal.SegName(0))
+	data := make([]byte, 8<<20)
+	rng := workload.NewRng(51)
+	for i := range data {
+		data[i] = byte(rng.Next())
+	}
+	if err := os.MkdirAll(filepath.Join(leaderDir, wal.ShardDirName(0)), 0o777); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(leaderDir, rel), data, 0o666); err != nil {
+		t.Fatal(err)
 	}
 
+	const sockBuf = 128 << 10 // the kernel doubles what it is asked for
+	sc, cc := connPair(t)
+	sc.(*net.TCPConn).SetWriteBuffer(sockBuf)
+	cc.(*net.TCPConn).SetReadBuffer(sockBuf)
 	inj := fault.NewInjector(fault.OS, 9, fault.Rule{
-		Ops: fault.OpRead, Path: "ship", Delay: 2 * time.Millisecond,
+		Ops: fault.OpRead, Path: "recv", Delay: time.Millisecond,
 	})
 	inj.Record(true)
-	sh, rc, wait := shipPair(t, leaderDir, followerDir, inj)
+	sh, rc, wait := runPair(sc, inj.Conn(cc, "recv"), leaderDir, followerDir)
 	defer func() { sh.Stop(); rc.Stop(); wait() }()
 
-	r, err := Open(Options{Dir: followerDir})
-	if err != nil {
-		t.Fatalf("Open follower: %v", err)
+	const bound = 2*chunkBytes + 4*sockBuf + 64<<10 // both hands, both socket buffers, frame headers and clock frames
+	var worst uint64
+	for deadline := time.Now().Add(30 * time.Second); rc.Bytes() < uint64(len(data)); {
+		got := rc.Bytes() // first, so the gap errs high
+		if gap := sh.read.Load() - got; gap > worst {
+			worst = gap
+		}
+		if !time.Now().Before(deadline) {
+			t.Fatalf("stalled transfer never completed: %d of %d bytes", rc.Bytes(), len(data))
+		}
+		time.Sleep(200 * time.Microsecond)
 	}
-	defer r.Close()
-	awaitEqual(t, r, l, m, 20*time.Second)
-	// Latency-only rules don't count as injections; the trace proves every
-	// ack read went through the stalled conn.
+	if worst > bound {
+		t.Fatalf("shipper ran %d bytes ahead of a stalled follower, bound %d", worst, bound)
+	}
+	t.Logf("worst shipper lead %d bytes (bound %d)", worst, bound)
+	if got, err := os.ReadFile(filepath.Join(followerDir, rel)); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("mirrored file differs: %d bytes, err %v", len(got), err)
+	}
+	// Latency-only rules don't count as injections; the trace proves the
+	// receiver's reads went through the stalled conn.
 	stalls := 0
 	for _, rec := range inj.Trace() {
-		if rec.Op == fault.OpRead && rec.Path == "ship" {
+		if rec.Op == fault.OpRead && rec.Path == "recv" {
 			stalls++
 		}
 	}

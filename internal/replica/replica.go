@@ -2,7 +2,8 @@
 //
 // A Replica tails a leader's log directory — directly (same machine or a
 // replicated mount) or a local copy maintained by a Receiver fed from a
-// leader-side Shipper over the wire protocol's CRC framing — and replays
+// leader-side Shipper over the wire protocol's CRC framing (the Replica runs
+// that Receiver itself when Options.Leader names the leader) — and replays
 // committed records continuously into its own shard.System. Reads are
 // served from that system the same way the leader serves them: point reads
 // route to one shard, cross-shard queries freeze the follower's clock and
@@ -39,7 +40,11 @@
 package replica
 
 import (
+	"cmp"
+	"context"
+	"errors"
 	"fmt"
+	"net"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -84,6 +89,12 @@ type Options struct {
 	// Dir is the log directory to tail: the leader's own WAL directory, or
 	// the local copy a Receiver maintains.
 	Dir string
+	// Leader, when set, is a leader's shipping address (stmserve -ship): the
+	// Replica itself keeps a Receiver session into Dir alive — dial, mirror,
+	// redial when the session dies — until Sever, Close or Promote. Empty
+	// means Dir is fed by someone else: the leader writing it directly, or a
+	// Receiver the caller runs.
+	Leader string
 	// Backend is the follower's TM, by internal/registry name: any
 	// registry.Durable TM (default "multiverse").
 	Backend string
@@ -105,34 +116,28 @@ type Options struct {
 	// Rec, when set, receives rebase flight-recorder events.
 	Rec *obs.Recorder
 	// Trace, when set, receives one replica-apply span per applied record
-	// that carries a sampled trace id.
+	// that carries a sampled trace id. With Leader set the spans' start
+	// times are shifted by the channel's clock-offset estimate into the
+	// leader's timebase, next to the originating request's server spans.
 	Trace *obs.Tracer
-	// ClockOffsetNs, when set, supplies the current follower-minus-leader
-	// clock-offset estimate (Receiver.ClockOffsetNs); apply spans subtract
-	// it so their start times land in the leader's timebase next to the
-	// originating request's server spans.
-	ClockOffsetNs func() int64
 }
 
-// pollInterval is the applier's idle backoff.
-const pollInterval = 500 * time.Microsecond
+const (
+	// pollInterval is the applier's idle backoff.
+	pollInterval = 500 * time.Microsecond
+	// redialInterval paces the feed's dials while the leader is unreachable.
+	redialInterval = 200 * time.Millisecond
+)
 
-// lockTable sizes each follower shard's lock table: wal.Options' default, so
-// the leader a follower is promoted to has the same.
-const lockTable = 1 << 16
-
+// fill resolves what Open itself reads; DS, Capacity and the lock table
+// default where the store is built (wal.NewStore), so the leader a follower
+// is promoted to gets the same.
 func (o *Options) fill() error {
 	if o.Dir == "" {
 		return fmt.Errorf("replica: Options.Dir is required")
 	}
 	if o.Backend == "" {
 		o.Backend = "multiverse"
-	}
-	if o.DS == "" {
-		o.DS = "hashmap"
-	}
-	if o.Capacity == 0 {
-		o.Capacity = 1 << 16
 	}
 	if o.FS == nil {
 		o.FS = fault.OS
@@ -172,63 +177,67 @@ type Replica struct {
 	polls       atomic.Uint64
 	emptyPolls  atomic.Uint64
 
-	rec          *obs.Recorder
-	trace        *obs.Tracer
 	lastProgress atomic.Int64 // unix nanos of the last applied batch or caught-up poll
+	clockOff     atomic.Int64 // follower-minus-leader clock estimate of the feed's sessions (0: no feed)
 
 	caughtUp atomic.Bool
-	severed  atomic.Bool
 
 	errMu   sync.Mutex
-	lastErr error
+	lastErr error // the applier's: last tail error, or the apply error that ended it
+	feedErr error // the feed's: why the last dial or session ended
 
-	stop     chan struct{}
-	stopOnce sync.Once
-	done     chan struct{}
+	ctx  context.Context // done: the session is severed, the applier and the feed stop
+	stop context.CancelFunc
+	wg   sync.WaitGroup // the applier, and the feed when Options.Leader is set
 }
 
-// Open starts a follower session tailing opts.Dir. The applier goroutine
-// runs until Sever, Close or Promote.
+// Open starts a follower session tailing opts.Dir — and, when opts.Leader is
+// set, feeding it. The applier (and feed) run until Sever, Close or Promote.
 func Open(opts Options) (*Replica, error) {
 	if err := opts.fill(); err != nil {
 		return nil, err
 	}
-	// The same constructions the WAL uses, minus the commit observer: the
-	// follower's own commits are replays; logging them again would be a
-	// second, diverging history.
 	if !registry.Durable(opts.Backend) {
 		return nil, fmt.Errorf("replica: backend %q cannot follow (needs snapshot reads)", opts.Backend)
 	}
-	backend, err := registry.ShardBackend(opts.Backend, registry.Params{LockTable: lockTable}, nil)
+	sys, m, err := wal.NewStore(wal.StoreSpec{Backend: opts.Backend, DS: opts.DS, Shards: opts.Shards, Capacity: opts.Capacity}, nil, 0)
 	if err != nil {
 		return nil, err
 	}
-	per := opts.Capacity / opts.Shards
-	if per < 1024 {
-		per = 1024
-	}
-	maps := make([]ds.Map, opts.Shards)
-	for i := range maps {
-		if maps[i], err = registry.NewDS(opts.DS, per); err != nil {
-			return nil, err
-		}
-	}
-	r := &Replica{
-		opts:   opts,
-		reader: wal.OpenShipReader(opts.Dir, opts.FS),
-		stop:   make(chan struct{}),
-		done:   make(chan struct{}),
-		rec:    opts.Rec,
-		trace:  opts.Trace,
-	}
+	r := &Replica{opts: opts, sys: sys, m: m, reader: wal.OpenShipReader(opts.Dir, opts.FS)}
+	r.ctx, r.stop = context.WithCancel(context.Background())
 	r.lastProgress.Store(time.Now().UnixNano())
-	r.sys = shard.New(shard.Config{Shards: opts.Shards, Backend: backend})
-	r.m = shard.NewMap(r.sys, func(i int) ds.Map { return maps[i] })
 	if opts.Obs != nil {
 		r.registerObs(opts.Obs)
 	}
+	r.wg.Add(1)
 	go r.run()
+	if opts.Leader != "" {
+		r.wg.Add(1)
+		go r.feed()
+	}
 	return r, nil
+}
+
+// feed keeps the mirror fed: one Receiver session after another into Dir. A
+// session dies on any channel fault — a torn frame kills it by design — and
+// the next one's manifest hello resumes the transfer where the bytes stopped.
+func (r *Replica) feed() {
+	defer r.wg.Done()
+	var d net.Dialer
+	for r.ctx.Err() == nil {
+		conn, err := d.DialContext(r.ctx, "tcp", r.opts.Leader)
+		if err == nil {
+			r.setErr(&r.feedErr, nil) // a session is up: the last one's end is history
+			rc := NewReceiver(conn, r.opts.Dir)
+			rc.clockOff = &r.clockOff
+			unhook := context.AfterFunc(r.ctx, rc.Stop)
+			err = rc.Run()
+			unhook()
+		}
+		r.setErr(&r.feedErr, err)
+		r.sleep(redialInterval)
+	}
 }
 
 // registerObs exposes the follower session on reg as live collectors.
@@ -242,17 +251,9 @@ func (r *Replica) registerObs(reg *obs.Registry) {
 	reg.Func(func(emit func(name string, v uint64)) {
 		st := r.Stats()
 		emit("replica.applied_recs", st.AppliedRecs)
-		emit("replica.applied_ops", st.AppliedOps)
 		emit("replica.applied_ts", st.AppliedTs)
 		emit("replica.rebases", st.Rebases)
-		emit("replica.polls", st.Polls)
-		emit("replica.empty_polls", st.EmptyPolls)
 		emit("replica.lag_ns", r.LagNs())
-		caught := uint64(0)
-		if r.Health() == CaughtUp {
-			caught = 1
-		}
-		emit("replica.caught_up", caught)
 	})
 }
 
@@ -262,11 +263,7 @@ func (r *Replica) LagNs() uint64 {
 	if r.Health() == CaughtUp {
 		return 0
 	}
-	d := time.Now().UnixNano() - r.lastProgress.Load()
-	if d < 0 {
-		return 0
-	}
-	return uint64(d)
+	return uint64(max(0, time.Now().UnixNano()-r.lastProgress.Load()))
 }
 
 // Map returns the follower's logical map; drive reads with threads
@@ -295,7 +292,7 @@ func (r *Replica) Stats() Stats {
 
 // Health maps the session state onto the PR 6 vocabulary.
 func (r *Replica) Health() Health {
-	if r.severed.Load() {
+	if r.ctx.Err() != nil {
 		return Severed
 	}
 	if r.Err() != nil || !r.caughtUp.Load() {
@@ -304,16 +301,18 @@ func (r *Replica) Health() Health {
 	return CaughtUp
 }
 
-// Err returns the last tail/apply error, nil once a later poll succeeds.
+// Err returns the last tail error (nil once a later poll succeeds) or the
+// apply error that ended the applier; failing those, why the feed's last
+// dial or session ended (nil while a session is up).
 func (r *Replica) Err() error {
 	r.errMu.Lock()
 	defer r.errMu.Unlock()
-	return r.lastErr
+	return cmp.Or(r.lastErr, r.feedErr)
 }
 
-func (r *Replica) setErr(err error) {
+func (r *Replica) setErr(which *error, err error) {
 	r.errMu.Lock()
-	r.lastErr = err
+	*which = err
 	r.errMu.Unlock()
 }
 
@@ -330,7 +329,7 @@ func (r *Replica) CatchUp(timeout time.Duration) error {
 	// started after this call and saw everything.
 	start := r.polls.Load()
 	for {
-		if r.severed.Load() {
+		if r.ctx.Err() != nil {
 			return fmt.Errorf("replica: severed while catching up")
 		}
 		if r.caughtUp.Load() && r.Err() == nil && r.polls.Load() >= start+2 {
@@ -344,12 +343,12 @@ func (r *Replica) CatchUp(timeout time.Duration) error {
 	}
 }
 
-// Sever terminates the session: the applier stops, Health reports Severed
-// forever, and the follower keeps serving its last applied state.
+// Sever terminates the session: the applier and the feed stop, Health
+// reports Severed forever, and the follower keeps serving its last applied
+// state.
 func (r *Replica) Sever() {
-	r.stopOnce.Do(func() { close(r.stop) })
-	<-r.done
-	r.severed.Store(true)
+	r.stop()
+	r.wg.Wait()
 }
 
 // Close severs the session and shuts the follower system down.
@@ -376,44 +375,45 @@ func (r *Replica) Promote() (ds.Map, *wal.Log, error) {
 }
 
 // run is the applier: poll the ship reader, apply, back off when drained.
+// An apply error ends it — skipping a shipped record would be silent
+// divergence — and stays in Err.
 func (r *Replica) run() {
-	defer close(r.done)
+	defer r.wg.Done()
 	th := r.sys.RegisterSharded()
 	defer th.Unregister()
-	for {
-		select {
-		case <-r.stop:
-			return
-		default:
-		}
+	for r.ctx.Err() == nil {
 		b, err := r.reader.Poll()
 		r.polls.Add(1)
+		r.setErr(&r.lastErr, err) // nil once a poll succeeds again
 		if err != nil {
-			r.setErr(err)
 			r.caughtUp.Store(false)
-			r.idle()
+			r.sleep(pollInterval)
 			continue
 		}
-		r.setErr(nil)
 		switch {
 		case b.Rebase:
-			r.applyRebase(th, &b)
+			err = r.applyRebase(th, &b)
 		case len(b.Recs) > 0:
 			r.caughtUp.Store(false)
-			r.applyRecs(th, b.Recs)
+			err = r.applyRecs(th, b.Recs)
 		default:
 			r.caughtUp.Store(true)
 			r.emptyPolls.Add(1)
 			r.lastProgress.Store(time.Now().UnixNano())
-			r.idle()
+			r.sleep(pollInterval)
+		}
+		if err != nil {
+			r.setErr(&r.lastErr, err)
+			return
 		}
 	}
 }
 
-func (r *Replica) idle() {
+// sleep waits d out, or the session's end if that comes first.
+func (r *Replica) sleep(d time.Duration) {
 	select {
-	case <-r.stop:
-	case <-time.After(pollInterval):
+	case <-r.ctx.Done():
+	case <-time.After(d):
 	}
 }
 
@@ -421,50 +421,28 @@ func (r *Replica) idle() {
 // the diff against an export of the follower's own map — so an initial
 // image loads fully, and a mid-session rebase (checkpoint truncation outran
 // the tail) touches only what actually changed. The applier is the map's
-// only writer, so the export is exactly the applied state; like applyOps,
-// the only exits are success and session stop.
-func (r *Replica) applyRebase(th *shard.Thread, b *wal.ShipBatch) {
-	var held []ds.KV
-	for {
-		var ok bool
-		if held, ok = ds.Export(th, r.m, 1, ^uint64(0)); ok {
-			break
-		}
-		select {
-		case <-r.stop:
-			return
-		case <-time.After(100 * time.Microsecond):
-		}
+// only writer, so the export is exactly the applied state — and cannot
+// starve: nothing commits beside the scan, so its first freeze serves it.
+func (r *Replica) applyRebase(th *shard.Thread, b *wal.ShipBatch) error {
+	held, ok := ds.Export(th, r.m, 1, ^uint64(0))
+	if !ok {
+		return errors.New("replica: rebase export starved with the applier as the map's only writer")
 	}
 	// The batch's image is this call's to consume: pairs the follower
-	// already holds are struck from it, what is left gets inserted.
+	// already holds are struck from it, what is left gets inserted. A held
+	// pair gone from the base is deleted, and so is one whose value changed
+	// (InsertTx is insert-if-absent; wal.Load deletes before it inserts).
 	live := len(b.Image)
-	var ops []stm.RedoRec
+	var dels []uint64
 	for _, p := range held {
 		if v, ok := b.Image[p.Key]; ok && v == p.Val {
 			delete(b.Image, p.Key)
-			continue
+		} else {
+			dels = append(dels, p.Key)
 		}
-		// Gone from the base, or changed: InsertTx is insert-if-absent, so a
-		// changed value needs the delete first (deletes precede the inserts
-		// below, and per-shard grouping keeps that order).
-		ops = append(ops, stm.RedoRec{Op: stm.RedoDelete, Key: p.Key})
 	}
-	for k, v := range b.Image {
-		ops = append(ops, stm.RedoRec{Op: stm.RedoInsert, Key: k, Val: v})
-	}
-	byShard := make([][]stm.RedoRec, r.sys.NumShards())
-	for _, op := range ops {
-		s := r.sys.ShardOf(op.Key)
-		byShard[s] = append(byShard[s], op)
-	}
-	const batch = 256
-	for _, shardOps := range byShard {
-		for len(shardOps) > 0 {
-			n := min(batch, len(shardOps))
-			r.applyOps(th, shardOps[:n])
-			shardOps = shardOps[n:]
-		}
+	if err := wal.Load(r.sys, th, r.m, dels, b.Image); err != nil {
+		return err
 	}
 	r.rebases.Add(1)
 	if b.BaseTs > r.appliedTs.Load() {
@@ -472,17 +450,18 @@ func (r *Replica) applyRebase(th *shard.Thread, b *wal.ShipBatch) {
 	}
 	r.caughtUp.Store(false)
 	r.lastProgress.Store(time.Now().UnixNano())
-	r.rec.Record(obs.EvReplicaRebase, b.BaseTs, uint64(live), 0)
+	r.opts.Rec.Record(obs.EvReplicaRebase, b.BaseTs, uint64(live), 0)
+	return nil
 }
 
 // applyRecs applies shipped commit records in arrival order. Each record
 // is one follower transaction when its ops stay on one follower shard
 // (always true when the shard counts match — keys route by the same hash);
 // otherwise it splits into one transaction per shard group.
-func (r *Replica) applyRecs(th *shard.Thread, recs []wal.ShipRec) {
+func (r *Replica) applyRecs(th *shard.Thread, recs []wal.ShipRec) error {
 	for _, rec := range recs {
 		var applyT0 int64
-		if rec.Trace != 0 && r.trace != nil {
+		if rec.Trace != 0 && r.opts.Trace != nil {
 			applyT0 = time.Now().UnixNano()
 		}
 		if len(rec.Redo) > 0 {
@@ -493,8 +472,9 @@ func (r *Replica) applyRecs(th *shard.Thread, recs []wal.ShipRec) {
 					break
 				}
 			}
+			var err error
 			if same {
-				r.applyOps(th, rec.Redo)
+				err = r.applyOps(th, rec.Redo)
 			} else {
 				byShard := make(map[int][]stm.RedoRec)
 				for _, op := range rec.Redo {
@@ -502,8 +482,13 @@ func (r *Replica) applyRecs(th *shard.Thread, recs []wal.ShipRec) {
 					byShard[s] = append(byShard[s], op)
 				}
 				for _, group := range byShard {
-					r.applyOps(th, group)
+					if err = r.applyOps(th, group); err != nil {
+						break
+					}
 				}
+			}
+			if err != nil {
+				return err
 			}
 			r.appliedOps.Add(uint64(len(rec.Redo)))
 		}
@@ -512,45 +497,36 @@ func (r *Replica) applyRecs(th *shard.Thread, recs []wal.ShipRec) {
 			r.appliedTs.Store(rec.Ts)
 		}
 		if applyT0 != 0 {
-			var off int64
-			if r.opts.ClockOffsetNs != nil {
-				off = r.opts.ClockOffsetNs()
-			}
+			off := r.clockOff.Load()
 			end := time.Now().UnixNano()
-			r.trace.Record(rec.Trace, obs.StageReplicaApply, uint64(rec.Shard),
+			r.opts.Trace.Record(rec.Trace, obs.StageReplicaApply, uint64(rec.Shard),
 				applyT0-off, end-applyT0, rec.Ts, uint64(off))
 		}
 	}
 	r.lastProgress.Store(time.Now().UnixNano())
+	return nil
 }
 
-// applyOps commits one shard-confined group of redo ops, retrying
-// starvation — skipping a shipped record would be silent divergence, so
-// the only exits are success and session stop.
-func (r *Replica) applyOps(th *shard.Thread, ops []stm.RedoRec) {
-	for {
-		ok := th.Atomic(func(tx stm.Txn) {
-			for _, op := range ops {
-				if op.Op == stm.RedoDelete {
-					r.m.DeleteTx(tx, op.Key)
-					continue
-				}
-				// Redo values are absolute, so replay is an upsert: a key the
-				// follower already holds (a rebase-boundary or seal-suffix
-				// duplicate) is overwritten, never silently kept stale.
-				if !r.m.InsertTx(tx, op.Key, op.Val) {
-					r.m.DeleteTx(tx, op.Key)
-					r.m.InsertTx(tx, op.Key, op.Val)
-				}
+// applyOps commits one shard-confined group of redo ops. Every durable
+// backend's Atomic is unbounded and this body never cancels, so a false
+// return is a broken backend contract: an error, never a skipped record.
+func (r *Replica) applyOps(th *shard.Thread, ops []stm.RedoRec) error {
+	if !th.Atomic(func(tx stm.Txn) {
+		for _, op := range ops {
+			if op.Op == stm.RedoDelete {
+				r.m.DeleteTx(tx, op.Key)
+				continue
 			}
-		})
-		if ok {
-			return
+			// Redo values are absolute, so replay is an upsert: a key the
+			// follower already holds (a rebase-boundary or seal-suffix
+			// duplicate) is overwritten, never silently kept stale.
+			if !r.m.InsertTx(tx, op.Key, op.Val) {
+				r.m.DeleteTx(tx, op.Key)
+				r.m.InsertTx(tx, op.Key, op.Val)
+			}
 		}
-		select {
-		case <-r.stop:
-			return
-		case <-time.After(100 * time.Microsecond):
-		}
+	}) {
+		return errors.New("replica: apply transaction starved; the session cannot continue without skipping a record")
 	}
+	return nil
 }

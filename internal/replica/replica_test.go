@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"net"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -214,6 +215,133 @@ func TestReplicaFollowsLeader(t *testing.T) {
 				t.Fatal("leader still holds the deleted key: the recipe tested nothing")
 			}
 		})
+	}
+}
+
+// TestReplicaFollowsReshardedLeader: a directory reopened under another
+// shard count holds one key in two streams — the legacy one and, from its next
+// write on, a new one — unless the reopen truncates the legacy streams, and a
+// tailer that read them independently would let the older record land last.
+// Three followers must equal the leader after two thirds of the keys were
+// overwritten under the new layout (the rest then live in the reopen's
+// checkpoint alone): one caught up before the reopen (the truncation under
+// its tails makes it rebase), one opened from scratch on the directory, and
+// one whose empty mirror the channel starts to fill only after its first poll
+// — it takes the checkpoint as a base when that arrives, behind the
+// segments; and promotion must still recover the same state.
+func TestReplicaFollowsReshardedLeader(t *testing.T) {
+	dir, mirror := t.TempDir(), t.TempDir()
+	const keys, rewritten = 300, 200
+	write := func(l *wal.Log, m ds.Map, n, mul uint64) {
+		t.Helper()
+		th := l.System().Register()
+		defer th.Unregister()
+		for k := uint64(1); k <= n; k++ {
+			ds.Delete(th, m, k)
+			if ins, ok := ds.Insert(th, m, k, k*mul); !ok || !ins {
+				t.Fatalf("insert %d: ins=%v ok=%v", k, ins, ok)
+			}
+		}
+		if err := l.Sync(); err != nil {
+			t.Fatalf("Sync: %v", err)
+		}
+	}
+	follow := func(o Options) *Replica {
+		t.Helper()
+		r, err := Open(o)
+		if err != nil {
+			t.Fatalf("Open %+v: %v", o, err)
+		}
+		t.Cleanup(r.Close)
+		return r
+	}
+
+	m, l := mustLeader(t, leaderOpts(dir, "multiverse", 4, nil))
+	write(l, m, keys, 3)
+	early := follow(Options{Dir: dir})
+	if err := early.CatchUp(5 * time.Second); err != nil {
+		t.Fatalf("CatchUp under the old layout: %v", err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+
+	m, l = mustLeader(t, leaderOpts(dir, "multiverse", 2, nil))
+	defer l.Close()
+	write(l, m, rewritten, 5)
+	fresh, shipped := follow(Options{Dir: dir}), follow(Options{Dir: mirror})
+	if err := shipped.CatchUp(5 * time.Second); err != nil { // on nothing: its base is the empty image
+		t.Fatalf("CatchUp on the empty mirror: %v", err)
+	}
+	sh, rc, wait := shipPair(t, dir, mirror, nil)
+	defer func() { sh.Stop(); rc.Stop(); wait() }()
+	for name, r := range map[string]*Replica{"early": early, "fresh": fresh, "shipped": shipped} {
+		t.Log(name)
+		awaitEqual(t, r, l, m, 10*time.Second)
+	}
+
+	want := exportLeader(t, l, m)
+	l.Close()
+	pm, pl, err := fresh.Promote()
+	if err != nil {
+		t.Fatalf("Promote: %v", err)
+	}
+	defer pl.Close()
+	if got := exportLeader(t, pl, pm); !kvEqual(got, want) {
+		t.Fatalf("promotion over the resharded directory diverged: %d vs %d pairs", len(got), len(want))
+	}
+}
+
+// TestReplicaFeedRedials: a follower that owns its feed reports lagging, with
+// the dial error, while the leader's shipping address refuses it, and is
+// caught up with no error once a session is up again — the error of a dial
+// that failed earlier must not outlive it — across two outages: a leader
+// that is not there yet, and one that goes away and comes back.
+func TestReplicaFeedRedials(t *testing.T) {
+	dir, mirror := t.TempDir(), t.TempDir()
+	m, l := mustLeader(t, leaderOpts(dir, "multiverse", 2, nil))
+	defer l.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+
+	r, err := Open(Options{Dir: mirror, Leader: addr, Shards: 2})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer r.Close()
+	th := l.System().Register()
+	defer th.Unregister()
+	for round := uint64(0); round < 2; round++ {
+		for deadline := time.Now().Add(5 * time.Second); r.Err() == nil; time.Sleep(time.Millisecond) {
+			if !time.Now().Before(deadline) {
+				t.Fatalf("round %d: no feed error with nothing listening on %s", round, addr)
+			}
+		}
+		if h := r.Health(); h != Lagging {
+			t.Fatalf("round %d: Health = %v with the leader unreachable (%v)", round, h, r.Err())
+		}
+		for k := round*100 + 1; k <= round*100+100; k++ {
+			ds.Insert(th, m, k, k*7)
+		}
+		if err := l.Sync(); err != nil {
+			t.Fatalf("Sync: %v", err)
+		}
+		if ln, err = net.Listen("tcp", addr); err != nil {
+			t.Fatalf("listen again on %s: %v", addr, err)
+		}
+		svc := ServeShipping(ln, dir, ShipperOptions{Interval: 200 * time.Microsecond})
+		awaitEqual(t, r, l, m, 10*time.Second)
+		if err := r.CatchUp(5 * time.Second); err != nil {
+			t.Fatalf("round %d: CatchUp after the redial: %v", round, err)
+		}
+		if h := r.Health(); h != CaughtUp {
+			t.Fatalf("round %d: Health = %v after the redial (%v)", round, h, r.Err())
+		}
+		svc.Close()
 	}
 }
 

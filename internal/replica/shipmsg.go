@@ -20,7 +20,6 @@ import (
 //	append   leader -> follower  u16 pathLen | path | u64 offset | bytes
 //	truncate leader -> follower  u16 pathLen | path | u64 size
 //	delete   leader -> follower  u16 pathLen | path
-//	ack      follower -> leader  u64 cumulative sequence
 //	clock    leader -> follower  u64 leader wall clock (UnixNano)
 //
 // Paths are slash-separated and relative to the log directory; parseShipMsg
@@ -31,8 +30,7 @@ const (
 	msgAppend   = 2
 	msgTruncate = 3
 	msgDelete   = 4
-	msgAck      = 5
-	msgClock    = 6
+	msgClock    = 6 // 5 is retired (a per-frame ack): parse rejects it, and it must not be reused
 )
 
 // fileSize is one hello manifest entry: a replicated file and how many of
@@ -43,8 +41,7 @@ type fileSize struct {
 }
 
 // shipMsg is one decoded shipping-channel message. n is the kind's one
-// number: append's offset, truncate's size, ack's sequence, clock's
-// nanoseconds.
+// number: append's offset, truncate's size, clock's nanoseconds.
 type shipMsg struct {
 	kind  byte
 	files []fileSize // hello
@@ -77,7 +74,7 @@ func (m *shipMsg) append(dst []byte) []byte {
 		dst = binary.LittleEndian.AppendUint64(dst, m.n)
 	case msgDelete:
 		dst = appendShipPath(dst, m.path)
-	case msgAck, msgClock:
+	case msgClock:
 		dst = binary.LittleEndian.AppendUint64(dst, m.n)
 	}
 	return dst
@@ -172,7 +169,7 @@ func parseShipMsg(payload []byte) (shipMsg, error) {
 		m.path, m.n = c.path(), c.u64()
 	case msgDelete:
 		m.path = c.path()
-	case msgAck, msgClock:
+	case msgClock:
 		m.n = c.u64()
 	default:
 		c.err = cmp.Or(c.err, errors.New("unknown kind"))

@@ -33,12 +33,11 @@ var goldenShipMsgs = []struct {
 		"03220073686172642d3030312f77616c2d303030303030303030303030303030322e7365672800000000000000"},
 	{"delete", shipMsg{kind: msgDelete, path: goldenSeg},
 		"04220073686172642d3030312f77616c2d303030303030303030303030303030322e736567"},
-	{"ack", shipMsg{kind: msgAck, n: 7}, "050700000000000000"},
 	{"clock", shipMsg{kind: msgClock, n: 0x0102030405060708}, "060807060504030201"},
 }
 
-// TestShipMsgGoldenBytes: the one codec emits the bytes the six inline
-// builders did, and parses them back to the value it was given.
+// TestShipMsgGoldenBytes: the one codec emits the bytes the inline builders
+// did, and parses them back to the value it was given.
 func TestShipMsgGoldenBytes(t *testing.T) {
 	for _, g := range goldenShipMsgs {
 		got := g.msg.append(nil)
@@ -60,9 +59,10 @@ func TestShipMsgRejects(t *testing.T) {
 	for name, p := range map[string][]byte{
 		"empty":                 {},
 		"unknown kind":          {9},
-		"kind only":             {msgAck},
-		"short ack":             {msgAck, 1, 2, 3},
-		"ack with trailing":     append((&shipMsg{kind: msgAck, n: 1}).append(nil), 0),
+		"retired ack kind":      {5, 7, 0, 0, 0, 0, 0, 0, 0},
+		"kind only":             {msgClock},
+		"short clock":           {msgClock, 1, 2, 3},
+		"clock with trailing":   append(goldenShipMsgs[4].msg.append(nil), 0),
 		"hello count past end":  {msgHello, 5, 0, 0, 0},
 		"hello with trailing":   append(goldenShipMsgs[0].msg.append(nil), 0),
 		"truncate with data":    append(goldenShipMsgs[2].msg.append(nil), "abc"...),
@@ -77,9 +77,9 @@ func TestShipMsgRejects(t *testing.T) {
 }
 
 // TestEmptyFrameEndsSession: an empty frame — kind byte and all missing —
-// sent as the hello, as an ack, or to the Receiver ends that session with an
-// error, never a panic: a Shipper lives in the leader process, and anything
-// that can reach its port can send this.
+// sent as the hello or to the Receiver ends that session with an error, never
+// a panic: a Shipper lives in the leader process, and anything that can reach
+// its port can send this. (The hello is the only thing a Shipper ever reads.)
 func TestEmptyFrameEndsSession(t *testing.T) {
 	empty := frame.Append(nil, nil)
 	escaping := frame.Append(nil, (&shipMsg{kind: msgDelete, path: "../../etc/passwd"}).append(nil))
@@ -107,22 +107,6 @@ func TestEmptyFrameEndsSession(t *testing.T) {
 	}
 	t.Run("hello", func(t *testing.T) {
 		run(t, shipper, func(c net.Conn) { c.Write(empty) })
-	})
-	t.Run("ack", func(t *testing.T) {
-		run(t, shipper, func(c net.Conn) {
-			hello := shipMsg{kind: msgHello}
-			if _, err := writeShipMsg(c, nil, &hello); err != nil {
-				t.Errorf("hello: %v", err)
-			}
-			go func() { // the shipper's clock frame must be drained for its Run loop to proceed
-				for buf := make([]byte, 256); ; {
-					if _, err := c.Read(buf); err != nil {
-						return
-					}
-				}
-			}()
-			c.Write(empty)
-		})
 	})
 	for name, bad := range map[string][]byte{"receiver": empty, "receiver escaping path": escaping} {
 		t.Run(name, func(t *testing.T) {
@@ -154,6 +138,7 @@ func FuzzParseShipMsg(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{msgHello, 0xff, 0xff, 0xff, 0xff})
+	f.Add([]byte{5, 7, 0, 0, 0, 0, 0, 0, 0}) // the retired ack: must stay rejected
 	f.Fuzz(func(t *testing.T, p []byte) {
 		m, err := parseShipMsg(p)
 		if err != nil {

@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"net"
 	"testing"
 	"time"
 
@@ -48,11 +49,17 @@ func TestChannelTraceClockAndApplySpans(t *testing.T) {
 		}
 	}
 
-	sh, rc, wait := shipPair(t, leaderDir, followerDir, nil)
-	defer func() { sh.Stop(); rc.Stop(); wait() }()
+	// The follower runs its own feed: the clock-offset estimate travels from
+	// the feed's Receiver sessions to the applier inside the Replica.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	svc := ServeShipping(ln, leaderDir, ShipperOptions{Interval: 200 * time.Microsecond})
+	defer svc.Close()
 
 	ftr := obs.NewTracer(1<<10, 1, nil)
-	r, err := Open(Options{Dir: followerDir, Trace: ftr, ClockOffsetNs: rc.ClockOffsetNs})
+	r, err := Open(Options{Dir: followerDir, Leader: svc.Addr().String(), Trace: ftr})
 	if err != nil {
 		t.Fatalf("Open follower: %v", err)
 	}
@@ -60,13 +67,9 @@ func TestChannelTraceClockAndApplySpans(t *testing.T) {
 	awaitEqual(t, r, l, m, 10*time.Second)
 
 	// The shipper sends a clock frame right after hello, so by convergence
-	// the receiver must hold an estimate. Same process, so the true offset
+	// the follower must hold an estimate. Same process, so the true offset
 	// is ~0 and the min-estimate is a one-way latency: positive, tiny.
-	deadline := time.Now().Add(5 * time.Second)
-	for rc.ClockOffsetNs() == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	off := rc.ClockOffsetNs()
+	off := r.clockOff.Load()
 	if off <= 0 || off > int64(time.Second) {
 		t.Fatalf("clock-offset estimate %dns, want small positive (same machine)", off)
 	}

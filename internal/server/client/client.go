@@ -41,7 +41,7 @@ import (
 )
 
 // Sentinel errors. Status-mapped errors (ErrAborted, ErrCrossShard,
-// ErrDegraded, ErrSevered, ErrBadRequest, ErrTooLarge) are definite server
+// ErrDegraded, ErrSevered, ErrBadRequest, ErrReadOnly, ErrTooLarge) are definite server
 // verdicts; ErrNotSent/ErrUnanswered are transport outcomes (see package
 // comment). ErrBusy is the server refusing the connection at its limit: it
 // comes joined to the transport outcome of every request the connection was
@@ -55,6 +55,7 @@ var (
 	ErrDegraded   = errors.New("client: server log degraded, durability unconfirmed")
 	ErrSevered    = errors.New("client: server log severed")
 	ErrBadRequest = errors.New("client: bad request")
+	ErrReadOnly   = errors.New("client: server is a read-only follower; send updates to the leader")
 	ErrTooLarge   = errors.New("client: response exceeds the frame cap")
 	ErrBusy       = errors.New("client: server is at its connection limit")
 )
@@ -73,6 +74,8 @@ func statusErr(st wire.Status) error {
 		return ErrSevered
 	case wire.StatusBadRequest:
 		return ErrBadRequest
+	case wire.StatusReadOnly:
+		return ErrReadOnly
 	case wire.StatusTooLarge:
 		return ErrTooLarge
 	case wire.StatusBusy:

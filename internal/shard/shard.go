@@ -145,9 +145,11 @@ func (s *System) NumShards() int { return len(s.shards) }
 // ShardOf returns the shard a key routes to. Exported so applications can
 // co-locate keys that must share an update transaction (examples/shardedbank
 // places each shard's settlement account by probing ShardOf).
-func (s *System) ShardOf(key uint64) int {
-	return int(stm.Mix64(key) % uint64(len(s.shards)))
-}
+func (s *System) ShardOf(key uint64) int { return Of(key, len(s.shards)) }
+
+// Of is the routing rule itself: the shard key routes to in a system of n.
+// The WAL's recovery asks it of streams written under another n.
+func Of(key uint64, n int) int { return int(stm.Mix64(key) % uint64(n)) }
 
 // ClockValue returns the current shared clock value (observability: the
 // deferred clock advances only on aborts and snapshot freezes).

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"repro/internal/fault"
+	"repro/internal/shard"
 	"repro/internal/stm"
 )
 
@@ -16,6 +17,10 @@ type recovered struct {
 	nextSeg  map[string]uint64 // per shard-dir: next free segment index
 	ckpts    []ckptOnDisk      // valid checkpoint files, ascending ts
 	liveSegs []segInfo         // surviving segments (for later truncation)
+	// resharded: some surviving record sits in a stream other than the one
+	// its keys route to under the shard count being opened — the directory
+	// was last written under another layout.
+	resharded bool
 }
 
 // scanAndRepair reads a log directory into the recovered state a fresh
@@ -37,7 +42,7 @@ type recovered struct {
 // the disk failing right now — and propagates as a hard error: silently
 // "repairing" an unreadable file would destroy data a healthy retry could
 // still read.
-func scanAndRepair(fsys fault.FS, dir string) (*recovered, error) {
+func scanAndRepair(fsys fault.FS, dir string, shards int) (*recovered, error) {
 	r := &recovered{nextSeg: make(map[string]uint64)}
 	ls, err := ListDir(fsys, dir)
 	if err != nil {
@@ -46,7 +51,7 @@ func scanAndRepair(fsys fault.FS, dir string) (*recovered, error) {
 	if err := r.loadCheckpoints(fsys, dir, ls); err != nil {
 		return nil, err
 	}
-	replay, err := r.loadSegments(fsys, dir, ls.Shards)
+	replay, err := r.loadSegments(fsys, dir, ls.Shards, shards)
 	if err != nil {
 		return nil, err
 	}
@@ -100,10 +105,10 @@ func (r *recovered) loadCheckpoints(fsys fault.FS, dir string, ls DirListing) er
 
 // loadSegments walks every listed shard directory (streams of *any*
 // previous shard count — records route by key, so a reopened system may
-// reshard) and returns the records to replay.
-func (r *recovered) loadSegments(fsys fault.FS, dir string, shards []ShardListing) ([]record, error) {
+// reshard, which resharded reports) and returns the records to replay.
+func (r *recovered) loadSegments(fsys fault.FS, dir string, found []ShardListing, shards int) ([]record, error) {
 	var replay []record
-	for _, sl := range shards {
+	for _, sl := range found {
 		sd := filepath.Join(dir, sl.Name)
 		r.nextSeg[sd] = 1
 		broken := false
@@ -147,6 +152,11 @@ func (r *recovered) loadSegments(fsys fault.FS, dir string, shards []ShardListin
 				}
 				if rec.ts >= r.ckptTs {
 					replay = append(replay, rec)
+				}
+				for _, op := range rec.redo {
+					if shard.Of(op.Key, shards) != sl.Shard {
+						r.resharded = true
+					}
 				}
 			}
 			r.liveSegs = append(r.liveSegs, segInfo{index: idx, path: path, maxTs: segMax})

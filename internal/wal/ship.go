@@ -8,7 +8,8 @@ import (
 )
 
 // ShipReader tails a live leader's log directory for replication: it reads
-// the checkpoint chain once as a base image, then follows each shard
+// the checkpoint chain as a base image — at the first poll, and again
+// whenever the directory lists a newer one — then follows each shard
 // stream's segments record by record, tolerating the races a live leader
 // creates — segments growing under the read, rotations, seal truncations
 // (whose cut suffix the stream re-appends to the successor segment), and
@@ -24,7 +25,11 @@ import (
 // Consistency contract: applying a rebase image (replacing all prior state)
 // and then every subsequent record with ts >= BaseTs, each record's ops in
 // order, reproduces exactly the leader states recovery would reproduce — a
-// prefix-consistent cut per shard stream. Duplicate delivery of a
+// prefix-consistent cut per shard stream. That holds because the streams of
+// a directory a live leader writes partition the key space (package comment;
+// OpenWith restores it after a reshard): Poll returns streams one after the
+// other, not merged by timestamp, so it never orders two records of one key
+// against each other across streams. Duplicate delivery of a
 // contiguous record suffix (a seal race re-appending bytes the tail already
 // consumed) is harmless: redo ops are absolute per key, so re-applying a
 // suffix in order is idempotent.
@@ -32,9 +37,8 @@ type ShipReader struct {
 	dir string
 	fs  fault.FS
 
-	started bool
 	baseTs  uint64
-	tails   map[int]*shipTail
+	tails   map[int]*shipTail // nil: no base held yet, the next Poll takes one
 	rebases uint64
 }
 
@@ -62,8 +66,9 @@ type ShipRec struct {
 
 // ShipBatch is one Poll's worth of progress. A Rebase batch carries a base
 // image that replaces all previously shipped state (first poll, and
-// whenever a checkpoint truncation outran the tail); otherwise Recs holds
-// the new suffix records in per-stream order.
+// whenever a newer checkpoint chain shows up or a checkpoint truncation
+// outran the tail); otherwise Recs holds the new suffix records in
+// per-stream order.
 type ShipBatch struct {
 	Rebase bool
 	Image  map[uint64]uint64 // valid when Rebase
@@ -77,14 +82,14 @@ func OpenShipReader(dir string, fsys fault.FS) *ShipReader {
 	if fsys == nil {
 		fsys = fault.OS
 	}
-	return &ShipReader{dir: dir, fs: fsys, tails: map[int]*shipTail{}}
+	return &ShipReader{dir: dir, fs: fsys}
 }
 
 // BaseTs returns the frozen ts of the last rebase image.
 func (r *ShipReader) BaseTs() uint64 { return r.baseTs }
 
 // Rebases counts how many base images Poll has emitted (1 = just the
-// initial one; more means checkpoint truncation outran the tail).
+// initial one; more means the leader checkpointed since).
 func (r *ShipReader) Rebases() uint64 { return r.rebases }
 
 // Poll makes one pass over the leader directory and returns whatever is new
@@ -92,13 +97,30 @@ func (r *ShipReader) Rebases() uint64 { return r.rebases }
 // back off briefly. An error leaves the read position unchanged; the next
 // Poll retries it.
 func (r *ShipReader) Poll() (ShipBatch, error) {
-	if !r.started {
-		return r.rebase()
-	}
 	var b ShipBatch
 	ls, err := ListDir(r.fs, r.dir)
 	if err != nil {
 		return ShipBatch{}, err
+	}
+	// A listed checkpoint above the base (or no base yet): read the chain,
+	// and rebase when it resolves above the base. The tails alone cannot
+	// tell that they need it — a mirror being filled for the first time has
+	// its segments before its checkpoints, so an earlier poll may have taken
+	// a base below records the leader already truncated, and no tailed
+	// segment will ever vanish to say so. A checkpoint that does not resolve
+	// (half received, or torn) is read again each poll while it is listed.
+	var newest uint64
+	if n := len(ls.Ckpts); n > 0 {
+		newest, _ = parseCkptName(ls.Ckpts[n-1])
+	}
+	if r.tails == nil || newest > r.baseTs {
+		image, baseTs, err := r.loadChain(ls.Ckpts)
+		if err != nil {
+			return ShipBatch{}, err
+		}
+		if r.tails == nil || baseTs > r.baseTs {
+			return r.rebase(image, baseTs), nil
+		}
 	}
 	for _, t := range r.tails {
 		t.polled = t.shipPos
@@ -123,41 +145,35 @@ func (r *ShipReader) Poll() (ShipBatch, error) {
 		if lost {
 			// The tailed segment vanished (checkpoint truncation won the
 			// race). Everything already emitted is covered by the new
-			// checkpoint chain; start over from it. Records collected from
-			// other tails this poll are discarded — the rebase resets every
-			// tail, so they are re-read and re-emitted after it.
-			return r.rebase()
+			// checkpoint chain; start over from it — and from a listing
+			// taken now, the one above may predate the checkpoint: forget
+			// the base and poll again. Records collected from other tails
+			// this poll are discarded — the rebase resets every tail, so
+			// they are re-read and re-emitted after it.
+			r.tails = nil
+			return r.Poll()
 		}
 		b.Recs = append(b.Recs, recs...)
 	}
 	return b, nil
 }
 
-// rebase loads the checkpoint chain read-only and resets every tail.
-func (r *ShipReader) rebase() (ShipBatch, error) {
-	image, baseTs, err := r.loadChain()
-	if err != nil {
-		return ShipBatch{}, err
-	}
-	r.started = true
+// rebase makes a checkpoint chain's image the base and resets every tail.
+func (r *ShipReader) rebase(image map[uint64]uint64, baseTs uint64) ShipBatch {
 	r.baseTs = baseTs
 	r.rebases++
 	r.tails = map[int]*shipTail{}
-	return ShipBatch{Rebase: true, Image: image, BaseTs: baseTs}, nil
+	return ShipBatch{Rebase: true, Image: image, BaseTs: baseTs}
 }
 
-// loadChain reads the checkpoint chain the way a tailer must: invalid files
-// are skipped, never removed — a live leader writes checkpoints by atomic
-// rename, so an invalid file here is stale crash damage that the leader's
-// own recovery owns; one deleted mid-read (NotExist) is simply a pruned
-// ancestor.
-func (r *ShipReader) loadChain() (map[uint64]uint64, uint64, error) {
-	ls, err := ListDir(r.fs, r.dir)
-	if err != nil {
-		return nil, 0, err
-	}
+// loadChain reads the listed checkpoint files the way a tailer must: invalid
+// files are skipped, never removed — a live leader writes checkpoints by
+// atomic rename, so an invalid file here is stale crash damage that the
+// leader's own recovery owns, or one the shipping channel is still filling;
+// one deleted mid-read (NotExist) is simply a pruned ancestor.
+func (r *ShipReader) loadChain(ckpts []string) (map[uint64]uint64, uint64, error) {
 	var valid []parsedCkpt
-	for _, name := range ls.Ckpts {
+	for _, name := range ckpts {
 		p := filepath.Join(r.dir, name)
 		data, err := r.fs.ReadFile(p)
 		if err != nil {

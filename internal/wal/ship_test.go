@@ -284,6 +284,65 @@ func TestShipReaderIsReadOnly(t *testing.T) {
 	l.Close()
 }
 
+// TestShipReaderTakesALateCheckpoint: a mirror the shipping channel fills
+// for the first time holds its segments before its checkpoints, and a tailer
+// that polled in between took the empty image as its base. Nothing it tails
+// ever vanishes, so only the checkpoint's arrival can tell it to rebase; the
+// half-arrived file before that must be passed over, not trusted.
+func TestShipReaderTakesALateCheckpoint(t *testing.T) {
+	dir, mirror := t.TempDir(), t.TempDir()
+	m, l := mustOpen(t, testOpts(dir, "multiverse", 2, nil))
+	insertRange(t, l, m, 1, 100)
+	if err := l.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	m, l = mustOpen(t, testOpts(dir, "multiverse", 2, nil))
+	defer l.Close()
+	insertRange(t, l, m, 101, 120)
+	if info, err := l.Checkpoint(); err != nil || info.TruncatedSegs == 0 {
+		t.Fatalf("Checkpoint: %+v, %v: keys 1..100 should now live in it alone", info, err)
+	}
+	insertRange(t, l, m, 121, 140)
+	if err := l.Sync(); err != nil {
+		t.Fatalf("Sync: %v", err)
+	}
+
+	r := OpenShipReader(mirror, nil)
+	sm := newShipModel()
+	ls, err := ListDir(fault.OS, dir)
+	if err != nil || len(ls.Ckpts) != 1 {
+		t.Fatalf("ListDir: %+v, %v", ls, err)
+	}
+	for _, rel := range ls.Rels() { // the channel's order: segments, then checkpoints
+		data, err := os.ReadFile(filepath.Join(dir, rel))
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst := filepath.Join(mirror, rel)
+		os.MkdirAll(filepath.Dir(dst), 0o777)
+		if rel == ls.Ckpts[0] {
+			sm.drain(t, r) // base: the empty image; then the segments' records
+			if err := os.WriteFile(dst, data[:len(data)/2], 0o666); err != nil {
+				t.Fatal(err)
+			}
+			sm.drain(t, r)
+			if r.Rebases() != 1 {
+				t.Fatalf("Rebases = %d with half a checkpoint in the mirror", r.Rebases())
+			}
+		}
+		if err := os.WriteFile(dst, data, 0o666); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sm.drain(t, r)
+	if r.Rebases() != 2 {
+		t.Fatalf("Rebases = %d: the checkpoint that arrived after the first poll was never taken", r.Rebases())
+	}
+	if got, want := sm.pairs(), exportSorted(t, l, m); !pairsEqual(got, want) {
+		t.Fatalf("tailer holds %d pairs, leader %d", len(got), len(want))
+	}
+}
+
 // TestShipReaderPollErrorLosesNothing: tails advance in place while a Poll
 // reads, so a read error partway through — a later shard's segment, or a
 // successor segment of the same shard — must rewind them; otherwise the

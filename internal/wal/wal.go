@@ -45,6 +45,21 @@
 // dependencies — and across streams, a vector of such prefixes (shards
 // share no keys, and cross-shard update transactions do not exist, so the
 // vector is a consistent cut of the whole system).
+//
+// # Streams partition the key space
+//
+// The streams a live log writes partition the key space: a key's records all
+// sit in the one stream of the shard it routes to. Recovery does not need
+// that — it merges every stream it finds in stable commit-ts order, which is
+// why a directory may be reopened under another shard count — but a tailer
+// does: ShipReader follows each stream on its own, so the older of two
+// records of one key in two streams could reach a follower last. OpenWith
+// therefore restores the invariant before it returns from a reopen under
+// another layout — one where some surviving record sits in a stream its
+// keys no longer route to; the directories alone do not say, a mirror keeps
+// empty ones — by taking the incarnation's first, full checkpoint, which
+// truncates every segment that holds a record. The old streams' records are
+// then in the checkpoint, below every timestamp the new streams will carry.
 package wal
 
 import (
@@ -263,15 +278,6 @@ func (o *Options) fill() error {
 	if o.Shards < 1 {
 		return fmt.Errorf("wal: bad shard count %d", o.Shards)
 	}
-	if o.DS == "" {
-		o.DS = "hashmap"
-	}
-	if o.Capacity == 0 {
-		o.Capacity = 1 << 16
-	}
-	if o.LockTable == 0 {
-		o.LockTable = 1 << 16
-	}
 	if o.SegmentBytes == 0 {
 		o.SegmentBytes = 4 << 20
 	}
@@ -384,8 +390,11 @@ func Open(dir, backend string, shards int) (ds.Map, *Log, error) {
 // previous incarnation's state, OpenWith recovers it — newest valid
 // checkpoint chain plus replayed log suffix — into the fresh system before
 // returning; the shard count may differ from the previous incarnation's
-// (records route by key, not by stream). The returned ds.Map logs every
-// mutation; drive it with threads registered on Log.System().
+// (records route by key, not by stream), in which case the open also
+// checkpoints, so that the old layout's streams are gone before the new
+// one's take a record (see "Streams partition the key space"). The returned
+// ds.Map logs every mutation; drive it with threads registered on
+// Log.System().
 func OpenWith(opts Options) (m ds.Map, l *Log, err error) {
 	if err := opts.fill(); err != nil {
 		return nil, nil, err
@@ -401,7 +410,7 @@ func OpenWith(opts Options) (m ds.Map, l *Log, err error) {
 	// Phase 1: read (and repair) what a previous incarnation left behind.
 	// A read fault here is a hard open failure — recovery must never
 	// mistake an unreadable file for a torn one and "repair" it away.
-	rec, err := scanAndRepair(fsys, opts.Dir)
+	rec, err := scanAndRepair(fsys, opts.Dir, opts.Shards)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -440,45 +449,37 @@ func OpenWith(opts Options) (m ds.Map, l *Log, err error) {
 
 	// Phase 3: the sharded system, clock restarted above every persisted
 	// timestamp so new commits extend the log's timestamp order.
-	backend, err := registry.ShardBackend(opts.Backend,
-		registry.Params{LockTable: opts.LockTable, ObsConfig: stm.ObsConfig{Obs: opts.Rec}},
-		func(i int) stm.CommitObserver { return l.streams[i] })
+	l.sys, l.inner, err = NewStore(StoreSpec{Backend: opts.Backend, DS: opts.DS, Shards: opts.Shards,
+		Capacity: opts.Capacity, LockTable: opts.LockTable, Rec: opts.Rec},
+		func(i int) stm.CommitObserver { return l.streams[i] }, rec.maxTs+1)
 	if err != nil {
 		return nil, nil, err
 	}
-	l.sys = shard.New(shard.Config{
-		Shards:     opts.Shards,
-		Backend:    backend,
-		ClockStart: rec.maxTs + 1,
-	})
-	per := opts.Capacity / opts.Shards
-	if per < 1024 {
-		per = 1024
-	}
-	maps := make([]ds.Map, opts.Shards)
-	for i := range maps {
-		if maps[i], err = registry.NewDS(opts.DS, per); err != nil {
-			l.sys.Close()
-			return nil, nil, err
-		}
-	}
-	l.inner = shard.NewMap(l.sys, func(i int) ds.Map { return maps[i] })
 	l.ckptTh = l.sys.RegisterSharded()
 
 	// Phase 4: load the recovered image. Raw inserts on the inner map
 	// append no redo, so the load is not re-logged (it is already durable
 	// in the checkpoint chain and surviving segments).
-	if len(rec.image) > 0 {
-		if err := l.bulkLoad(rec.image); err != nil {
-			l.sys.Close()
-			return nil, nil, err
-		}
+	if err := Load(l.sys, l.ckptTh, l.inner, nil, rec.image); err != nil {
+		l.sys.Close()
+		return nil, nil, err
 	}
 
 	// Phase 5: group-commit flusher (SyncEveryCommit writes inline, but
 	// the flusher still drives rotation-after-idle and SyncNone writes).
 	l.flushWG.Add(1)
 	go l.flushLoop()
+
+	// Phase 6: a directory last written under another shard layout holds
+	// streams that do not partition this incarnation's key space (package
+	// comment). Before any new record exists, take the incarnation's first
+	// checkpoint: it is full, and truncates every legacy segment.
+	if rec.resharded {
+		if _, err := l.Checkpoint(); err != nil {
+			l.Close()
+			return nil, nil, fmt.Errorf("wal: checkpoint after a reshard: %w", err)
+		}
+	}
 
 	if opts.Obs != nil {
 		l.RegisterObs(opts.Obs)
@@ -537,28 +538,78 @@ func RegisterShardStats(emit func(name string, v uint64), sys *shard.System) {
 	}
 }
 
-// bulkLoad installs image into the fresh system, batching keys per shard so
-// each update transaction stays shard-confined.
-func (l *Log) bulkLoad(image map[uint64]uint64) error {
-	byShard := make([][]ds.KV, l.sys.NumShards())
-	for k, v := range image {
-		s := l.sys.ShardOf(k)
-		byShard[s] = append(byShard[s], ds.KV{Key: k, Val: v})
+// StoreSpec is what NewStore builds. Backend and Shards are the caller's to
+// resolve — it needs them before the store — while a zero DS, Capacity or
+// LockTable takes the default Options documents: here, where they are read,
+// and nowhere else.
+type StoreSpec struct {
+	Backend, DS                 string
+	Shards, Capacity, LockTable int           // Capacity is the whole map's, LockTable each shard's
+	Rec                         *obs.Recorder // the TMs' flight recorder (nil: none)
+}
+
+// NewStore builds the sharded system and map that spec describes: the one
+// construction behind a log — observe(i) is shard i's stream, clockStart lies
+// above every recovered timestamp — and behind a follower of one, which
+// passes no observer (its commits are replays; logging them would be a
+// second, diverging history). The caller has checked
+// registry.Durable(spec.Backend).
+func NewStore(spec StoreSpec, observe func(shard int) stm.CommitObserver, clockStart uint64) (*shard.System, *shard.Map, error) {
+	if spec.DS == "" {
+		spec.DS = "hashmap"
 	}
-	th := l.sys.RegisterSharded()
-	defer th.Unregister()
+	if spec.Capacity == 0 {
+		spec.Capacity = 1 << 16
+	}
+	if spec.LockTable == 0 {
+		spec.LockTable = 1 << 16
+	}
+	backend, err := registry.ShardBackend(spec.Backend,
+		registry.Params{LockTable: spec.LockTable, ObsConfig: stm.ObsConfig{Obs: spec.Rec}}, observe)
+	if err != nil {
+		return nil, nil, err
+	}
+	maps := make([]ds.Map, spec.Shards)
+	for i := range maps {
+		if maps[i], err = registry.NewDS(spec.DS, max(1024, spec.Capacity/spec.Shards)); err != nil {
+			return nil, nil, err
+		}
+	}
+	sys := shard.New(shard.Config{Shards: spec.Shards, Backend: backend, ClockStart: clockStart})
+	return sys, shard.NewMap(sys, func(i int) ds.Map { return maps[i] }), nil
+}
+
+// Load installs an image into m on the caller's thread: it deletes dels,
+// then inserts image's pairs (absent keys only — a key whose value changes
+// is in both), batching per shard so each update transaction stays
+// shard-confined. Recovery loads the recovered image into a fresh map this
+// way; a follower loads its base image and, at a rebase, the difference from
+// what it holds.
+func Load(sys *shard.System, th *shard.Thread, m *shard.Map, dels []uint64, image map[uint64]uint64) error {
+	byShard := make([][]stm.RedoRec, sys.NumShards())
+	for _, k := range dels {
+		s := sys.ShardOf(k)
+		byShard[s] = append(byShard[s], stm.RedoRec{Op: stm.RedoDelete, Key: k})
+	}
+	for k, v := range image {
+		s := sys.ShardOf(k)
+		byShard[s] = append(byShard[s], stm.RedoRec{Op: stm.RedoInsert, Key: k, Val: v})
+	}
 	const batch = 256
-	for _, pairs := range byShard {
-		for len(pairs) > 0 {
-			n := min(batch, len(pairs))
-			chunk := pairs[:n]
-			pairs = pairs[n:]
+	for _, ops := range byShard {
+		for len(ops) > 0 {
+			chunk := ops[:min(batch, len(ops))]
+			ops = ops[len(chunk):]
 			if !th.Atomic(func(tx stm.Txn) {
-				for _, kv := range chunk {
-					l.inner.InsertTx(tx, kv.Key, kv.Val)
+				for _, op := range chunk {
+					if op.Op == stm.RedoDelete {
+						m.DeleteTx(tx, op.Key)
+					} else {
+						m.InsertTx(tx, op.Key, op.Val)
+					}
 				}
 			}) {
-				return errors.New("wal: recovery load transaction starved")
+				return errors.New("wal: image load transaction starved")
 			}
 		}
 	}

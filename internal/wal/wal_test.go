@@ -330,12 +330,54 @@ func TestReshardOnReopen(t *testing.T) {
 	l.Crash()
 	l.Close()
 
-	o2 := testOpts(dir, "multiverse", 2, nil)
-	m2, l2 := mustOpen(t, o2)
-	defer l2.Close()
-	if got, want := exportSorted(t, l2, m2), modelPairs(model); !pairsEqual(got, want) {
-		t.Fatalf("reshard 4→2 diverged: %d pairs want %d", len(got), len(want))
+	// A reopen under the same layout is just recovery: no checkpoint.
+	m4, l4 := mustOpen(t, o4)
+	if n := l4.Stats().Checkpoints; n != 0 {
+		t.Fatalf("a same-layout reopen took %d checkpoints", n)
 	}
+	if got, want := exportSorted(t, l4, m4), modelPairs(model); !pairsEqual(got, want) {
+		t.Fatalf("reopen 4→4 diverged: %d pairs want %d", len(got), len(want))
+	}
+	l4.Close()
+
+	// A reopen under another layout restores "streams partition the key
+	// space" before it returns: one full checkpoint, which truncates every
+	// segment the old layout wrote a record into — so the open after it finds
+	// no record out of place and takes none.
+	o2 := testOpts(dir, "multiverse", 2, nil)
+	for reopen, wantCkpts := range []uint64{1, 0} {
+		m2, l2 := mustOpen(t, o2)
+		if n := l2.Stats().Checkpoints; n != wantCkpts {
+			t.Fatalf("reopen %d at 2 shards took %d checkpoints, want %d", reopen, n, wantCkpts)
+		}
+		if got, want := exportSorted(t, l2, m2), modelPairs(model); !pairsEqual(got, want) {
+			t.Fatalf("reshard 4→2 (reopen %d) diverged: %d pairs want %d", reopen, len(got), len(want))
+		}
+		if b := pollAll(t, OpenShipReader(dir, nil)); len(b.Recs) != 0 || len(b.Image) != len(model) {
+			t.Fatalf("reopen %d: a tailer finds %d records beside a base of %d pairs, want 0 and %d",
+				reopen, len(b.Recs), len(b.Image), len(model))
+		}
+		l2.Close()
+	}
+}
+
+// pollAll drains a fresh tailer: the base image and every record after it.
+func pollAll(t *testing.T, r *ShipReader) ShipBatch {
+	t.Helper()
+	var all ShipBatch
+	for empty := 0; empty < 2; {
+		b, err := r.Poll()
+		if err != nil {
+			t.Fatalf("Poll: %v", err)
+		}
+		if b.Rebase {
+			all.Image = b.Image
+		} else if len(b.Recs) == 0 {
+			empty++
+		}
+		all.Recs = append(all.Recs, b.Recs...)
+	}
+	return all
 }
 
 // TestSegmentEncodingRoundTrip exercises the record codec directly,
