@@ -26,7 +26,7 @@ import (
 
 func main() {
 	var (
-		exp     = flag.String("exp", "", "experiment id (fig1, fig6..fig21, tab1, ablation, tpcc) or 'all'")
+		exp     = flag.String("exp", "", "experiment id (fig1, fig6..fig21, tab1, ablation) or 'all'")
 		list    = flag.Bool("list", false, "list experiments and exit")
 		tms     = flag.String("tm", strings.Join(bench.TMNames, ","), "comma-separated TMs to compare")
 		prefill = flag.Int("prefill", 0, "prefill size (default: quick scale)")

@@ -13,13 +13,14 @@ import (
 	"repro/internal/server/client"
 )
 
-// topCmd is the terminal dashboard: WAL health and fsync activity, the server's
-// ack batching, replica lag when the target is a follower, per-shard commit
-// throughput, the abort-reason breakdown, per-op latency quantiles and —
-// when the server samples traces (-trace-every) — the per-stage breakdown
-// from the trace.stage.* histograms. In live mode the screen redraws every
-// -every; rates are deltas between consecutive snapshots. -once renders a
-// single frame without clearing the screen — the mode CI smoke tests parse.
+// topCmd is the terminal dashboard: WAL health and fsync activity, checkpoints
+// served and starved, the server's ack batching, replica lag when the target
+// is a follower, per-shard commit throughput, the abort-reason breakdown,
+// per-op latency quantiles and — when the server samples traces
+// (-trace-every) — the per-stage breakdown from the trace.stage.*
+// histograms. In live mode the screen redraws every -every; rates are deltas
+// between consecutive snapshots. -once renders a single frame without
+// clearing the screen — the mode CI smoke tests parse.
 func topCmd(src *source, fs *flag.FlagSet) func(io.Writer) error {
 	fs.DurationVar(&src.timeout, "timeout", 5*time.Second, "bound on the dial and on each stats fetch in live mode")
 	every := fs.Duration("every", time.Second, "poll/redraw interval in live mode")
@@ -84,6 +85,8 @@ type pane struct {
 var panes = []pane{
 	{format: "WAL     health=%s  records=%s  fsyncs=%s  retained=%s  degradations=%s\n", signals: []signal{
 		{"wal.health", text, ""}, {"wal.records", rate, ""}, {"wal.fsyncs", rate, ""}, {"wal.retained", total, ""}, {"wal.degradations", total, ""}}},
+	{format: "ckpt    served=%s  starved=%s  last_pause=%s\n", signals: []signal{
+		{"wal.checkpoints", total, ""}, {"wal.ckpt_starved", total, ""}, {"wal.last_ckpt_pause_ns", dur, ""}}},
 	{format: "server  requests=%s  updates=%s  acks/fsync=%s  failed_acks=%s\n", signals: []signal{
 		{"server.requests", rate, ""}, {"server.updates", rate, ""}, {"server.synced_acks", ratio, "server.sync_rounds"}, {"server.failed_acks", total, ""}}},
 	{format: "replica health=%s  applied_ts=%s  applied=%s  rebases=%s  lag=%s\n", signals: []signal{

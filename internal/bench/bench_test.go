@@ -116,11 +116,11 @@ func TestNewDSAllNames(t *testing.T) {
 
 func TestExperimentRegistryComplete(t *testing.T) {
 	// Set equality: the registry is the paper's figures and table plus the
-	// two experiments built from them (ablation, tpcc). What measures the
+	// one experiment built from them (ablation). What measures the
 	// shard/WAL/server/replica stack lives in benchmark/, not here.
 	want := []string{"ablation", "fig1", "fig10", "fig11", "fig12", "fig13", "fig14",
 		"fig15", "fig16", "fig17", "fig18", "fig19", "fig20", "fig21", "fig6",
-		"fig7", "fig8", "fig9", "tab1", "tpcc"}
+		"fig7", "fig8", "fig9", "tab1"}
 	if got := ExperimentIDs(); !slices.Equal(got, want) {
 		t.Errorf("experiment ids = %v, want exactly %v", got, want)
 	}

@@ -7,7 +7,6 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/tpcc"
 	"repro/internal/workload"
 )
 
@@ -257,23 +256,6 @@ func Experiments() map[string]Experiment {
 	alias("fig19", "fig6", "fig6 workloads at the quad-Xeon thread grid", []int{1, 4, 12})
 	alias("fig20", "fig11", "fig11 workloads at the quad-Xeon thread grid", []int{1, 4, 12})
 	alias("fig21", "fig12", "fig12 workloads at the quad-Xeon thread grid", []int{1, 4, 12})
-
-	add(Experiment{
-		ID:    "tpcc",
-		Title: "TPC-C-style application mix (the paper's §5 future work): per-profile throughput; StockLevel is the long read",
-		Run: func(s Scale, tms []string, w io.Writer) {
-			for _, tm := range tms {
-				for _, th := range s.Threads {
-					sys := NewTM(tm, 1<<16)
-					db := tpcc.New(tpcc.Config{})
-					counts := tpcc.RunMix(sys, db, th, s.Duration*4, 16, 11)
-					sys.Close()
-					opsPerSec := float64(counts.Total()) / (s.Duration * 4).Seconds()
-					fmt.Fprintf(w, "%-24s thr=%-3d tpm=%-10.0f %v\n", tm, th, opsPerSec, counts)
-				}
-			}
-		},
-	})
 
 	add(Experiment{
 		ID:    "tab1",

@@ -36,6 +36,10 @@ const (
 	// EvCkptSkip: checkpoint completed but segment truncation was skipped
 	// (degraded stream or retention debt). A = checkpoint ts.
 	EvCkptSkip
+	// EvCkptStarved: a checkpoint's pinned scan starved and nothing was
+	// written (a versionless backend under updates, or Multiverse short of
+	// Mode U). A = nanoseconds the call spent before giving up.
+	EvCkptStarved
 	// EvGroupCommit: one WAL flush batch hit the disk. A = shard,
 	// B = records in the batch.
 	EvGroupCommit
@@ -60,6 +64,7 @@ var kindNames = [...]string{
 	EvCkptBegin:     "ckpt-begin",
 	EvCkptEnd:       "ckpt-end",
 	EvCkptSkip:      "ckpt-trunc-skip",
+	EvCkptStarved:   "ckpt-starved",
 	EvGroupCommit:   "group-commit",
 	EvAckBatch:      "ack-batch",
 	EvReplicaRebase: "replica-rebase",
@@ -164,6 +169,8 @@ func (ev Event) Format() string {
 			t, ev.Seq, ev.A, ev.B, ev.C)
 	case EvCkptSkip:
 		return fmt.Sprintf("%s #%d ckpt-trunc-skip ts=%d", t, ev.Seq, ev.A)
+	case EvCkptStarved:
+		return fmt.Sprintf("%s #%d ckpt-starved after=%s", t, ev.Seq, time.Duration(ev.A))
 	case EvGroupCommit:
 		return fmt.Sprintf("%s #%d group-commit shard=%d recs=%d", t, ev.Seq, ev.A, ev.B)
 	case EvAckBatch:

@@ -22,9 +22,9 @@
 // leader already pruned plus, possibly, a partial checkpoint file that
 // parse validation rejects. Nothing readable ever has a gap — once a mirror
 // has been filled: during its first fill the segments are there before the
-// checkpoints, so records the leader truncated long ago are missing until
-// the chain is complete, and the ShipReader tailing it takes each longer
-// chain as a new base when it shows up (wal.ShipReader.Poll).
+// checkpoint, so records the leader truncated long ago are missing until
+// the checkpoint is complete, and the ShipReader tailing it takes it as a
+// new base when it parses (wal.ShipReader.Poll).
 //
 // There is no flow control of the channel's own, because none is needed:
 // the Shipper is synchronous — one chunk read from a file, framed, handed to

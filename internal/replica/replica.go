@@ -31,7 +31,7 @@
 // Promote ends the session with the same termination discipline the WAL
 // gives a crashed leader: the applier stops, the follower's in-memory
 // system is discarded, and the log directory is re-opened through the
-// ordinary wal recovery path — newest valid checkpoint chain plus replayed
+// ordinary wal recovery path — newest valid checkpoint plus replayed
 // suffix, torn tails repaired, the shared clock restarted above every
 // persisted timestamp. A shipped-but-never-applied suffix therefore means
 // never-promoted-as-applied: an unanswered shipment is indistinguishable
@@ -359,8 +359,8 @@ func (r *Replica) Close() {
 
 // Promote ends the follower session and re-opens the tailed directory as a
 // leader through the ordinary wal recovery path: newest valid checkpoint
-// chain plus replayed suffix, torn tails repaired, clock restarted above
-// every persisted timestamp. The Replica is consumed; the returned map and
+// plus replayed suffix, torn tails repaired, clock restarted above every
+// persisted timestamp. The Replica is consumed; the returned map and
 // log are a fresh leader over the same history.
 func (r *Replica) Promote() (ds.Map, *wal.Log, error) {
 	r.Close()

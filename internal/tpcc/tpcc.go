@@ -1,34 +1,20 @@
-// Package tpcc implements the TPC-C-style application benchmark the paper
-// leaves as future work (§5: "We also started developing our own more
-// sophisticated TPC-C style application benchmark but we chose to leave
-// that to future work").
-//
-// It is a scaled-down TPC-C: warehouses → districts → customers, per-item
-// stock, dense per-district order ids, and the five transaction profiles.
-// Everything is built on the repository's transactional substrates — dense
-// arrays of stm.Words for the hot rows and an (a,b)-tree for orders and
-// order lines — so the whole benchmark runs unchanged on every TM.
-//
-// StockLevel is the long-running read: it scans the district's recent
-// orders and their items' stock rows in one read-only transaction, the
-// access pattern that starves unversioned STMs under update pressure and
-// that Multiverse's versioned path is built for.
+// Package tpcc is the payment side of a scaled-down TPC-C database:
+// warehouses → districts → customers, with the ledgers the payment
+// transaction moves together. It is what stmtorture's ledger workload drives
+// on every TM — dense arrays of stm.Words, nothing else. The full five-profile
+// mix the paper leaves as future work (§5) is not here; ROADMAP parks it as a
+// future benchmark/ workload.
 package tpcc
 
-import (
-	"repro/internal/ds/abtree"
-	"repro/internal/stm"
-	"repro/internal/workload"
-)
+import "repro/internal/stm"
 
 // Config sizes the database. TPC-C's nominal scale (10 districts per
-// warehouse, 3000 customers per district, 100k items) shrinks by default so
+// warehouse, 3000 customers per district) shrinks by default so
 // single-machine runs stay fast; ratios are preserved.
 type Config struct {
 	Warehouses    int
 	DistrictsPerW int
 	CustomersPerD int
-	Items         int
 }
 
 func (c *Config) fill() {
@@ -41,58 +27,32 @@ func (c *Config) fill() {
 	if c.CustomersPerD == 0 {
 		c.CustomersPerD = 64
 	}
-	if c.Items == 0 {
-		c.Items = 1024
-	}
 }
 
-// DB is the transactional TPC-C database.
+// DB is the transactional database.
 type DB struct {
 	cfg Config
 
 	// Warehouse / district ledgers (payment hot spots).
 	warehouseYTD []stm.Word
 	districtYTD  []stm.Word
-	// Per-district dense order-id allocator and delivery cursor.
-	districtNextO    []stm.Word
-	districtDelivCur []stm.Word
 	// Customers.
-	custBalance   []stm.Word
-	custYTD       []stm.Word
-	custLastOrder []stm.Word
-	// Stock per (warehouse, item).
-	stockQty []stm.Word
-	stockYTD []stm.Word
-	// Orders: oKey → customer id. Order lines: olKey → item<<16|qty.
-	orders     *abtree.Tree
-	orderLines *abtree.Tree
+	custBalance []stm.Word
+	custYTD     []stm.Word
 }
 
-// New creates and initializes a database (stock quantity 100 everywhere,
-// all ledgers zero).
+// New creates a database with all ledgers zero.
 func New(cfg Config) *DB {
 	cfg.fill()
 	nD := cfg.Warehouses * cfg.DistrictsPerW
 	nC := nD * cfg.CustomersPerD
-	nS := cfg.Warehouses * cfg.Items
-	db := &DB{
-		cfg:              cfg,
-		warehouseYTD:     make([]stm.Word, cfg.Warehouses),
-		districtYTD:      make([]stm.Word, nD),
-		districtNextO:    make([]stm.Word, nD),
-		districtDelivCur: make([]stm.Word, nD),
-		custBalance:      make([]stm.Word, nC),
-		custYTD:          make([]stm.Word, nC),
-		custLastOrder:    make([]stm.Word, nC),
-		stockQty:         make([]stm.Word, nS),
-		stockYTD:         make([]stm.Word, nS),
-		orders:           abtree.New(1 << 16),
-		orderLines:       abtree.New(1 << 18),
+	return &DB{
+		cfg:          cfg,
+		warehouseYTD: make([]stm.Word, cfg.Warehouses),
+		districtYTD:  make([]stm.Word, nD),
+		custBalance:  make([]stm.Word, nC),
+		custYTD:      make([]stm.Word, nC),
 	}
-	for i := range db.stockQty {
-		db.stockQty[i].Store(100)
-	}
-	return db
 }
 
 // Cfg returns the database sizing.
@@ -104,51 +64,6 @@ func (db *DB) district(w, d int) int { return w*db.cfg.DistrictsPerW + d }
 // customer returns the flat customer index.
 func (db *DB) customer(w, d, c int) int {
 	return db.district(w, d)*db.cfg.CustomersPerD + c
-}
-
-// stock returns the flat stock index.
-func (db *DB) stock(w, item int) int { return w*db.cfg.Items + item }
-
-// oKey encodes an order key (+1 keeps key 0 reserved).
-func (db *DB) oKey(w, d int, oid uint64) uint64 {
-	return (uint64(db.district(w, d))<<32|oid)<<5 + 1
-}
-
-// olKey encodes an order-line key inside the order's key space.
-func (db *DB) olKey(w, d int, oid uint64, line int) uint64 {
-	return db.oKey(w, d, oid) + 1 + uint64(line)
-}
-
-// OrderLine is one item of a new order.
-type OrderLine struct {
-	Item int
-	Qty  uint64
-}
-
-// NewOrder runs the new-order transaction: allocate the district's next
-// order id, insert the order and its lines, and decrement stock (wrapping
-// +91 below 10, as TPC-C prescribes). Returns the order id.
-func (db *DB) NewOrder(th stm.Thread, w, d, c int, lines []OrderLine) (oid uint64, ok bool) {
-	dIdx := db.district(w, d)
-	ok = th.Atomic(func(tx stm.Txn) {
-		oid = tx.Read(&db.districtNextO[dIdx])
-		tx.Write(&db.districtNextO[dIdx], oid+1)
-		db.orders.InsertTx(tx, db.oKey(w, d, oid), uint64(db.customer(w, d, c)))
-		tx.Write(&db.custLastOrder[db.customer(w, d, c)], oid+1) // +1: 0 = none
-		for ln, l := range lines {
-			sIdx := db.stock(w, l.Item)
-			q := tx.Read(&db.stockQty[sIdx])
-			if q >= l.Qty+10 {
-				q -= l.Qty
-			} else {
-				q = q - l.Qty + 91
-			}
-			tx.Write(&db.stockQty[sIdx], q)
-			tx.Write(&db.stockYTD[sIdx], tx.Read(&db.stockYTD[sIdx])+l.Qty)
-			db.orderLines.InsertTx(tx, db.olKey(w, d, oid, ln), uint64(l.Item)<<16|l.Qty)
-		}
-	})
-	return oid, ok
 }
 
 // Payment runs the payment transaction: the warehouse and district ledgers
@@ -165,91 +80,9 @@ func (db *DB) Payment(th stm.Thread, w, d, c int, amount uint64) bool {
 	})
 }
 
-// OrderStatus reads a customer's most recent order and counts its lines
-// (read-only).
-func (db *DB) OrderStatus(th stm.Thread, w, d, c int) (lines int, ok bool) {
-	cIdx := db.customer(w, d, c)
-	ok = th.ReadOnly(func(tx stm.Txn) {
-		lines = 0
-		last := tx.Read(&db.custLastOrder[cIdx])
-		if last == 0 {
-			return
-		}
-		oid := last - 1
-		lines, _ = db.orderLines.RangeTx(tx, db.olKey(w, d, oid, 0), db.olKey(w, d, oid, 29))
-	})
-	return lines, ok
-}
-
-// Delivery delivers the oldest undelivered order of every district of
-// warehouse w (advancing each district's delivery cursor).
-func (db *DB) Delivery(th stm.Thread, w int) (delivered int, ok bool) {
-	ok = th.Atomic(func(tx stm.Txn) {
-		delivered = 0
-		for d := 0; d < db.cfg.DistrictsPerW; d++ {
-			dIdx := db.district(w, d)
-			cur := tx.Read(&db.districtDelivCur[dIdx])
-			next := tx.Read(&db.districtNextO[dIdx])
-			if cur >= next {
-				continue // nothing pending
-			}
-			// Deliver order `cur`: credit its line count to the
-			// ordering customer's delivery balance.
-			cust := int(mustVal(db.orders.SearchTx(tx, db.oKey(w, d, cur))))
-			n, _ := db.orderLines.RangeTx(tx, db.olKey(w, d, cur, 0), db.olKey(w, d, cur, 29))
-			tx.Write(&db.custBalance[cust], tx.Read(&db.custBalance[cust])+uint64(n))
-			tx.Write(&db.districtDelivCur[dIdx], cur+1)
-			delivered++
-		}
-	})
-	return delivered, ok
-}
-
-func mustVal(v uint64, found bool) uint64 {
-	if !found {
-		// An order id below districtNextO always exists; reaching this
-		// would mean a snapshot-consistency bug, which the transaction
-		// layer is required to prevent.
-		panic("tpcc: order row missing inside a consistent snapshot")
-	}
-	return v
-}
-
-// StockLevel is the long-running read: it examines the district's last
-// `recent` orders, collects their items, and counts how many of those
-// items' stock rows sit below threshold — all in one atomic snapshot.
-func (db *DB) StockLevel(th stm.Thread, w, d int, recent int, threshold uint64) (low int, ok bool) {
-	dIdx := db.district(w, d)
-	ok = th.ReadOnly(func(tx stm.Txn) {
-		low = 0
-		next := tx.Read(&db.districtNextO[dIdx])
-		start := uint64(0)
-		if next > uint64(recent) {
-			start = next - uint64(recent)
-		}
-		seen := make(map[int]bool)
-		for oid := start; oid < next; oid++ {
-			for ln := 0; ln < 30; ln++ {
-				v, found := db.orderLines.SearchTx(tx, db.olKey(w, d, oid, ln))
-				if !found {
-					break
-				}
-				item := int(v >> 16)
-				if seen[item] {
-					continue
-				}
-				seen[item] = true
-				if tx.Read(&db.stockQty[db.stock(w, item)]) < threshold {
-					low++
-				}
-			}
-		}
-	})
-	return low, ok
-}
-
 // WarehouseYTD atomically reads warehouse w's ledger and the sum of its
-// districts' ledgers — the consistency audit used by tests and the runner.
+// districts' ledgers — the consistency audit used by tests and the torture
+// harness.
 func (db *DB) WarehouseYTD(th stm.Thread, w int) (wYTD, dSum uint64, ok bool) {
 	ok = th.ReadOnly(func(tx stm.Txn) {
 		wYTD = tx.Read(&db.warehouseYTD[w])
@@ -259,20 +92,4 @@ func (db *DB) WarehouseYTD(th stm.Thread, w int) (wYTD, dSum uint64, ok bool) {
 		}
 	})
 	return
-}
-
-// RandomLines draws a TPC-C-style order (5–15 lines, distinct items).
-func RandomLines(r *workload.Rng, items int) []OrderLine {
-	n := 5 + r.Intn(11)
-	lines := make([]OrderLine, 0, n)
-	used := map[int]bool{}
-	for len(lines) < n {
-		it := r.Intn(items)
-		if used[it] {
-			continue
-		}
-		used[it] = true
-		lines = append(lines, OrderLine{Item: it, Qty: uint64(r.Intn(10)) + 1})
-	}
-	return lines
 }

@@ -15,9 +15,7 @@ import (
 // CheckpointInfo summarizes one Checkpoint call.
 type CheckpointInfo struct {
 	Ts            uint64        // the frozen timestamp
-	Full          bool          // full image vs incremental delta
-	Entries       int           // entries written (pairs + tombstones)
-	Live          int           // live pairs in the image at Ts
+	Live          int           // pairs in the image at Ts, all of them written
 	TruncatedSegs int           // log segments deleted below Ts
 	Pause         time.Duration // wall time of the whole call
 	// TruncationSkipped: the checkpoint image is durable, but the log
@@ -32,14 +30,15 @@ type CheckpointInfo struct {
 // Checkpoint takes an online checkpoint: it reads the whole map at one
 // frozen shared-clock timestamp through shard.Thread.Snapshot (writers keep
 // committing throughout — on Multiverse the pinned scans ride the versioned
-// read path), writes the pairs changed since the previous checkpoint to a
-// new checkpoint file, and deletes the log segments the checkpoint makes
-// redundant. Every FullEvery-th checkpoint writes the full image and prunes
-// the older checkpoint files.
+// read path), encoding each pair into the file image as the scan visits it,
+// writes that image to a new checkpoint file, and deletes what it makes
+// redundant: every older checkpoint file and the log segments below its ts.
+// Nothing of the image outlives the call.
 //
 // On the versionless baselines (tl2, dctl) a pinned scan starves under
 // sustained update load; Snapshot gives up after its bounded re-freezes and
-// Checkpoint reports the starvation as an error, leaving the previous
+// Checkpoint reports the starvation as an error (counted in
+// Stats.StarvedCkpts, recorded as obs.EvCkptStarved), leaving the previous
 // checkpoint state untouched.
 func (l *Log) Checkpoint() (CheckpointInfo, error) {
 	l.mu.Lock()
@@ -56,69 +55,40 @@ func (l *Log) Checkpoint() (CheckpointInfo, error) {
 	}
 	start := time.Now()
 
-	hint := len(l.lastImage)
-	if l.lastImage == nil { // an incarnation's first scan
-		hint = l.recoveredPairs
-	}
-	image := make(map[uint64]uint64, hint+64)
+	buf := make([]byte, 0, ckptHeaderSize+ckptPairSize*(l.ckptPairs+64)+4)
 	ts, ok := l.ckptTh.Snapshot(func(tx stm.Txn) {
-		clear(image) // the body reruns after a re-freeze
-		l.inner.VisitTx(tx, 1, ^uint64(0), func(k, v uint64) { image[k] = v })
+		buf = beginCheckpoint(buf[:0]) // the body reruns after a re-freeze
+		l.inner.VisitTx(tx, 1, ^uint64(0), func(k, v uint64) { buf = appendCkptPair(buf, k, v) })
 	})
 	if !ok {
+		l.starvedCkpts.Add(1)
+		l.rec.Record(obs.EvCkptStarved, uint64(time.Since(start)), 0, 0)
 		return info, fmt.Errorf("wal: checkpoint starved (backend %q keeps no versions to pin)", l.opts.Backend)
 	}
-	info.Ts, info.Live = ts, len(image)
+	l.ckptPairs = (len(buf) - ckptHeaderSize) / ckptPairSize
+	info.Ts, info.Live = ts, l.ckptPairs
 	l.rec.Record(obs.EvCkptBegin, ts, 0, 0)
-
-	full := l.lastCkptTs.Load() == 0 || l.incrSinceFull >= l.opts.FullEvery
-	var entries []ckptEntry
-	if full {
-		entries = make([]ckptEntry, 0, len(image))
-		for k, v := range image {
-			entries = append(entries, ckptEntry{key: k, val: v})
-		}
-	} else {
-		for k, v := range image {
-			if old, ok := l.lastImage[k]; !ok || old != v {
-				entries = append(entries, ckptEntry{key: k, val: v})
-			}
-		}
-		for k := range l.lastImage {
-			if _, ok := image[k]; !ok {
-				entries = append(entries, ckptEntry{key: k, tomb: true})
-			}
-		}
-	}
-	info.Full, info.Entries = full, len(entries)
 
 	if l.severed.Load() { // crashed while we scanned: write nothing
 		return info, fmt.Errorf("wal: log severed during checkpoint: %w", ErrSevered)
 	}
 	path := filepath.Join(l.opts.Dir, CkptName(ts))
-	if err := writeFileDurable(l.fs, path, encodeCheckpoint(ts, l.lastCkptTs.Load(), full, entries)); err != nil {
+	if err := writeFileDurable(l.fs, path, finishCheckpoint(buf, ts)); err != nil {
 		return info, err
 	}
 
 	// The checkpoint is durable. Before destroying anything it supersedes,
 	// re-check health: if any stream degraded while we scanned and wrote,
 	// keep every segment (see CheckpointInfo.TruncationSkipped).
-	l.ckptFiles = append(l.ckptFiles, ckptOnDisk{ts: ts, path: path})
 	if l.Health() != Healthy {
+		l.ckptFiles = append(l.ckptFiles, path)
 		info.TruncationSkipped = true
 		l.rec.Record(obs.EvCkptSkip, ts, 0, 0)
 	} else {
-		if full {
-			kept := l.ckptFiles[:0]
-			for _, c := range l.ckptFiles {
-				if c.ts < ts {
-					l.fs.Remove(c.path)
-					continue
-				}
-				kept = append(kept, c)
-			}
-			l.ckptFiles = kept
+		for _, older := range l.ckptFiles {
+			l.fs.Remove(older)
 		}
+		l.ckptFiles = append(l.ckptFiles[:0], path)
 		for _, s := range l.streams {
 			info.TruncatedSegs += s.truncateBelow(ts)
 		}
@@ -133,13 +103,7 @@ func (l *Log) Checkpoint() (CheckpointInfo, error) {
 		}
 		l.legacySegs = keptLegacy
 	}
-	if full {
-		l.incrSinceFull = 0
-	} else {
-		l.incrSinceFull++
-	}
 
-	l.lastImage = image
 	l.lastCkptTs.Store(ts)
 	l.checkpoints.Add(1)
 	info.Pause = time.Since(start)

@@ -2,8 +2,11 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -13,11 +16,38 @@ import (
 
 	"repro/internal/ds"
 	"repro/internal/fault"
+	"repro/internal/frame"
 	"repro/internal/stm"
 )
 
-// TestGoldenBytes pins the three on-disk encodings to hex generated before
-// framing moved to internal/frame: the refactor changed no byte on disk.
+// encodeCheckpoint renders a whole checkpoint file image the way Checkpoint
+// does, pair by pair.
+func encodeCheckpoint(ts uint64, pairs ...ds.KV) []byte {
+	buf := beginCheckpoint(nil)
+	for _, kv := range pairs {
+		buf = appendCkptPair(buf, kv.Key, kv.Val)
+	}
+	return finishCheckpoint(buf, ts)
+}
+
+// asDelta turns a checkpoint image into what an earlier format could write:
+// kind 2 for an incremental checkpoint, chained onto prevTs, its last tombs
+// entries tombstones (flag 2; the parser took them under kind 1 too) — under
+// a valid checksum.
+func asDelta(data []byte, kind byte, prevTs uint64, tombs int) []byte {
+	data = bytes.Clone(data[:len(data)-4])
+	data[12] = kind
+	binary.LittleEndian.PutUint64(data[24:], prevTs)
+	for p := len(data) - ckptPairSize; tombs > 0; p, tombs = p-ckptPairSize, tombs-1 {
+		data[p] = 2
+	}
+	return binary.LittleEndian.AppendUint32(data, frame.Checksum(data[8:]))
+}
+
+// TestGoldenBytes pins the three on-disk encodings to hex generated by
+// earlier commits: the record rows before framing moved to internal/frame,
+// the checkpoint row by the last commit that could also write incremental
+// ones. Neither change moved a byte on disk.
 func TestGoldenBytes(t *testing.T) {
 	for _, g := range []struct {
 		name string
@@ -29,9 +59,11 @@ func TestGoldenBytes(t *testing.T) {
 			{Op: stm.RedoInsert, Key: 1, Val: 2}, {Op: stm.RedoDelete, Key: 3}}),
 			"360000001400617d2211000000000000770000000000000002000000" +
 				"0101000000000000000200000000000000" + "0203000000000000000000000000000000"},
-		{"incremental checkpoint", encodeCheckpoint(16, 9, false, []ckptEntry{{key: 1, val: 2}, {key: 7, tomb: true}}),
-			"57414c434b50303102000000" + "02000000" + "1000000000000000" + "0900000000000000" + "0200000000000000" +
-				"0101000000000000000200000000000000" + "0207000000000000000000000000000000" + "c7a4ae28"},
+		{"checkpoint", encodeCheckpoint(16, ds.KV{Key: 1, Val: 2}, ds.KV{Key: 7, Val: 9}),
+			"57414c434b50303102000000" + "01000000" + "1000000000000000" + "0000000000000000" + "0200000000000000" +
+				"0101000000000000000200000000000000" + "0107000000000000000900000000000000" + "e7a10a21"},
+		{"empty checkpoint", encodeCheckpoint(1),
+			"57414c434b50303102000000" + "01000000" + "0100000000000000" + "0000000000000000" + "0000000000000000" + "86de86e9"},
 	} {
 		if hex.EncodeToString(g.got) != g.want {
 			t.Errorf("%s:\n got  %x\n want %s", g.name, g.got, g.want)
@@ -39,80 +71,159 @@ func TestGoldenBytes(t *testing.T) {
 	}
 }
 
-// TestRecoversParentWrittenDirectory: testdata/parent-log/dir was written by
-// the binary built from the commit before the frame/layout/chain refactor
-// (2 shards; a full checkpoint, an incremental one chained onto it, a log
-// suffix, and a torn tail on shard 1's newest segment); want.txt is the
-// state its model held. This build must recover exactly that state from it.
-func TestRecoversParentWrittenDirectory(t *testing.T) {
-	dir := t.TempDir() // recovery repairs in place; work on a copy
-	if err := os.CopyFS(dir, os.DirFS("testdata/parent-log/dir")); err != nil {
-		t.Fatal(err)
-	}
-	var want []ds.KV
-	text, err := os.ReadFile("testdata/parent-log/want.txt")
+// readWant parses a testdata want.txt: one "key val" line per pair, sorted.
+func readWant(t *testing.T, path string) []ds.KV {
+	t.Helper()
+	text, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var want []ds.KV
 	for _, line := range strings.Split(strings.TrimSpace(string(text)), "\n") {
 		var kv ds.KV
 		if _, err := fmt.Sscanf(line, "%d %d", &kv.Key, &kv.Val); err != nil {
-			t.Fatalf("want.txt line %q: %v", line, err)
+			t.Fatalf("%s line %q: %v", path, line, err)
 		}
 		want = append(want, kv)
 	}
+	return want
+}
+
+// TestRecoversParentWrittenDirectory: testdata/parent-full/dir was written by
+// the binary built from the last commit that had incremental checkpoints
+// (2 shards; one full checkpoint at ts 0xb, a log suffix, and a torn tail on
+// shard 1's segment); want.txt is the state its model held, and what that
+// binary recovers from it. This build must recover exactly that state.
+func TestRecoversParentWrittenDirectory(t *testing.T) {
+	dir := t.TempDir() // recovery repairs in place; work on a copy
+	if err := os.CopyFS(dir, os.DirFS("testdata/parent-full/dir")); err != nil {
+		t.Fatal(err)
+	}
+	want := readWant(t, "testdata/parent-full/want.txt")
 	m, l := mustOpen(t, testOpts(dir, "multiverse", 2, nil))
 	defer l.Close()
 	if got := exportSorted(t, l, m); !slices.Equal(got, want) {
 		t.Fatalf("recovered %d pairs, parent's model held %d:\n got  %v\n want %v", len(got), len(want), got, want)
 	}
-	if st := l.Stats(); st.RecoveredTs != 0xd {
-		t.Fatalf("recovery started from ts %#x, want the incremental checkpoint at 0xd", st.RecoveredTs)
+	if st := l.Stats(); st.RecoveredTs != 0xb {
+		t.Fatalf("recovery started from ts %#x, want the checkpoint at 0xb", st.RecoveredTs)
 	}
 }
 
-// TestResolveChain: newest full, then exactly-chained increments; a gap ends
-// the chain, and with no full checkpoint nothing is applicable.
-func TestResolveChain(t *testing.T) {
-	full := func(ts uint64, kv ...uint64) parsedCkpt {
-		c := parsedCkpt{ts: ts, full: true}
-		for i := 0; i < len(kv); i += 2 {
-			c.entries = append(c.entries, ckptEntry{key: kv[i], val: kv[i+1]})
+// dirBytes reads every file under dir, by relative path.
+func dirBytes(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	files := map[string]string{}
+	err := fs.WalkDir(os.DirFS(dir), ".", func(p string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
 		}
-		return c
+		data, err := os.ReadFile(filepath.Join(dir, p))
+		files[p] = string(data)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	incr := func(ts, prev uint64, e ...ckptEntry) parsedCkpt {
-		return parsedCkpt{ts: ts, prevTs: prev, entries: e}
+	return files
+}
+
+// TestRefusesIncrementalCheckpoint: testdata/parent-log/dir was written by an
+// earlier binary still (2 shards; a full checkpoint at 0x9, an incremental
+// one at 0xd chained onto it, a log suffix, and a torn tail on shard 1's
+// newest segment). The delta checksums, so it is not crash damage to delete,
+// and recovering from the full checkpoint under it would bring back an older
+// state: the open fails, names the file, and has repaired nothing — the
+// refusal comes before the torn tail is cut. A tailer's poll fails alike.
+func TestRefusesIncrementalCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.CopyFS(dir, os.DirFS("testdata/parent-log/dir")); err != nil {
+		t.Fatal(err)
 	}
+	before := dirBytes(t, dir)
+	if len(before) != 4 {
+		t.Fatalf("testdata holds %d files, want 2 checkpoints and 2 segments", len(before))
+	}
+	_, l, err := OpenWith(testOpts(dir, "multiverse", 2, nil))
+	if err == nil {
+		l.Close()
+		t.Fatal("opened a directory whose newest checkpoint is an incremental delta")
+	}
+	if !strings.Contains(err.Error(), "ck-000000000000000d.ckpt") || errors.Is(err, errTornCkpt) {
+		t.Fatalf("refusal does not name the delta, or calls it torn: %v", err)
+	}
+	if _, err := OpenShipReader(dir, nil).Poll(); err == nil || !strings.Contains(err.Error(), "ck-000000000000000d.ckpt") {
+		t.Fatalf("Poll over the same directory: %v, want a refusal naming the delta", err)
+	}
+	if after := dirBytes(t, dir); !reflect.DeepEqual(after, before) {
+		t.Fatal("the refused open changed the directory")
+	}
+}
+
+// plantCkpts writes one checkpoint file per ts under dir: key ts → val ts,
+// torn (cut short) where torn says so.
+func plantCkpts(t *testing.T, dir string, torn map[uint64]bool, tss ...uint64) {
+	t.Helper()
+	for _, ts := range tss {
+		data := encodeCheckpoint(ts, ds.KV{Key: ts, Val: ts})
+		if torn[ts] {
+			data = data[:len(data)-7]
+		}
+		if err := os.WriteFile(filepath.Join(dir, CkptName(ts)), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// ckptReads lists the checkpoint files an injector saw read, in order.
+func ckptReads(inj *fault.Injector) []string {
+	var names []string
+	for _, op := range inj.Trace() {
+		if op.Op == fault.OpRead && strings.HasSuffix(op.Path, ".ckpt") {
+			names = append(names, filepath.Base(op.Path))
+		}
+	}
+	return names
+}
+
+// TestRecoveryReadsOneCheckpoint: recovery takes the newest checkpoint that
+// parses and opens nothing older. A torn newest is removed and the one
+// before it used; the files passed over unread go with the next checkpoint.
+func TestRecoveryReadsOneCheckpoint(t *testing.T) {
 	for _, tc := range []struct {
-		name   string
-		cks    []parsedCkpt
-		image  map[uint64]uint64
-		baseTs uint64
+		name      string
+		torn      map[uint64]bool
+		reads     []string
+		recovered uint64
+		listed    []string // after the open
 	}{
-		{"none", nil, map[uint64]uint64{}, 0},
-		{"increments only", []parsedCkpt{incr(5, 3, ckptEntry{key: 1, val: 1})}, map[uint64]uint64{}, 0},
-		{"full then chained", []parsedCkpt{
-			full(10, 1, 10, 2, 20),
-			incr(12, 10, ckptEntry{key: 2, tomb: true}, ckptEntry{key: 3, val: 30}),
-			incr(15, 12, ckptEntry{key: 1, val: 11}),
-		}, map[uint64]uint64{1: 11, 3: 30}, 15},
-		{"gap ends the chain", []parsedCkpt{
-			full(10, 1, 10),
-			incr(12, 11, ckptEntry{key: 9, val: 9}), // diffed against a checkpoint that is gone
-			incr(15, 12, ckptEntry{key: 1, val: 11}),
-		}, map[uint64]uint64{1: 10}, 10},
-		{"newest full wins", []parsedCkpt{
-			full(10, 1, 10),
-			incr(12, 10, ckptEntry{key: 2, val: 20}),
-			full(20, 7, 70),
-			incr(22, 20, ckptEntry{key: 8, val: 80}),
-		}, map[uint64]uint64{7: 70, 8: 80}, 22},
+		{"newest wins", nil, []string{CkptName(20)}, 20, []string{CkptName(10), CkptName(20)}},
+		{"torn newest falls back", map[uint64]bool{20: true}, []string{CkptName(20), CkptName(10)}, 10, []string{CkptName(10)}},
 	} {
-		image, baseTs := resolveChain(tc.cks)
-		if !reflect.DeepEqual(image, tc.image) || baseTs != tc.baseTs {
-			t.Errorf("%s: image %v at ts %d, want %v at ts %d", tc.name, image, baseTs, tc.image, tc.baseTs)
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			plantCkpts(t, dir, tc.torn, 10, 20)
+			inj := fault.NewInjector(fault.OS, 1)
+			inj.Record(true)
+			m, l := mustOpen(t, testOpts(dir, "multiverse", 1, func(o *Options) { o.FS = inj }))
+			defer l.Close()
+			if got := ckptReads(inj); !slices.Equal(got, tc.reads) {
+				t.Fatalf("recovery read %v, want %v", got, tc.reads)
+			}
+			want := []ds.KV{{Key: tc.recovered, Val: tc.recovered}}
+			if got := exportSorted(t, l, m); !slices.Equal(got, want) || l.Stats().RecoveredTs != tc.recovered {
+				t.Fatalf("recovered %v from ts %d, want %v from %d", got, l.Stats().RecoveredTs, want, tc.recovered)
+			}
+			if ls, _ := ListDir(fault.OS, dir); !slices.Equal(ls.Ckpts, tc.listed) {
+				t.Fatalf("after the open the directory lists %v, want %v", ls.Ckpts, tc.listed)
+			}
+			if _, err := l.Checkpoint(); err != nil {
+				t.Fatalf("Checkpoint: %v", err)
+			}
+			if ls, _ := ListDir(fault.OS, dir); len(ls.Ckpts) != 1 || ls.Ckpts[0] <= CkptName(tc.recovered) {
+				t.Fatalf("after a checkpoint the directory lists %v, want the new one alone", ls.Ckpts)
+			}
+		})
 	}
 }
 
@@ -255,27 +366,30 @@ func FuzzDecodeRecords(f *testing.F) {
 }
 
 // FuzzParseCheckpoint: an arbitrary image is rejected or parses to a
-// checkpoint whose re-encoding is the image; never a panic, and the entry
-// slice it allocates is bounded by the image it was handed.
+// checkpoint whose re-encoding is the image, byte for byte; never a panic,
+// and the pairs it allocates are bounded by the image it was handed. What an
+// earlier format wrote for an incremental checkpoint — kind 2, or a
+// tombstone among the entries — is refused, and not as torn.
 func FuzzParseCheckpoint(f *testing.F) {
-	entries := []ckptEntry{{key: 1, val: 2}, {key: 7, tomb: true}}
-	f.Add(encodeCheckpoint(16, 9, false, entries))
-	f.Add(encodeCheckpoint(16, 0, true, entries))
-	f.Add(encodeCheckpoint(1, 0, true, nil))
-	f.Add(encodeCheckpoint(16, 9, false, entries)[:ckptHeaderSize+10])
+	full := encodeCheckpoint(16, ds.KV{Key: 1, Val: 2}, ds.KV{Key: 7, Val: 9})
+	f.Add(full)
+	f.Add(encodeCheckpoint(1))
+	f.Add(full[:ckptHeaderSize+10])
+	for _, delta := range [][]byte{asDelta(full, 2, 9, 1), asDelta(full, 2, 9, 0), asDelta(full, 1, 0, 1)} {
+		f.Add(delta)
+		if _, _, err := parseCheckpoint("seed", delta); err == nil || errors.Is(err, errTornCkpt) {
+			f.Fatalf("kind %d, flag %d: err = %v, want a refusal that is not a torn verdict", delta[12], delta[len(delta)-4-ckptPairSize], err)
+		}
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		c, err := parseCheckpoint("fuzz", data)
+		ts, pairs, err := parseCheckpoint("fuzz", data)
 		if err != nil {
 			return
 		}
-		if len(c.entries)*ckptEntrySize > len(data) {
-			t.Fatalf("%d entries parsed out of %d bytes", len(c.entries), len(data))
+		if len(pairs)*ckptPairSize > len(data) {
+			t.Fatalf("%d pairs parsed out of %d bytes", len(pairs), len(data))
 		}
-		if c.full && c.prevTs != 0 {
-			return // encodeCheckpoint normalizes a full checkpoint's prevTs to 0
-		}
-		if again := encodeCheckpoint(c.ts, c.prevTs, c.full, c.entries); !bytes.Equal(again[:12], data[:12]) ||
-			!bytes.Equal(again[16:], data[16:]) || again[12] != data[12] {
+		if again := encodeCheckpoint(ts, pairs...); !bytes.Equal(again, data) {
 			t.Fatalf("re-encoding differs:\n in  %x\n out %x", data, again)
 		}
 	})

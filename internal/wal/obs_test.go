@@ -1,6 +1,9 @@
 package wal
 
 import (
+	"runtime"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -105,5 +108,66 @@ func TestObsRejectAbortEvents(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("no wal-reject abort event in ring (have %d events)", len(rec.Events()))
+	}
+}
+
+// TestObsStarvedCheckpoint: a checkpoint whose pinned scan starves — tl2
+// keeps no versions, and updaters overwrite what the scan has yet to read —
+// writes nothing, and says so three ways that agree: the error, the
+// wal.ckpt_starved counter and one ckpt-starved event.
+func TestObsStarvedCheckpoint(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		t.Skip("on one processor the scan runs between the updaters' time slices and is served")
+	}
+	reg := obs.NewRegistry()
+	rec := obs.NewRecorder(1 << 12)
+	dir := t.TempDir()
+	m, l := mustOpen(t, testOpts(dir, "tl2", 2, func(o *Options) {
+		o.Obs = reg
+		o.Rec = rec
+	}))
+	defer l.Close()
+	insertRange(t, l, m, 1, 4096)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := uint64(0); w < 2; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			th := l.System().Register()
+			defer th.Unregister()
+			for k := w; ; k += 2 {
+				select {
+				case <-stop:
+					return
+				default:
+					ds.Delete(th, m, k%4095+1)
+					ds.Insert(th, m, k%4095+1, k)
+				}
+			}
+		}()
+	}
+	// Until the first call that starves; the ring is read at once, before the
+	// updaters' abort and group-commit events overwrite it.
+	starved, events := false, 0
+	for deadline := time.Now().Add(5 * time.Second); !starved && time.Now().Before(deadline); {
+		if _, err := l.Checkpoint(); err != nil {
+			if !strings.Contains(err.Error(), "checkpoint starved") {
+				t.Fatalf("Checkpoint: %v", err)
+			}
+			starved, events = true, rec.CountKind(obs.EvCkptStarved)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if !starved {
+		t.Fatal("no checkpoint starved under two updaters on tl2: test exercised nothing")
+	}
+	if st, n := l.Stats(), reg.Snapshot().Counters["wal.ckpt_starved"]; st.StarvedCkpts != 1 || n != 1 || events != 1 {
+		t.Fatalf("one call starved; Stats().StarvedCkpts = %d, wal.ckpt_starved = %d, %d ckpt-starved events in the ring", st.StarvedCkpts, n, events)
+	}
+	// Served calls before the first starved one each replaced the last.
+	if ls, err := ListDir(fault.OS, dir); err != nil || len(ls.Ckpts) != int(min(l.Stats().Checkpoints, 1)) {
+		t.Fatalf("%d checkpoints served, then one starved: %v listed (%v)", l.Stats().Checkpoints, ls.Ckpts, err)
 	}
 }

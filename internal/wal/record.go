@@ -2,8 +2,10 @@ package wal
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 
+	"repro/internal/ds"
 	"repro/internal/frame"
 	"repro/internal/stm"
 )
@@ -26,15 +28,15 @@ import (
 //
 // Checkpoint file:
 //
-//	header:  8B magic "WALCKP01" | u32 version | u8 kind (1 full, 2 incr)
-//	         | 3B pad | u64 frozenTs | u64 prevTs | u64 entryCount
-//	entries: entryCount × (u8 flag (1 pair, 2 tombstone), u64 key, u64 val)
-//	footer:  u32 crc32c(header[8:] ++ entries)
+//	header:  8B magic "WALCKP01" | u32 version | u8 kind (1) | 3B pad
+//	         | u64 frozenTs | u64 prevTs (0) | u64 pairCount
+//	pairs:   pairCount × (u8 flag (1), u64 key, u64 val)
+//	footer:  u32 crc32c(header[8:] ++ pairs)
 //
-// prevTs names the checkpoint an incremental delta was diffed against
-// (0 for full checkpoints): recovery applies an increment only onto the
-// exact state it was computed from, so a gap in the chain — however it
-// arose — can never be silently skipped over.
+// A checkpoint is the full image at frozenTs. Kind 2 with a non-zero prevTs
+// was an incremental delta against the checkpoint at prevTs, and flag 2 a
+// tombstone in one; nothing writes them any more and parseCheckpoint refuses
+// a file that carries either.
 //
 // Both files are valid only up to the first framing or checksum violation: a
 // torn record (crash mid-write) or a flipped bit invalidates that record and
@@ -50,10 +52,10 @@ const (
 	recFixedSize   = 20 // ts + traceId + opCount
 	opSize         = 17
 	ckptHeaderSize = 40
-	ckptEntrySize  = 17
+	ckptPairSize   = 17
 
 	ckptKindFull = 1
-	ckptKindIncr = 2
+	ckptFlagPair = 1
 
 	// maxRecordPayload rejects absurd length prefixes (a corrupted length
 	// field must not drive a huge allocation).
@@ -160,118 +162,72 @@ func parseRecord(payload []byte) (record, bool) {
 	return rec, true
 }
 
-// ckptEntry is one checkpoint delta: a live pair, or a tombstone for a key
-// deleted since the previous checkpoint (incremental checkpoints only).
-type ckptEntry struct {
-	key, val uint64
-	tomb     bool
-}
+// Checkpoint encoding, in the order Checkpoint drives it: beginCheckpoint
+// once, appendCkptPair per visited pair, finishCheckpoint when the frozen ts
+// is known. A scan that re-freezes starts over from beginCheckpoint(buf[:0]).
 
-// encodeCheckpoint renders a whole checkpoint file image. prevTs is the
-// base the entries were diffed against (0 for a full checkpoint).
-func encodeCheckpoint(ts, prevTs uint64, full bool, entries []ckptEntry) []byte {
-	buf := make([]byte, 0, ckptHeaderSize+ckptEntrySize*len(entries)+4)
+// beginCheckpoint appends a checkpoint header whose ts and pair count are
+// still zero.
+func beginCheckpoint(buf []byte) []byte {
 	buf = append(buf, ckptMagic...)
 	buf = binary.LittleEndian.AppendUint32(buf, formatVersion)
-	kind := byte(ckptKindIncr)
-	if full {
-		kind = ckptKindFull
-		prevTs = 0
-	}
-	buf = append(buf, kind, 0, 0, 0)
-	buf = binary.LittleEndian.AppendUint64(buf, ts)
-	buf = binary.LittleEndian.AppendUint64(buf, prevTs)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(entries)))
-	for _, e := range entries {
-		flag := byte(1)
-		if e.tomb {
-			flag = 2
-		}
-		buf = append(buf, flag)
-		buf = binary.LittleEndian.AppendUint64(buf, e.key)
-		buf = binary.LittleEndian.AppendUint64(buf, e.val)
-	}
+	buf = append(buf, ckptKindFull, 0, 0, 0)
+	return append(buf, make([]byte, ckptHeaderSize-16)...) // frozenTs, 0, pairCount
+}
+
+func appendCkptPair(buf []byte, key, val uint64) []byte {
+	buf = append(buf, ckptFlagPair)
+	buf = binary.LittleEndian.AppendUint64(buf, key)
+	return binary.LittleEndian.AppendUint64(buf, val)
+}
+
+// finishCheckpoint patches ts and the pair count (what was appended since
+// beginCheckpoint) into the header and appends the footer: buf is then a
+// whole checkpoint file image.
+func finishCheckpoint(buf []byte, ts uint64) []byte {
+	binary.LittleEndian.PutUint64(buf[16:], ts)
+	binary.LittleEndian.PutUint64(buf[32:], uint64((len(buf)-ckptHeaderSize)/ckptPairSize))
 	return binary.LittleEndian.AppendUint32(buf, frame.Checksum(buf[8:]))
 }
 
-// parsedCkpt is one validated checkpoint file.
-type parsedCkpt struct {
-	ts, prevTs uint64
-	full       bool
-	entries    []ckptEntry
-}
+// errTornCkpt marks a checkpoint image that is damaged — short, or failing
+// its checksum: the one verdict recovery may answer by deleting the file and
+// a tailer by passing it over.
+var errTornCkpt = errors.New("torn checkpoint")
 
-// parseCheckpoint validates one checkpoint file image. Any framing or
-// checksum violation makes the whole file invalid — unlike a segment, a
-// checkpoint is one atomic unit (its deltas are meaningless truncated).
-// Reading the file is the caller's job: a *read* error is the disk failing
-// now, not crash damage, and must not be conflated with a parse failure.
-func parseCheckpoint(path string, data []byte) (c parsedCkpt, err error) {
+// parseCheckpoint validates one checkpoint file image and returns its frozen
+// ts and pairs. Any framing or checksum violation makes the whole file torn
+// (errTornCkpt) — unlike a segment, a checkpoint is one atomic unit. An image
+// the checksum vouches for that is not a full image (an incremental delta of
+// an earlier format: see the layout comment) is not damage, and its error
+// does not say so: treating it as torn would delete it, skipping it would
+// recover the older state it was a delta against. Reading the file
+// is the caller's job: a *read* error is the disk failing now, not crash
+// damage, and must not be conflated with a parse failure.
+func parseCheckpoint(path string, data []byte) (ts uint64, pairs []ds.KV, err error) {
 	if len(data) < ckptHeaderSize+4 || string(data[:8]) != ckptMagic ||
 		binary.LittleEndian.Uint32(data[8:12]) != formatVersion {
-		return c, fmt.Errorf("wal: %s: bad checkpoint header", path)
+		return 0, nil, fmt.Errorf("wal: %s: bad checkpoint header: %w", path, errTornCkpt)
 	}
-	kind := data[12]
-	if kind != ckptKindFull && kind != ckptKindIncr {
-		return c, fmt.Errorf("wal: %s: bad checkpoint kind %d", path, kind)
-	}
-	c.ts = binary.LittleEndian.Uint64(data[16:])
-	c.prevTs = binary.LittleEndian.Uint64(data[24:])
-	c.full = kind == ckptKindFull
 	count := binary.LittleEndian.Uint64(data[32:])
-	if count > maxRecordPayload || len(data) != ckptHeaderSize+ckptEntrySize*int(count)+4 {
-		return c, fmt.Errorf("wal: %s: truncated checkpoint", path)
+	if count > maxRecordPayload || len(data) != ckptHeaderSize+ckptPairSize*int(count)+4 {
+		return 0, nil, fmt.Errorf("wal: %s: truncated checkpoint: %w", path, errTornCkpt)
 	}
-	body := data[:len(data)-4]
-	if frame.Checksum(body[8:]) != binary.LittleEndian.Uint32(data[len(data)-4:]) {
-		return c, fmt.Errorf("wal: %s: checkpoint checksum mismatch", path)
+	if frame.Checksum(data[8:len(data)-4]) != binary.LittleEndian.Uint32(data[len(data)-4:]) {
+		return 0, nil, fmt.Errorf("wal: %s: checkpoint checksum mismatch: %w", path, errTornCkpt)
 	}
-	c.entries = make([]ckptEntry, count)
-	p := ckptHeaderSize
-	for i := range c.entries {
-		flag := data[p]
-		if flag != 1 && flag != 2 {
-			return c, fmt.Errorf("wal: %s: bad checkpoint entry flag %d", path, flag)
+	// kind is read with its pad bytes, so what parses re-encodes to itself.
+	kind, prevTs, foreign := binary.LittleEndian.Uint32(data[12:]), binary.LittleEndian.Uint64(data[24:]), 0
+	pairs = make([]ds.KV, count)
+	for i, p := 0, ckptHeaderSize; i < len(pairs); i, p = i+1, p+ckptPairSize {
+		if data[p] != ckptFlagPair {
+			foreign++
 		}
-		c.entries[i] = ckptEntry{
-			key:  binary.LittleEndian.Uint64(data[p+1:]),
-			val:  binary.LittleEndian.Uint64(data[p+9:]),
-			tomb: flag == 2,
-		}
-		p += ckptEntrySize
+		pairs[i] = ds.KV{Key: binary.LittleEndian.Uint64(data[p+1:]), Val: binary.LittleEndian.Uint64(data[p+9:])}
 	}
-	return c, nil
-}
-
-// resolveChain folds valid checkpoints, in ascending ts order, into the
-// image they describe and the ts it is frozen at: the newest full
-// checkpoint, then every later increment whose prevTs chains exactly onto
-// the one before it. The first gap ends the chain — nothing after it is
-// applicable. No full checkpoint (the first ever is always full, so: none
-// at all, or a destroyed one) resolves to the empty image at ts 0.
-func resolveChain(cks []parsedCkpt) (image map[uint64]uint64, baseTs uint64) {
-	image = make(map[uint64]uint64)
-	lastFull := -1
-	for i, c := range cks {
-		if c.full {
-			lastFull = i
-		}
+	if kind != ckptKindFull || prevTs != 0 || foreign != 0 {
+		return 0, nil, fmt.Errorf("wal: %s: not a full checkpoint image (kind %#x, prevTs %d, %d entries that are not pairs): an incremental delta of an earlier format is not read back",
+			path, kind, prevTs, foreign)
 	}
-	if lastFull < 0 {
-		return image, 0
-	}
-	for _, c := range cks[lastFull:] {
-		if !c.full && c.prevTs != baseTs {
-			break
-		}
-		for _, e := range c.entries {
-			if e.tomb {
-				delete(image, e.key)
-			} else {
-				image[e.key] = e.val
-			}
-		}
-		baseTs = c.ts
-	}
-	return image, baseTs
+	return binary.LittleEndian.Uint64(data[16:]), pairs, nil
 }

@@ -1,9 +1,11 @@
 package wal
 
 import (
+	"errors"
 	"path/filepath"
 	"sort"
 
+	"repro/internal/ds"
 	"repro/internal/fault"
 	"repro/internal/shard"
 	"repro/internal/stm"
@@ -11,11 +13,11 @@ import (
 
 // recovered is everything scanAndRepair learns from a log directory.
 type recovered struct {
-	image    map[uint64]uint64 // checkpoint chain + replayed suffix
-	ckptTs   uint64            // ts of the newest applied checkpoint (0: none)
+	image    map[uint64]uint64 // checkpoint + replayed suffix
+	ckptTs   uint64            // ts of the checkpoint loaded (0: none)
 	maxTs    uint64            // highest ts seen anywhere (clock restart point)
 	nextSeg  map[string]uint64 // per shard-dir: next free segment index
-	ckpts    []ckptOnDisk      // valid checkpoint files, ascending ts
+	ckpts    []string          // the checkpoint loaded and the unread older ones beside it
 	liveSegs []segInfo         // surviving segments (for later truncation)
 	// resharded: some surviving record sits in a stream other than the one
 	// its keys route to under the shard count being opened — the directory
@@ -26,9 +28,10 @@ type recovered struct {
 // scanAndRepair reads a log directory into the recovered state a fresh
 // system should be loaded with, repairing crash damage as it goes:
 //
-//   - The checkpoint base is the newest valid *full* checkpoint plus every
-//     consecutive valid increment whose prevTs chains exactly; an invalid
-//     (torn) checkpoint file is deleted.
+//   - The checkpoint base is the newest listed checkpoint that parses; the
+//     listing is read newest first and no further than that one. A torn
+//     checkpoint file passed on the way is deleted. One that checksums but is
+//     not a full image fails the open before anything is repaired.
 //   - Each shard stream contributes its longest valid prefix of records: a
 //     torn or corrupt record truncates its segment at the last valid byte
 //     and removes every later segment of that stream, so the next recovery
@@ -48,7 +51,7 @@ func scanAndRepair(fsys fault.FS, dir string, shards int) (*recovered, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := r.loadCheckpoints(fsys, dir, ls); err != nil {
+	if err := r.loadCheckpoint(fsys, dir, ls); err != nil {
 		return nil, err
 	}
 	replay, err := r.loadSegments(fsys, dir, ls.Shards, shards)
@@ -76,30 +79,47 @@ func applyRedo(image map[uint64]uint64, redo []stm.RedoRec) {
 	}
 }
 
-func (r *recovered) loadCheckpoints(fsys fault.FS, dir string, ls DirListing) error {
-	// Drop any orphaned temp file from a crash mid-checkpoint.
-	for _, name := range ls.CkptTmps {
-		fsys.Remove(filepath.Join(dir, name))
+// imageOf is a parsed checkpoint as the map recovery replays onto and a
+// rebase carries.
+func imageOf(pairs []ds.KV) map[uint64]uint64 {
+	image := make(map[uint64]uint64, len(pairs))
+	for _, kv := range pairs {
+		image[kv.Key] = kv.Val
 	}
-	var valid []parsedCkpt
-	for _, name := range ls.Ckpts {
-		p := filepath.Join(dir, name)
+	return image
+}
+
+func (r *recovered) loadCheckpoint(fsys fault.FS, dir string, ls DirListing) error {
+	r.image = map[uint64]uint64{}
+	// Orphaned temp files of a crash mid-checkpoint, and the torn files found
+	// below: removed once a base is settled, not before a refusal.
+	damaged := ls.CkptTmps
+	for i := len(ls.Ckpts) - 1; i >= 0; i-- {
+		p := filepath.Join(dir, ls.Ckpts[i])
 		data, err := fsys.ReadFile(p)
 		if err != nil {
 			// Unreadable ≠ torn: fail the whole recovery (see scanAndRepair).
 			return err
 		}
-		c, err := parseCheckpoint(p, data)
-		if err != nil {
+		ts, pairs, err := parseCheckpoint(p, data)
+		if errors.Is(err, errTornCkpt) {
 			// Torn or rotted: unusable by construction; remove it so it
 			// cannot shadow a later, valid checkpoint at the next scan.
-			fsys.Remove(p)
+			damaged = append(damaged, ls.Ckpts[i])
 			continue
 		}
-		valid = append(valid, c)
-		r.ckpts = append(r.ckpts, ckptOnDisk{ts: c.ts, path: p})
+		if err != nil {
+			return err
+		}
+		r.image, r.ckptTs = imageOf(pairs), ts
+		for _, name := range ls.Ckpts[:i+1] {
+			r.ckpts = append(r.ckpts, filepath.Join(dir, name))
+		}
+		break
 	}
-	r.image, r.ckptTs = resolveChain(valid)
+	for _, name := range damaged {
+		fsys.Remove(filepath.Join(dir, name))
+	}
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"errors"
 	"path/filepath"
 
 	"repro/internal/fault"
@@ -8,7 +9,7 @@ import (
 )
 
 // ShipReader tails a live leader's log directory for replication: it reads
-// the checkpoint chain as a base image — at the first poll, and again
+// the newest checkpoint as a base image — at the first poll, and again
 // whenever the directory lists a newer one — then follows each shard
 // stream's segments record by record, tolerating the races a live leader
 // creates — segments growing under the read, rotations, seal truncations
@@ -37,9 +38,9 @@ type ShipReader struct {
 	dir string
 	fs  fault.FS
 
-	baseTs  uint64
+	baseTs  uint64            // frozen ts of the last rebase image
 	tails   map[int]*shipTail // nil: no base held yet, the next Poll takes one
-	rebases uint64
+	rebases uint64            // base images emitted (1: just the initial one)
 }
 
 // shipPos is one shard directory's read position.
@@ -66,7 +67,7 @@ type ShipRec struct {
 
 // ShipBatch is one Poll's worth of progress. A Rebase batch carries a base
 // image that replaces all previously shipped state (first poll, and
-// whenever a newer checkpoint chain shows up or a checkpoint truncation
+// whenever a newer checkpoint shows up or a checkpoint truncation
 // outran the tail); otherwise Recs holds the new suffix records in
 // per-stream order.
 type ShipBatch struct {
@@ -85,13 +86,6 @@ func OpenShipReader(dir string, fsys fault.FS) *ShipReader {
 	return &ShipReader{dir: dir, fs: fsys}
 }
 
-// BaseTs returns the frozen ts of the last rebase image.
-func (r *ShipReader) BaseTs() uint64 { return r.baseTs }
-
-// Rebases counts how many base images Poll has emitted (1 = just the
-// initial one; more means the leader checkpointed since).
-func (r *ShipReader) Rebases() uint64 { return r.rebases }
-
 // Poll makes one pass over the leader directory and returns whatever is new
 // since the last call. An empty batch means nothing new — the caller should
 // back off briefly. An error leaves the read position unchanged; the next
@@ -102,25 +96,22 @@ func (r *ShipReader) Poll() (ShipBatch, error) {
 	if err != nil {
 		return ShipBatch{}, err
 	}
-	// A listed checkpoint above the base (or no base yet): read the chain,
-	// and rebase when it resolves above the base. The tails alone cannot
-	// tell that they need it — a mirror being filled for the first time has
-	// its segments before its checkpoints, so an earlier poll may have taken
-	// a base below records the leader already truncated, and no tailed
-	// segment will ever vanish to say so. A checkpoint that does not resolve
-	// (half received, or torn) is read again each poll while it is listed.
-	var newest uint64
-	if n := len(ls.Ckpts); n > 0 {
-		newest, _ = parseCkptName(ls.Ckpts[n-1])
+	// A listed checkpoint above the base (or no base yet): rebase onto the
+	// newest one that parses. The tails alone cannot tell that they need it —
+	// a mirror being filled for the first time has its segments before its
+	// checkpoints, so an earlier poll may have taken a base below records the
+	// leader already truncated, and no tailed segment will ever vanish to say
+	// so. A checkpoint that does not parse (half received, or torn) is read
+	// again each poll while it is listed.
+	image, baseTs, err := r.loadCheckpoint(ls.Ckpts)
+	if err != nil {
+		return ShipBatch{}, err
 	}
-	if r.tails == nil || newest > r.baseTs {
-		image, baseTs, err := r.loadChain(ls.Ckpts)
-		if err != nil {
-			return ShipBatch{}, err
-		}
-		if r.tails == nil || baseTs > r.baseTs {
-			return r.rebase(image, baseTs), nil
-		}
+	if image != nil {
+		r.baseTs = baseTs
+		r.rebases++
+		r.tails = map[int]*shipTail{}
+		return ShipBatch{Rebase: true, Image: image, BaseTs: baseTs}, nil
 	}
 	for _, t := range r.tails {
 		t.polled = t.shipPos
@@ -145,7 +136,7 @@ func (r *ShipReader) Poll() (ShipBatch, error) {
 		if lost {
 			// The tailed segment vanished (checkpoint truncation won the
 			// race). Everything already emitted is covered by the new
-			// checkpoint chain; start over from it — and from a listing
+			// checkpoint; start over from it — and from a listing
 			// taken now, the one above may predate the checkpoint: forget
 			// the base and poll again. Records collected from other tails
 			// this poll are discarded — the rebase resets every tail, so
@@ -158,36 +149,38 @@ func (r *ShipReader) Poll() (ShipBatch, error) {
 	return b, nil
 }
 
-// rebase makes a checkpoint chain's image the base and resets every tail.
-func (r *ShipReader) rebase(image map[uint64]uint64, baseTs uint64) ShipBatch {
-	r.baseTs = baseTs
-	r.rebases++
-	r.tails = map[int]*shipTail{}
-	return ShipBatch{Rebase: true, Image: image, BaseTs: baseTs}
-}
-
-// loadChain reads the listed checkpoint files the way a tailer must: invalid
-// files are skipped, never removed — a live leader writes checkpoints by
-// atomic rename, so an invalid file here is stale crash damage that the
-// leader's own recovery owns, or one the shipping channel is still filling;
-// one deleted mid-read (NotExist) is simply a pruned ancestor.
-func (r *ShipReader) loadChain(ckpts []string) (map[uint64]uint64, uint64, error) {
-	var valid []parsedCkpt
-	for _, name := range ckpts {
-		p := filepath.Join(r.dir, name)
+// loadCheckpoint returns the base a poll should rebase onto, nil if it should
+// not: the newest listed checkpoint above the base held that parses — names
+// carry the ts, so nothing at or below the base is opened — or, with no base
+// held, the newest that parses at all, else the empty image at ts 0. It reads
+// the way a tailer must: damaged files are passed over, never removed — a live
+// leader writes checkpoints by atomic rename, so one here is stale crash
+// damage that the leader's own recovery owns, or a file the shipping channel
+// is still filling; one deleted mid-read (NotExist) is a pruned predecessor.
+func (r *ShipReader) loadCheckpoint(ckpts []string) (map[uint64]uint64, uint64, error) {
+	for i := len(ckpts) - 1; i >= 0; i-- {
+		if ts, _ := parseCkptName(ckpts[i]); r.tails != nil && ts <= r.baseTs {
+			break
+		}
+		p := filepath.Join(r.dir, ckpts[i])
 		data, err := r.fs.ReadFile(p)
-		if err != nil {
-			if fault.NotExist(err) {
-				continue
-			}
+		if fault.NotExist(err) {
+			continue
+		} else if err != nil {
 			return nil, 0, err
 		}
-		if c, err := parseCheckpoint(p, data); err == nil {
-			valid = append(valid, c)
+		ts, pairs, err := parseCheckpoint(p, data)
+		if errors.Is(err, errTornCkpt) {
+			continue
+		} else if err != nil {
+			return nil, 0, err
 		}
+		return imageOf(pairs), ts, nil
 	}
-	image, baseTs := resolveChain(valid)
-	return image, baseTs, nil
+	if r.tails != nil {
+		return nil, 0, nil
+	}
+	return map[uint64]uint64{}, 0, nil
 }
 
 // pollTail advances one shard tail as far as it can go right now. lost
@@ -246,8 +239,8 @@ func (r *ShipReader) pollTail(sl ShardListing, t *shipTail) (out []ShipRec, lost
 		}
 		if missing {
 			// The segment vanished. Whether a checkpoint truncated it (its
-			// records live only in the new checkpoint chain now) or a seal
-			// dropped it empty, rebasing from the chain is correct — and
+			// records live only in the new checkpoint now) or a seal
+			// dropped it empty, rebasing from the checkpoint is correct — and
 			// it is the only safe answer for a segment we hadn't finished
 			// reading.
 			return out, true, nil

@@ -3,6 +3,7 @@ package wal
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -117,7 +118,7 @@ func TestShipReaderTailsLiveLog(t *testing.T) {
 
 // TestShipReaderCheckpointTruncationRace: ship while Checkpoint() deletes
 // segments out from under the reader. The follower must land on the
-// checkpoint chain plus the live suffix — never a gap — even when the rebase
+// checkpoint plus the live suffix — never a gap — even when the rebase
 // path fires repeatedly mid-stream.
 func TestShipReaderCheckpointTruncationRace(t *testing.T) {
 	for _, backend := range walBackends {
@@ -187,7 +188,7 @@ func TestShipReaderCheckpointTruncationRace(t *testing.T) {
 			want := exportSorted(t, l, m)
 			if got := sm.pairs(); !pairsEqual(got, want) {
 				t.Fatalf("follower diverged after checkpoint race: got %d pairs, leader has %d (rebases=%d ckpts=%d)",
-					len(got), len(want), r.Rebases(), ckpts)
+					len(got), len(want), r.rebases, ckpts)
 			}
 			if ckpts == 0 {
 				t.Fatal("no checkpoint succeeded: the truncation race was never exercised")
@@ -199,9 +200,9 @@ func TestShipReaderCheckpointTruncationRace(t *testing.T) {
 			// Force the rebase path: without polling, churn enough to rotate
 			// past the tailed segment, then checkpoint so truncation deletes
 			// it. The next poll finds its segment gone and must rebase onto
-			// the checkpoint chain — landing on chain + suffix, never a gap.
-			before := r.Rebases()
-			for attempt := 0; attempt < 10 && r.Rebases() == before; attempt++ {
+			// the checkpoint — landing on checkpoint + suffix, never a gap.
+			before := r.rebases
+			for attempt := 0; attempt < 10 && r.rebases == before; attempt++ {
 				th := l.System().Register()
 				rng := workload.NewRng(uint64(97 + attempt))
 				for i := 0; i < 1500; i++ {
@@ -221,16 +222,16 @@ func TestShipReaderCheckpointTruncationRace(t *testing.T) {
 				}
 				sm.drain(t, r)
 			}
-			if r.Rebases() == before {
+			if r.rebases == before {
 				t.Fatalf("checkpoint truncation never outran the tail (rebases=%d)", before)
 			}
 			want = exportSorted(t, l, m)
 			if got := sm.pairs(); !pairsEqual(got, want) {
 				t.Fatalf("follower diverged after forced rebase: got %d pairs, leader has %d (baseTs=%d)",
-					len(got), len(want), r.BaseTs())
+					len(got), len(want), r.baseTs)
 			}
-			if r.BaseTs() == 0 {
-				t.Fatal("rebase landed on an empty chain despite successful checkpoints")
+			if r.baseTs == 0 {
+				t.Fatal("rebase landed on the empty image despite successful checkpoints")
 			}
 		})
 	}
@@ -326,8 +327,8 @@ func TestShipReaderTakesALateCheckpoint(t *testing.T) {
 				t.Fatal(err)
 			}
 			sm.drain(t, r)
-			if r.Rebases() != 1 {
-				t.Fatalf("Rebases = %d with half a checkpoint in the mirror", r.Rebases())
+			if r.rebases != 1 {
+				t.Fatalf("Rebases = %d with half a checkpoint in the mirror", r.rebases)
 			}
 		}
 		if err := os.WriteFile(dst, data, 0o666); err != nil {
@@ -335,11 +336,40 @@ func TestShipReaderTakesALateCheckpoint(t *testing.T) {
 		}
 	}
 	sm.drain(t, r)
-	if r.Rebases() != 2 {
-		t.Fatalf("Rebases = %d: the checkpoint that arrived after the first poll was never taken", r.Rebases())
+	if r.rebases != 2 {
+		t.Fatalf("Rebases = %d: the checkpoint that arrived after the first poll was never taken", r.rebases)
 	}
 	if got, want := sm.pairs(), exportSorted(t, l, m); !pairsEqual(got, want) {
 		t.Fatalf("tailer holds %d pairs, leader %d", len(got), len(want))
+	}
+}
+
+// TestShipReaderOpensNoCheckpointBelowItsBase: names carry the ts, so a poll
+// opens only checkpoints above the base it holds. A half-received newest one
+// beside the complete base costs one read per poll, not one per listed file,
+// and once it is whole the reader takes it.
+func TestShipReaderOpensNoCheckpointBelowItsBase(t *testing.T) {
+	dir := t.TempDir()
+	plantCkpts(t, dir, map[uint64]bool{30: true}, 10, 20, 30)
+	inj := fault.NewInjector(fault.OS, 1)
+	inj.Record(true)
+	r := OpenShipReader(dir, inj)
+	poll := func(wantRebase bool, wantBase uint64) {
+		t.Helper()
+		b, err := r.Poll()
+		if err != nil || b.Rebase != wantRebase || r.baseTs != wantBase {
+			t.Fatalf("Poll: rebase=%v base=%d err=%v, want rebase=%v base=%d", b.Rebase, r.baseTs, err, wantRebase, wantBase)
+		}
+	}
+	poll(true, 20) // 30 does not parse, 20 does; 10 is never opened
+	poll(false, 20)
+	poll(false, 20)
+	plantCkpts(t, dir, nil, 30)
+	poll(true, 30)
+	poll(false, 30) // nothing listed above the base: nothing opened
+	want := []string{CkptName(30), CkptName(20), CkptName(30), CkptName(30), CkptName(30)}
+	if got := ckptReads(inj); !slices.Equal(got, want) {
+		t.Fatalf("five polls read %v, want %v", got, want)
 	}
 }
 

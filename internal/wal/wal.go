@@ -1,8 +1,8 @@
 // Package wal layers crash-consistent persistence over the transactional
 // maps: a group-committed, checksummed, segment-rotating write-ahead log of
-// committed write-sets, incremental checkpoints taken as whole-system
-// snapshots at frozen timestamps, and recovery that rebuilds the newest
-// valid checkpoint plus the log suffix after a process death.
+// committed write-sets, checkpoints taken as whole-system snapshots at frozen
+// timestamps, and recovery that rebuilds the newest valid checkpoint plus the
+// log suffix after a process death.
 //
 // # Design
 //
@@ -20,21 +20,22 @@
 // internal/shard's one snapshot reader: shard.Thread.Snapshot visits the
 // whole map at one frozen shared-clock timestamp ts and returns it — so the
 // image is a consistent cut of the whole sharded system without stopping
-// writers — and only the pairs changed since the previous checkpoint are
-// written (tombstones record deletions). Log segments whose records all commit
-// below ts are deleted afterwards; a configurable cadence of full
-// checkpoints bounds the incremental chain.
+// writers. There is one kind of checkpoint: the full image at ts, encoded
+// pair by pair as the scan visits it, so a checkpoint costs one pass and one
+// file-sized buffer and leaves nothing behind in memory. Once it is durable,
+// every older checkpoint file and every log segment whose records all commit
+// below ts are deleted.
 //
-// Recovery loads the newest valid full checkpoint plus its consecutive
-// valid increments, then replays every surviving log record with commit
-// ts >= the checkpoint ts, merged across shard streams in commit-timestamp
-// order (stable, so equal-timestamp records — which never conflict — keep
-// their per-stream order). A torn tail (partial record, flipped bit) cuts
-// its stream at the last valid record: recovery truncates the torn suffix
-// and removes any later segments of that stream, so a re-crash re-replays
-// the identical state (idempotent re-replay). The rebuilt system restarts
-// its shared clock above every persisted timestamp, so post-recovery
-// commits extend the log's timestamp order.
+// Recovery loads the newest checkpoint that parses — a torn one is deleted
+// and the one before it tried — then replays every surviving log record with
+// commit ts >= the checkpoint ts, merged across shard streams in
+// commit-timestamp order (stable, so equal-timestamp records — which never
+// conflict — keep their per-stream order). A torn tail (partial record,
+// flipped bit) cuts its stream at the last valid record: recovery truncates
+// the torn suffix and removes any later segments of that stream, so a
+// re-crash re-replays the identical state (idempotent re-replay). The rebuilt
+// system restarts its shared clock above every persisted timestamp, so
+// post-recovery commits extend the log's timestamp order.
 //
 // # Guarantees
 //
@@ -57,9 +58,9 @@
 // therefore restores the invariant before it returns from a reopen under
 // another layout — one where some surviving record sits in a stream its
 // keys no longer route to; the directories alone do not say, a mirror keeps
-// empty ones — by taking the incarnation's first, full checkpoint, which
-// truncates every segment that holds a record. The old streams' records are
-// then in the checkpoint, below every timestamp the new streams will carry.
+// empty ones — by taking a checkpoint, which truncates every segment that
+// holds a record. The old streams' records are then in the checkpoint, below
+// every timestamp the new streams will carry.
 package wal
 
 import (
@@ -229,9 +230,6 @@ type Options struct {
 	Policy SyncPolicy
 	// GroupInterval is the flusher period (default 2ms).
 	GroupInterval time.Duration
-	// FullEvery writes a full checkpoint after this many incremental ones
-	// (default 8), bounding the recovery chain.
-	FullEvery int
 	// FS is the filesystem seam every I/O call goes through (default
 	// fault.OS, the zero-overhead passthrough). Tests install a
 	// fault.Injector here to drive the log through its failure paths.
@@ -284,9 +282,6 @@ func (o *Options) fill() error {
 	if o.GroupInterval == 0 {
 		o.GroupInterval = 2 * time.Millisecond
 	}
-	if o.FullEvery == 0 {
-		o.FullEvery = 8
-	}
 	if o.FS == nil {
 		o.FS = fault.OS
 	}
@@ -309,6 +304,7 @@ type Stats struct {
 	Fsyncs         uint64
 	DroppedAppends uint64 // records dropped after Crash severed the log
 	Checkpoints    uint64
+	StarvedCkpts   uint64 // Checkpoint calls whose pinned scan starved (nothing written)
 	LastCkptTs     uint64
 	LastCkptPause  time.Duration // wall time of the last Checkpoint call
 	RecoveredPairs int           // pairs loaded into the system at Open
@@ -349,18 +345,18 @@ type Log struct {
 
 	// Checkpoint state, guarded by mu (Checkpoint and Close serialize);
 	// lastCkptTs is atomic because Stats may poll it from any goroutine.
-	mu            sync.Mutex
-	lastImage     map[uint64]uint64
-	lastCkptTs    atomic.Uint64
-	incrSinceFull int
-	ckptFiles     []ckptOnDisk // valid on-disk checkpoints, ascending ts
-	legacySegs    []segInfo    // pre-recovery segments (possibly of dropped shard dirs)
+	mu         sync.Mutex
+	lastCkptTs atomic.Uint64
+	ckptPairs  int       // pairs the last scan visited (at Open: recovery loaded) — the next image's size hint
+	ckptFiles  []string  // checkpoint files on disk; the next healthy checkpoint removes them all
+	legacySegs []segInfo // pre-recovery segments (possibly of dropped shard dirs)
 
 	records        atomic.Uint64
 	bytesAppended  atomic.Uint64
 	fsyncs         atomic.Uint64
 	droppedAppends atomic.Uint64
 	checkpoints    atomic.Uint64
+	starvedCkpts   atomic.Uint64
 	lastCkptPause  atomic.Int64
 	flushFailures  atomic.Uint64
 	degradations   atomic.Uint64
@@ -375,11 +371,6 @@ type Log struct {
 	closed bool
 }
 
-type ckptOnDisk struct {
-	ts   uint64
-	path string
-}
-
 // Open opens (creating or recovering) a durable map in dir over shards
 // instances of the named backend, with default options. See OpenWith.
 func Open(dir, backend string, shards int) (ds.Map, *Log, error) {
@@ -388,7 +379,7 @@ func Open(dir, backend string, shards int) (ds.Map, *Log, error) {
 
 // OpenWith opens the log directory described by opts. If dir holds a
 // previous incarnation's state, OpenWith recovers it — newest valid
-// checkpoint chain plus replayed log suffix — into the fresh system before
+// checkpoint plus replayed log suffix — into the fresh system before
 // returning; the shard count may differ from the previous incarnation's
 // (records route by key, not by stream), in which case the open also
 // checkpoints, so that the old layout's streams are gone before the new
@@ -416,18 +407,11 @@ func OpenWith(opts Options) (m ds.Map, l *Log, err error) {
 	}
 
 	l = &Log{opts: opts, fs: fsys, rec: opts.Rec, trace: opts.Trace, stopFlush: make(chan struct{})}
-	l.recoveredPairs = len(rec.image)
+	l.recoveredPairs, l.ckptPairs = len(rec.image), len(rec.image)
 	l.recoveredTs = rec.ckptTs
 	l.lastCkptTs.Store(rec.ckptTs)
 	l.ckptFiles = rec.ckpts
 	l.legacySegs = rec.liveSegs
-	// The recovered image is checkpoint chain *plus replayed log suffix*,
-	// so it is not the state any on-disk checkpoint describes: an
-	// incremental diff against it could not be chained at the next
-	// recovery. The first checkpoint of a new incarnation is therefore
-	// always full, and the image is not kept as lastImage: nothing would
-	// ever diff against it, and it is one map entry per recovered pair.
-	l.incrSinceFull = l.opts.FullEvery
 
 	// Phase 2: streams, each appending a fresh segment after the highest
 	// existing one in its shard directory.
@@ -459,7 +443,7 @@ func OpenWith(opts Options) (m ds.Map, l *Log, err error) {
 
 	// Phase 4: load the recovered image. Raw inserts on the inner map
 	// append no redo, so the load is not re-logged (it is already durable
-	// in the checkpoint chain and surviving segments).
+	// in the checkpoint and surviving segments).
 	if err := Load(l.sys, l.ckptTh, l.inner, nil, rec.image); err != nil {
 		l.sys.Close()
 		return nil, nil, err
@@ -472,8 +456,8 @@ func OpenWith(opts Options) (m ds.Map, l *Log, err error) {
 
 	// Phase 6: a directory last written under another shard layout holds
 	// streams that do not partition this incarnation's key space (package
-	// comment). Before any new record exists, take the incarnation's first
-	// checkpoint: it is full, and truncates every legacy segment.
+	// comment). Before any new record exists, take a checkpoint: it
+	// truncates every legacy segment.
 	if rec.resharded {
 		if _, err := l.Checkpoint(); err != nil {
 			l.Close()
@@ -503,6 +487,7 @@ func (l *Log) RegisterObs(reg *obs.Registry) {
 		emit("wal.fsyncs", st.Fsyncs)
 		emit("wal.dropped_appends", st.DroppedAppends)
 		emit("wal.checkpoints", st.Checkpoints)
+		emit("wal.ckpt_starved", st.StarvedCkpts)
 		emit("wal.last_ckpt_ts", st.LastCkptTs)
 		emit("wal.last_ckpt_pause_ns", uint64(st.LastCkptPause))
 		emit("wal.retained", st.Retained)
@@ -752,6 +737,7 @@ func (l *Log) Stats() Stats {
 		Fsyncs:         l.fsyncs.Load(),
 		DroppedAppends: l.droppedAppends.Load(),
 		Checkpoints:    l.checkpoints.Load(),
+		StarvedCkpts:   l.starvedCkpts.Load(),
 		LastCkptTs:     l.lastCkptTs.Load(),
 		LastCkptPause:  time.Duration(l.lastCkptPause.Load()),
 		RecoveredPairs: l.recoveredPairs,

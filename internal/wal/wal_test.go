@@ -3,13 +3,13 @@ package wal
 import (
 	"bytes"
 	"encoding/gob"
-	"os"
-	"path/filepath"
+	"errors"
 	"sort"
 	"testing"
 	"time"
 
 	"repro/internal/ds"
+	"repro/internal/fault"
 	"repro/internal/frame"
 	"repro/internal/stm"
 	"repro/internal/workload"
@@ -220,13 +220,12 @@ func TestCrashRecoversToPrefix(t *testing.T) {
 }
 
 // TestCheckpointTruncatesAndRecovers: checkpoints must shrink the log (old
-// segments deleted) without changing what recovery rebuilds, across full
-// and incremental checkpoints with deletions in between.
+// segments deleted) without changing what recovery rebuilds, with deletions
+// in between — and each one leaves itself as the directory's only checkpoint.
 func TestCheckpointTruncatesAndRecovers(t *testing.T) {
 	dir := t.TempDir()
 	o := testOpts(dir, "multiverse", 2, func(o *Options) {
 		o.SegmentBytes = 2048 // force rotation so truncation has targets
-		o.FullEvery = 2
 	})
 	m, l := mustOpen(t, o)
 	model := map[uint64]uint64{}
@@ -251,11 +250,11 @@ func TestCheckpointTruncatesAndRecovers(t *testing.T) {
 		if err != nil {
 			t.Fatalf("checkpoint %d: %v", round, err)
 		}
-		if round == 0 && !info.Full {
-			t.Fatal("first checkpoint of an incarnation must be full")
-		}
 		if info.Live != len(model) {
 			t.Fatalf("checkpoint %d: live=%d want %d", round, info.Live, len(model))
+		}
+		if ls, err := ListDir(fault.OS, dir); err != nil || len(ls.Ckpts) != 1 || ls.Ckpts[0] != CkptName(info.Ts) {
+			t.Fatalf("checkpoint %d at ts %#x left %v listed (%v), want itself alone", round, info.Ts, ls.Ckpts, err)
 		}
 		truncated += info.TruncatedSegs
 	}
@@ -445,44 +444,54 @@ func TestSegmentEncodingRoundTrip(t *testing.T) {
 // TestCheckpointEncodingRoundTrip exercises the checkpoint codec, incl. the
 // corruption verdicts.
 func TestCheckpointEncodingRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	entries := []ckptEntry{{key: 1, val: 2}, {key: 7, tomb: true}, {key: 9, val: 100}}
-	path := filepath.Join(dir, "ck-0000000000000010.ckpt")
-	if err := os.WriteFile(path, encodeCheckpoint(16, 9, false, entries), 0o644); err != nil {
-		t.Fatal(err)
+	pairs := []ds.KV{{Key: 1, Val: 2}, {Key: 7}, {Key: 9, Val: 100}}
+	data := encodeCheckpoint(16, pairs...)
+	ts, got, err := parseCheckpoint("ck", data)
+	if err != nil || ts != 16 || !pairsEqual(got, pairs) {
+		t.Fatalf("round trip: ts=%d pairs=%v err=%v", ts, got, err)
 	}
-	readCheckpoint := func(path string) (parsedCkpt, error) {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return parsedCkpt{}, err
+	// Corruption: flipped byte, truncated file, both torn as a whole.
+	flipped := bytes.Clone(data)
+	flipped[ckptHeaderSize+4] ^= 1
+	if _, _, err := parseCheckpoint("ck", flipped); !errors.Is(err, errTornCkpt) {
+		t.Fatalf("flipped checkpoint byte: %v, want a torn verdict", err)
+	}
+	if _, _, err := parseCheckpoint("ck", data[:ckptHeaderSize+10]); !errors.Is(err, errTornCkpt) {
+		t.Fatalf("truncated checkpoint: %v, want a torn verdict", err)
+	}
+	// A flipped kind byte under the old checksum is damage; under a checksum
+	// that vouches for it, it is a file of another format — not torn.
+	kind2 := bytes.Clone(data)
+	kind2[12] = 2
+	if _, _, err := parseCheckpoint("ck", kind2); !errors.Is(err, errTornCkpt) {
+		t.Fatalf("kind byte flipped under the old checksum: %v, want a torn verdict", err)
+	}
+	if _, _, err := parseCheckpoint("ck", asDelta(data, 2, 9, 1)); err == nil || errors.Is(err, errTornCkpt) {
+		t.Fatalf("checksummed incremental checkpoint: %v, want a refusal that is not a torn verdict", err)
+	}
+}
+
+// TestCheckpointAllocsDoNotScale: a checkpoint encodes pairs into the file
+// image as the scan visits them and keeps nothing, so what one call allocates
+// does not grow with the map (before, it was a map entry and a slice element
+// per pair, and the map outlived the call).
+func TestCheckpointAllocsDoNotScale(t *testing.T) {
+	allocs := func(pairs uint64) float64 {
+		m, l := mustOpen(t, testOpts(t.TempDir(), "multiverse", 2, func(o *Options) { o.Capacity = 1 << 15 }))
+		defer l.Close()
+		insertRange(t, l, m, 1, pairs+1)
+		if info, err := l.Checkpoint(); err != nil || info.Live != int(pairs) { // sizes the next image
+			t.Fatalf("Checkpoint: %+v, %v", info, err)
 		}
-		return parseCheckpoint(path, data)
+		return testing.AllocsPerRun(5, func() {
+			if _, err := l.Checkpoint(); err != nil {
+				t.Fatalf("Checkpoint: %v", err)
+			}
+		})
 	}
-	c, err := readCheckpoint(path)
-	if err != nil || c.ts != 16 || c.prevTs != 9 || c.full || len(c.entries) != len(entries) {
-		t.Fatalf("round trip: %+v err=%v", c, err)
-	}
-	for i := range entries {
-		if c.entries[i] != entries[i] {
-			t.Fatalf("entry %d diverged", i)
-		}
-	}
-	// A full checkpoint zeroes prevTs regardless of the argument.
-	if err := os.WriteFile(path, encodeCheckpoint(16, 9, true, entries), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if c, _ := readCheckpoint(path); c.prevTs != 0 || !c.full {
-		t.Fatalf("full checkpoint: prevTs=%d full=%v", c.prevTs, c.full)
-	}
-	// Corruption: flipped byte, truncated file, both invalid as a whole.
-	data := encodeCheckpoint(16, 9, false, entries)
-	data[ckptHeaderSize+4] ^= 1
-	os.WriteFile(path, data, 0o644)
-	if _, err := readCheckpoint(path); err == nil {
-		t.Fatal("flipped checkpoint byte not detected")
-	}
-	os.WriteFile(path, encodeCheckpoint(16, 9, false, entries)[:ckptHeaderSize+10], 0o644)
-	if _, err := readCheckpoint(path); err == nil {
-		t.Fatal("truncated checkpoint not detected")
+	small, large := allocs(1<<10), allocs(1<<14)
+	t.Logf("allocs per Checkpoint: %.0f at 1 k pairs, %.0f at 16 k", small, large)
+	if large > 2*small {
+		t.Fatalf("Checkpoint allocates %.0f times at 16 k pairs and %.0f at 1 k: it grows with the pair count", large, small)
 	}
 }
