@@ -1,11 +1,7 @@
-// Package repro's top-level benchmarks regenerate every table and figure of
-// the paper's evaluation at a laptop scale (see EXPERIMENTS.md for the
-// mapping and recorded results; cmd/multibench runs the same experiments at
-// arbitrary scale).
-//
-// Each BenchmarkFigN sub-benchmark reports the figure's metric as a custom
-// unit: ops/s (throughput figures), rq/s (range-query completion), heapKB
-// (Fig 9), ops/cpu-s (Fig 10's energy proxy).
+// Package repro's top-level benchmarks regenerate every figure of the paper's
+// evaluation at a laptop scale, and price the TM's hot paths. The figure
+// mapping is the table in internal/bench/experiments.go, which BenchmarkFig
+// walks; cmd/multibench sweeps the same table at arbitrary scale.
 package repro_test
 
 import (
@@ -18,220 +14,47 @@ import (
 	"repro/internal/mvstm"
 	"repro/internal/obs"
 	"repro/internal/stm"
-	"repro/internal/workload"
 )
 
-// benchScale keeps `go test -bench=.` under a few minutes on one core.
-const (
-	benchPrefill  = 4096
-	benchDuration = 80 * time.Millisecond
-	benchThreads  = 4
-)
-
-func rqKeys(frac float64) int {
-	n := int(float64(benchPrefill) * frac)
-	if n < 16 {
-		n = 16
-	}
-	return n
-}
-
-func mix(ins, del, rq float64, rqSize int) workload.Mix {
-	return workload.Mix{InsertPct: ins / 100, DeletePct: del / 100, RQPct: rq / 100, RQSize: rqSize}
-}
-
-// runPoint executes one plotted point per b.N iteration and reports the
-// figure's metrics.
-func runPoint(b *testing.B, cfg bench.Config) {
-	b.Helper()
-	cfg.Prefill = benchPrefill
-	cfg.Duration = benchDuration
-	if cfg.Threads == 0 {
-		cfg.Threads = benchThreads
-	}
-	var res bench.Result
-	for i := 0; i < b.N; i++ {
-		res = bench.Run(cfg)
-	}
-	b.ReportMetric(res.OpsPerSec, "ops/s")
-	b.ReportMetric(res.RQsPerSec, "rq/s")
-	b.ReportMetric(float64(res.MaxHeapKB), "heapKB")
-	b.ReportMetric(res.OpsPerCPUSec, "ops/cpu-s")
-	b.ReportMetric(float64(res.Starved), "starved")
-	b.ReportMetric(res.AllocsPerOp, "allocs/op-tm")
-	b.ReportMetric(float64(res.NumGC), "gc-cycles")
-	b.ReportMetric(float64(res.GCPauseTotal.Microseconds()), "gcPause-µs")
-}
-
-// BenchmarkFig1 — (a,b)-tree, 89.99% search / 0.01% RQ / 5% ins / 5% del,
-// uniform keys, no dedicated updaters.
-func BenchmarkFig1(b *testing.B) {
-	for _, tm := range bench.TMNames {
-		b.Run(tm, func(b *testing.B) {
-			runPoint(b, bench.Config{TM: tm, DS: "abtree", Mix: mix(5, 5, 0.01, rqKeys(0.01))})
-		})
-	}
-}
-
-// BenchmarkFig6 — the main grid: {0,16 updaters} × {uniform,zipf} at the
-// 0.01% RQ row (the no-RQ rows are BenchmarkFig6NoRQ).
-func BenchmarkFig6(b *testing.B) {
-	for _, upd := range []int{0, 16} {
-		for _, zipf := range []bool{false, true} {
-			dist := "uniform"
-			if zipf {
-				dist = "zipf"
-			}
-			for _, tm := range bench.TMNames {
-				b.Run(fmt.Sprintf("%s/upd=%d/%s", dist, upd, tm), func(b *testing.B) {
-					runPoint(b, bench.Config{
-						TM: tm, DS: "abtree",
-						Mix:      mix(5, 5, 0.01, rqKeys(0.01)),
-						Zipf:     zipf,
-						Updaters: upd,
-					})
+// BenchmarkFig runs every point of every figure under the figure's line-up
+// as BenchmarkFig/<id>/<label>/<tm>, one bench.Run per iteration, and reports
+// the figures' metrics as custom units: ops/s (throughput figures), rq/s
+// (range-query completion), heapKB (Fig 9), ops/cpu-s (Fig 10's energy
+// proxy), and for Fig 8 the throughput of each interval. The scale keeps
+// `go test -bench=.` to minutes on one core; at one thread count the
+// appendix figures (fig14, fig16–fig21: fig6/11/12 on other machines'
+// thread grids) would repeat those, so rows without points of their own run
+// nothing.
+func BenchmarkFig(b *testing.B) {
+	scale := bench.Scale{Prefill: 4096, Duration: 80 * time.Millisecond, Threads: []int{4}}
+	for _, f := range bench.Figures() {
+		for _, p := range f.Points {
+			for _, tm := range f.LineUp() {
+				b.Run(f.ID+"/"+p.Label+"/"+tm, func(b *testing.B) {
+					cfg := p.Config(scale, tm, scale.Threads[0])
+					var res bench.Result
+					for i := 0; i < b.N; i++ {
+						res = bench.Run(cfg)
+					}
+					b.ReportMetric(res.OpsPerSec, "ops/s")
+					b.ReportMetric(res.RQsPerSec, "rq/s")
+					b.ReportMetric(float64(res.MaxHeapKB), "heapKB")
+					b.ReportMetric(res.OpsPerCPUSec, "ops/cpu-s")
+					b.ReportMetric(float64(res.Starved), "starved")
+					b.ReportMetric(res.AllocsPerOp, "allocs/op-tm")
+					b.ReportMetric(float64(res.NumGC), "gc-cycles")
+					b.ReportMetric(float64(res.GCPauseTotal.Microseconds()), "gcPause-µs")
+					// A sample belongs to the phase it ended in.
+					phaseOps := make([]float64, len(cfg.Phases))
+					for _, smp := range res.Series {
+						phaseOps[min(int(smp.At.Seconds()/cfg.Phases[0].Seconds), len(phaseOps)-1)] += float64(smp.Ops)
+					}
+					for i, ops := range phaseOps {
+						b.ReportMetric(ops/cfg.Phases[i].Seconds, fmt.Sprintf("phase%d-ops/s", i+1))
+					}
 				})
 			}
 		}
-	}
-}
-
-// BenchmarkFig6NoRQ — the grid's RQ-free columns (Multiverse must match
-// DCTL here: the "preserving short query performance" claim).
-func BenchmarkFig6NoRQ(b *testing.B) {
-	for _, upd := range []int{0, 16} {
-		for _, tm := range bench.TMNames {
-			b.Run(fmt.Sprintf("upd=%d/%s", upd, tm), func(b *testing.B) {
-				runPoint(b, bench.Config{TM: tm, DS: "abtree", Mix: mix(5, 5, 0, 0), Updaters: upd})
-			})
-		}
-	}
-}
-
-// BenchmarkFig7 — the flawed-workload demonstration: 10% RQs. Without
-// updaters even RQ-less TMs look fine; 4 dedicated updaters expose them
-// (watch rq/s and starved).
-func BenchmarkFig7(b *testing.B) {
-	for _, upd := range []int{0, 4} {
-		for _, tm := range bench.TMNames {
-			b.Run(fmt.Sprintf("upd=%d/%s", upd, tm), func(b *testing.B) {
-				runPoint(b, bench.Config{TM: tm, DS: "abtree", Mix: mix(5, 5, 10, rqKeys(0.01)), Updaters: upd})
-			})
-		}
-	}
-}
-
-// BenchmarkFig8 — time-varying workload; the interesting output is the
-// per-phase ops/s, reported as phase1..phase4 metrics (Multiverse should
-// track the better of its pinned-mode variants in every phase).
-func BenchmarkFig8(b *testing.B) {
-	interval := 0.4 // seconds per phase
-	quiet := workload.Phase{Seconds: interval, Mix: mix(10, 10, 0, 0)}
-	rqy := workload.Phase{Seconds: interval, Mix: mix(10, 10, 0.01, rqKeys(0.1)), Updaters: 4}
-	for _, tm := range []string{"multiverse", "multiverse-q", "multiverse-u", "dctl", "tl2"} {
-		b.Run(tm, func(b *testing.B) {
-			var res bench.Result
-			for i := 0; i < b.N; i++ {
-				res = bench.Run(bench.Config{
-					TM: tm, DS: "abtree",
-					Threads:     benchThreads,
-					Prefill:     benchPrefill,
-					SampleEvery: 100 * time.Millisecond,
-					Phases:      []workload.Phase{quiet, rqy, quiet, rqy},
-				})
-			}
-			// Aggregate samples into the four phases.
-			phase := make([]float64, 4)
-			for _, s := range res.Series {
-				p := int(s.At.Seconds() / interval)
-				if p > 3 {
-					p = 3
-				}
-				phase[p] += float64(s.Ops)
-			}
-			for i, ops := range phase {
-				b.ReportMetric(ops/interval, fmt.Sprintf("phase%d-ops/s", i+1))
-			}
-		})
-	}
-}
-
-// BenchmarkFig9 — peak memory for the fig6 row-1 workloads (heapKB metric).
-func BenchmarkFig9(b *testing.B) {
-	for _, rq := range []float64{0, 0.01} {
-		for _, tm := range bench.TMNames {
-			b.Run(fmt.Sprintf("rq=%.2f%%/%s", rq, tm), func(b *testing.B) {
-				runPoint(b, bench.Config{TM: tm, DS: "abtree", Mix: mix(5, 5, rq, rqKeys(0.01))})
-			})
-		}
-	}
-}
-
-// BenchmarkFig10 — throughput per CPU-second (the RAPL joules proxy) with
-// 16 dedicated updaters (ops/cpu-s metric).
-func BenchmarkFig10(b *testing.B) {
-	for _, rq := range []float64{0, 0.01} {
-		for _, tm := range bench.TMNames {
-			b.Run(fmt.Sprintf("rq=%.2f%%/%s", rq, tm), func(b *testing.B) {
-				runPoint(b, bench.Config{TM: tm, DS: "abtree", Mix: mix(5, 5, rq, rqKeys(0.01)), Updaters: 16})
-			})
-		}
-	}
-}
-
-// BenchmarkFig11 — internal AVL tree, 0.01% RQ, {0,16 updaters}.
-func BenchmarkFig11(b *testing.B) {
-	for _, upd := range []int{0, 16} {
-		for _, tm := range bench.TMNames {
-			b.Run(fmt.Sprintf("upd=%d/%s", upd, tm), func(b *testing.B) {
-				runPoint(b, bench.Config{TM: tm, DS: "avl", Mix: mix(5, 5, 0.01, rqKeys(0.01)), Updaters: upd})
-			})
-		}
-	}
-}
-
-// BenchmarkFig12 — external BST, 0.01% RQ, {0,16 updaters}.
-func BenchmarkFig12(b *testing.B) {
-	for _, upd := range []int{0, 16} {
-		for _, tm := range bench.TMNames {
-			b.Run(fmt.Sprintf("upd=%d/%s", upd, tm), func(b *testing.B) {
-				runPoint(b, bench.Config{TM: tm, DS: "extbst", Mix: mix(5, 5, 0.01, rqKeys(0.01)), Updaters: upd})
-			})
-		}
-	}
-}
-
-// BenchmarkFig13 — hashmap with atomic size queries, {1,16 updaters}.
-func BenchmarkFig13(b *testing.B) {
-	for _, upd := range []int{1, 16} {
-		for _, tm := range bench.TMNames {
-			b.Run(fmt.Sprintf("upd=%d/%s", upd, tm), func(b *testing.B) {
-				runPoint(b, bench.Config{TM: tm, DS: "hashmap", Mix: mix(5, 5, 0.01, 0), Updaters: upd, SizeQueries: true})
-			})
-		}
-	}
-}
-
-// BenchmarkFig15 — AVL with large RQs (10% of prefill), 16 updaters: the
-// workload where versioning matters most.
-func BenchmarkFig15(b *testing.B) {
-	for _, tm := range bench.TMNames {
-		b.Run(tm, func(b *testing.B) {
-			runPoint(b, bench.Config{TM: tm, DS: "avl", Mix: mix(5, 5, 0.01, rqKeys(0.1)), Updaters: 16})
-		})
-	}
-}
-
-// BenchmarkAblation — Multiverse design-choice ablations from DESIGN.md:
-// pinned modes (what dynamic switching buys), no bloom filters (what the
-// filters buy on the versioned-check path), no unversioning (what bounded
-// version lists buy).
-func BenchmarkAblation(b *testing.B) {
-	variants := []string{"multiverse", "multiverse-q", "multiverse-u", "multiverse-nobloom", "multiverse-nounversion"}
-	for _, v := range variants {
-		b.Run(v, func(b *testing.B) {
-			runPoint(b, bench.Config{TM: v, DS: "abtree", Mix: mix(5, 5, 0.01, rqKeys(0.01)), Updaters: 8})
-		})
 	}
 }
 

@@ -13,14 +13,15 @@ package main
 import (
 	"flag"
 	"fmt"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/bench"
 	"repro/internal/ds"
 	"repro/internal/ds/abtree"
 	"repro/internal/mvstm"
+	"repro/internal/registry"
 	"repro/internal/workload"
 )
 
@@ -31,7 +32,13 @@ func main() {
 	dur := flag.Duration("dur", 2*time.Second, "run duration")
 	flag.Parse()
 
-	sys := bench.NewTM(*tm, 1<<16)
+	// 20000 attempts: where the TMs without a long-read path give up, as in
+	// the paper's harness.
+	sys, err := registry.NewTM(*tm, registry.Params{LockTable: 1 << 16, MaxAttempts: 20000})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	defer sys.Close()
 	inv := abtree.New(*keys * 2)
 	keyRange := uint64(*keys) * 2

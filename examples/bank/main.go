@@ -12,11 +12,12 @@ package main
 import (
 	"flag"
 	"fmt"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/bench"
+	"repro/internal/registry"
 	"repro/internal/stm"
 	"repro/internal/workload"
 )
@@ -28,7 +29,13 @@ func main() {
 	dur := flag.Duration("dur", time.Second, "run duration")
 	flag.Parse()
 
-	sys := bench.NewTM(*tm, 1<<16)
+	// 20000 attempts: where the TMs without a long-read path give up, as in
+	// the paper's harness.
+	sys, err := registry.NewTM(*tm, registry.Params{LockTable: 1 << 16, MaxAttempts: 20000})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	defer sys.Close()
 
 	bank := make([]stm.Word, *accounts)

@@ -144,13 +144,11 @@ func runTrial(cfg Config, seed uint64) Result {
 	// reads almost never race updaters. Raising GOMAXPROCS to the thread
 	// count makes the OS timeslice them mid-transaction, restoring the
 	// contention the paper's multicore testbed has natively.
-	want := cfg.Threads + cfg.Updaters + 1
+	maxUpdaters := cfg.Updaters
 	for _, p := range cfg.Phases {
-		if cfg.Threads+p.Updaters+1 > want {
-			want = cfg.Threads + p.Updaters + 1
-		}
+		maxUpdaters = max(maxUpdaters, p.Updaters)
 	}
-	if prev := runtime.GOMAXPROCS(0); want > prev {
+	if want, prev := cfg.Threads+maxUpdaters+1, runtime.GOMAXPROCS(0); want > prev {
 		runtime.GOMAXPROCS(want)
 		defer runtime.GOMAXPROCS(prev)
 	}
@@ -173,13 +171,6 @@ func runTrial(cfg Config, seed uint64) Result {
 		startGate = make(chan struct{})
 	)
 	dist := newDist(cfg)
-
-	maxUpdaters := cfg.Updaters
-	for _, p := range cfg.Phases {
-		if p.Updaters > maxUpdaters {
-			maxUpdaters = p.Updaters
-		}
-	}
 
 	// Workers.
 	regWG.Add(cfg.Threads + maxUpdaters)
@@ -237,9 +228,8 @@ func runTrial(cfg Config, seed uint64) Result {
 	// Dedicated updaters: every transaction writes (insert-else-delete in
 	// one transaction), so none ever commits read-only and they keep
 	// conflicting with range queries (§5 experimental setup).
-	activeUpdaters := int64(cfg.Updaters)
 	var activeUpd atomic.Int64
-	activeUpd.Store(activeUpdaters)
+	activeUpd.Store(int64(cfg.Updaters))
 	for u := 0; u < maxUpdaters; u++ {
 		wg.Add(1)
 		go func(id int) {
@@ -297,17 +287,15 @@ func runTrial(cfg Config, seed uint64) Result {
 	for {
 		time.Sleep(tick)
 		elapsed := time.Since(start)
-		if len(cfg.Phases) > 0 {
-			acc := time.Duration(0)
-			for i, p := range cfg.Phases {
-				acc += time.Duration(p.Seconds * float64(time.Second))
-				if elapsed < acc {
-					if phaseIdx.Load() != uint64(i) {
-						phaseIdx.Store(uint64(i))
-						activeUpd.Store(int64(p.Updaters))
-					}
-					break
+		var acc time.Duration
+		for i, p := range cfg.Phases {
+			acc += time.Duration(p.Seconds * float64(time.Second))
+			if elapsed < acc {
+				if phaseIdx.Load() != uint64(i) {
+					phaseIdx.Store(uint64(i))
+					activeUpd.Store(int64(p.Updaters))
 				}
+				break
 			}
 		}
 		if sampleEvery != 0 && elapsed-lastSample >= sampleEvery {

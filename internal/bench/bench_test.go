@@ -1,11 +1,15 @@
 package bench
 
 import (
+	"fmt"
+	"io"
+	"os"
 	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/registry"
 	"repro/internal/workload"
 )
 
@@ -115,37 +119,120 @@ func TestNewDSAllNames(t *testing.T) {
 }
 
 func TestExperimentRegistryComplete(t *testing.T) {
-	// Set equality: the registry is the paper's figures and table plus the
+	// Set equality: the table is the paper's figures and table plus the
 	// one experiment built from them (ablation). What measures the
 	// shard/WAL/server/replica stack lives in benchmark/, not here.
 	want := []string{"ablation", "fig1", "fig10", "fig11", "fig12", "fig13", "fig14",
 		"fig15", "fig16", "fig17", "fig18", "fig19", "fig20", "fig21", "fig6",
 		"fig7", "fig8", "fig9", "tab1"}
-	if got := ExperimentIDs(); !slices.Equal(got, want) {
-		t.Errorf("experiment ids = %v, want exactly %v", got, want)
+	var got []string
+	seen := map[[2]string]bool{}
+	var checkPoint func(id string, p Point)
+	checkPoint = func(id string, p Point) {
+		// A range-query size is stated iff the point issues range queries,
+		// and always as a share of the prefill.
+		if wantFrac := p.RQ > 0 && !p.SizeQueries; wantFrac != (p.RQFrac > 0) || p.RQFrac < 0 || p.RQFrac > 1 {
+			t.Errorf("%s %q: RQ=%v%% SizeQueries=%v with RQFrac=%v, want a fraction in (0, 1] iff it has range queries", id, p.Label, p.RQ, p.SizeQueries, p.RQFrac)
+		}
+		for _, ph := range p.Phases {
+			checkPoint(id, ph)
+		}
+	}
+	for _, f := range Figures() {
+		got = append(got, f.ID)
+		for _, tm := range f.LineUp() {
+			if !slices.Contains(registry.TMNames(), tm) {
+				t.Errorf("%s: line-up TM %q is not in the registry", f.ID, tm)
+			}
+		}
+		if of, ok := FigureByID(f.Of); f.Of != "" && (!ok || of.Of != "" || len(of.Points) == 0 || len(f.Points) != 0 || len(f.Threads) == 0) {
+			t.Errorf("%s: alias of %q needs an existing figure with points of its own, none here, and a thread grid", f.ID, f.Of)
+		}
+		for _, p := range f.Points {
+			if seen[[2]string{f.ID, p.Label}] {
+				t.Errorf("%s: label %q twice", f.ID, p.Label)
+			}
+			seen[[2]string{f.ID, p.Label}] = true
+			if _, err := registry.NewDS(p.DS, 16); err != nil {
+				t.Errorf("%s %q: %v", f.ID, p.Label, err)
+			}
+			checkPoint(f.ID, p)
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("figure ids = %v, want exactly %v", got, want)
+	}
+	// The drift the second copy in the root bench_test.go had is resolved
+	// to these values: Fig 7's range queries cover a quarter of the prefill.
+	fig7, _ := FigureByID("fig7")
+	for _, p := range fig7.Points {
+		if cfg := p.Config(Scale{Prefill: 4096}, "multiverse", 4); cfg.Mix.RQSize != 1024 || cfg.Mix.RQPct != 0.10 {
+			t.Errorf("%q at prefill 4096: %v%% RQs of %d keys, want 10%% of 1024", p.Label, 100*cfg.Mix.RQPct, cfg.Mix.RQSize)
+		}
 	}
 }
 
+// TestFiguresGolden pins every figure id, title and point label to what the
+// parent of the table (PR 23's per-figure closures) printed for
+// `multibench -exp all -dur 1ms -prefill 64 -threads 1`, sorted. The lines
+// come out of the runner multibench uses, with nothing run.
+func TestFiguresGolden(t *testing.T) {
+	var sb strings.Builder
+	for _, f := range Figures() {
+		fmt.Fprintf(&sb, "=== %s: %s ===\n", f.ID, f.Title)
+		f.sweep(Scale{Prefill: 64, Duration: time.Millisecond, Threads: []int{1}}, nil, &sb,
+			func(cfg Config) Result { return Result{Config: cfg} })
+	}
+	var got []string
+	for _, line := range strings.Split(sb.String(), "\n") {
+		if strings.HasPrefix(line, "=== ") || strings.HasPrefix(line, "--- ") {
+			got = append(got, line)
+		}
+	}
+	slices.Sort(got)
+	golden, err := os.ReadFile("testdata/figures.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := strings.Split(strings.TrimSuffix(string(golden), "\n"), "\n"); !slices.Equal(got, want) {
+		t.Errorf("the table renders\n%s\nwant testdata/figures.golden", strings.Join(got, "\n"))
+	}
+}
+
+// TestFig8HonoursTMList: no -tm means the figure's own line-up, a -tm means
+// exactly that list, for every figure.
 func TestFig8HonoursTMList(t *testing.T) {
 	s := Scale{Prefill: 256, Duration: 5 * time.Millisecond, Threads: []int{2}}
+	fig8, _ := FigureByID("fig8") // testdata/figures.golden pins its line-up
+	ablation, _ := FigureByID("ablation")
 	for _, tc := range []struct {
-		tms    []string
-		blocks int
+		id   string
+		tms  []string
+		want []string // the TM of each run, in order
 	}{
-		{[]string{"multiverse", "dctl"}, 2}, // starts with TMNames[0] but is not the default list
-		{TMNames, 5},                        // the default list selects Fig 8's own line-up
+		{"fig8", []string{"multiverse", "dctl"}, []string{"multiverse", "dctl"}},
+		{"fig8", nil, fig8.TMs},
+		{"fig8", slices.Clone(TMNames), TMNames},                     // the default order, spelled out, is still a list
+		{"ablation", nil, slices.Concat(ablation.TMs, ablation.TMs)}, // two points
+		{"ablation", []string{"dctl"}, []string{"dctl", "dctl"}},
+		{"fig1", nil, TMNames},
 	} {
-		var sb strings.Builder
-		Experiments()["fig8"].Run(s, tc.tms, &sb)
-		if got := strings.Count(sb.String(), "--- fig8 "); got != tc.blocks {
-			t.Errorf("fig8 with -tm %v printed %d blocks, want %d", tc.tms, got, tc.blocks)
+		f, _ := FigureByID(tc.id)
+		var got []string
+		f.sweep(s, tc.tms, io.Discard, func(cfg Config) Result {
+			got = append(got, cfg.TM)
+			return Result{Config: cfg}
+		})
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("%s with -tm %v ran %v, want %v", tc.id, tc.tms, got, tc.want)
 		}
 	}
 }
 
 func TestTab1PrintsMatrix(t *testing.T) {
+	tab1, _ := FigureByID("tab1")
 	var sb strings.Builder
-	Experiments()["tab1"].Run(Quick(), TMNames, &sb)
+	tab1.Run(Quick(), nil, &sb)
 	out := sb.String()
 	for _, want := range []string{"Mode Q", "Mode U", "forced to", "unversioning"} {
 		if !strings.Contains(out, want) {

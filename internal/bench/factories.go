@@ -7,8 +7,9 @@ import (
 	"repro/internal/stm"
 )
 
-// TMNames lists the systems compared in the paper's plots, in plot order.
-var TMNames = []string{"multiverse", "dctl", "tl2", "tinystm", "norec"}
+// The four constructors below remain solely because benchmark/ calls them:
+// they go when the owed benchmark PR repoints it at internal/registry
+// (ROADMAP "Owed before the next perf claim").
 
 // baselineMaxAttempts bounds retries for the TMs without a long-read escape
 // hatch; the paper observes them "reach their maximum allowed aborts and

@@ -12,7 +12,6 @@ import (
 	"repro/internal/ds/avl"
 	"repro/internal/ds/extbst"
 	"repro/internal/ds/hashmap"
-	"repro/internal/ds/linkedlist"
 	"repro/internal/mvstm"
 	"repro/internal/stm"
 	"repro/internal/workload"
@@ -25,11 +24,10 @@ type visitorMap interface {
 
 func visitors() map[string]visitorMap {
 	return map[string]visitorMap{
-		"abtree":     abtree.New(1024),
-		"avl":        avl.New(1024),
-		"extbst":     extbst.New(1024),
-		"hashmap":    hashmap.New(256, 1024),
-		"linkedlist": linkedlist.New(1024),
+		"abtree":  abtree.New(1024),
+		"avl":     avl.New(1024),
+		"extbst":  extbst.New(1024),
+		"hashmap": hashmap.New(256, 1024),
 	}
 }
 

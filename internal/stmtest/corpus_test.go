@@ -7,8 +7,8 @@ import (
 	"path/filepath"
 	"testing"
 
-	"repro/internal/bench"
 	"repro/internal/histcheck"
+	"repro/internal/registry"
 )
 
 // seedCorpusDir is the adaptive seed corpus written by `stmtorture
@@ -77,9 +77,15 @@ func TestSeedCorpus(t *testing.T) {
 			}
 			// 1<<16 lock table matches stmtorture's histRound too — the
 			// conflict/abort geometry is part of what made the seed fire.
-			sys := bench.NewTM(e.TM, 1<<16) // panics on unknown names: loud by design
+			sys, err := registry.NewTM(e.TM, registry.Params{LockTable: 1 << 16, MaxAttempts: 20000})
+			if err != nil {
+				t.Fatal(err)
+			}
 			defer sys.Close()
-			m := bench.NewDS(e.DS, capacity)
+			m, err := registry.NewDS(e.DS, capacity)
+			if err != nil {
+				t.Fatal(err)
+			}
 			h := histcheck.RunHistory(sys, m, p, e.Threads, ops, e.Seed)
 			if h.Dropped() != 0 {
 				t.Fatalf("recorder dropped %d ops", h.Dropped())
