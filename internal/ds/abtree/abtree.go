@@ -15,6 +15,11 @@ import (
 // B is the maximum fanout / leaf capacity (the paper's b=16; a=B/4).
 const B = 16
 
+// walkStack sizes RangeTx's and SizeTx's traversal stacks: a walk holds at
+// most B-1 siblings per level, so 128 covers eight levels and the stack
+// stays off the heap (a deeper walk's append moves it there, correctly).
+const walkStack = 128
+
 // node serves as both leaf and internal node.
 //
 // Leaf (leaf==1): size keys in keys[0..size) sorted ascending, values in
@@ -43,7 +48,7 @@ func New(capacity int) *Tree {
 
 func (t *Tree) alloc(tx stm.Txn, shard int) (uint64, *node) {
 	idx := t.ar.Alloc(shard)
-	tx.OnAbort(func() { t.ar.Release(shard, idx) })
+	tx.OnAbort(t.ar, shard, idx)
 	return idx, t.ar.Get(idx)
 }
 
@@ -204,17 +209,15 @@ func (t *Tree) DeleteTx(tx stm.Txn, key uint64) bool {
 	}
 	deleted, nowEmpty := t.deleteRec(tx, rootIdx, key)
 	if nowEmpty {
-		shard := int(key)
 		tx.Write(&t.root, 0)
-		tx.Free(func() { t.ar.Release(shard, rootIdx) })
+		tx.Free(t.ar, int(key), rootIdx)
 	} else if deleted {
 		// Collapse a single-child internal root.
 		n := t.ar.Get(rootIdx)
 		if tx.Read(&n.leaf) == 0 && tx.Read(&n.size) == 1 {
 			only := tx.Read(&n.vals[0])
 			tx.Write(&t.root, only)
-			shard := int(key)
-			tx.Free(func() { t.ar.Release(shard, rootIdx) })
+			tx.Free(t.ar, int(key), rootIdx)
 		}
 	}
 	return deleted
@@ -248,15 +251,14 @@ func (t *Tree) deleteRec(tx stm.Txn, idx, key uint64) (deleted, nowEmpty bool) {
 		tx.Write(&n.vals[j], tx.Read(&n.vals[j+1]))
 	}
 	tx.Write(&n.size, uint64(size-1))
-	shard := int(key)
-	tx.Free(func() { t.ar.Release(shard, childIdx) })
+	tx.Free(t.ar, int(key), childIdx)
 	return deleted, size == 1
 }
 
 // RangeTx implements ds.Map.
 func (t *Tree) RangeTx(tx stm.Txn, lo, hi uint64) (int, uint64) {
 	count, sum := 0, uint64(0)
-	var stack []uint64
+	stack := make([]uint64, 0, walkStack)
 	if r := tx.Read(&t.root); r != 0 {
 		stack = append(stack, r)
 	}
@@ -293,7 +295,7 @@ func (t *Tree) RangeTx(tx stm.Txn, lo, hi uint64) (int, uint64) {
 // SizeTx implements ds.Map.
 func (t *Tree) SizeTx(tx stm.Txn) int {
 	count := 0
-	var stack []uint64
+	stack := make([]uint64, 0, walkStack)
 	if r := tx.Read(&t.root); r != 0 {
 		stack = append(stack, r)
 	}

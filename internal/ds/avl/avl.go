@@ -18,6 +18,11 @@ type node struct {
 	height stm.Word
 }
 
+// walkStack sizes RangeTx's and SizeTx's traversal stacks: a walk holds
+// about one entry per level, so 64 keeps any AVL tree's walk off the heap
+// (a deeper walk's append moves it there, correctly).
+const walkStack = 64
+
 // Tree is a transactional internal AVL tree.
 type Tree struct {
 	root stm.Word
@@ -128,7 +133,7 @@ func (t *Tree) insertRec(tx stm.Txn, idx, key, val uint64) (uint64, bool) {
 	if idx == 0 {
 		shard := int(key)
 		ni := t.ar.Alloc(shard)
-		tx.OnAbort(func() { t.ar.Release(shard, ni) })
+		tx.OnAbort(t.ar, shard, ni)
 		n := t.ar.Get(ni)
 		tx.Write(&n.key, key)
 		tx.Write(&n.val, val)
@@ -192,18 +197,9 @@ func (t *Tree) deleteRec(tx stm.Txn, idx, key uint64) (uint64, bool) {
 	}
 	// Found the node.
 	l, r := tx.Read(&n.left), tx.Read(&n.right)
-	shard := int(key)
-	freed := idx
-	switch {
-	case l == 0 && r == 0:
-		tx.Free(func() { t.ar.Release(shard, freed) })
-		return 0, true
-	case l == 0:
-		tx.Free(func() { t.ar.Release(shard, freed) })
-		return r, true
-	case r == 0:
-		tx.Free(func() { t.ar.Release(shard, freed) })
-		return l, true
+	if l == 0 || r == 0 {
+		tx.Free(t.ar, int(key), idx)
+		return max(l, r), true // splice in the one child, or nothing
 	}
 	// Two children: copy the successor (min of right subtree) into this
 	// node, then delete the successor from the right subtree.
@@ -229,7 +225,7 @@ func (t *Tree) deleteRec(tx stm.Txn, idx, key uint64) (uint64, bool) {
 // RangeTx implements ds.Map: pruned in-order traversal of [lo, hi].
 func (t *Tree) RangeTx(tx stm.Txn, lo, hi uint64) (int, uint64) {
 	count, sum := 0, uint64(0)
-	var stack []uint64
+	stack := make([]uint64, 0, walkStack)
 	if r := tx.Read(&t.root); r != 0 {
 		stack = append(stack, r)
 	}
@@ -259,7 +255,7 @@ func (t *Tree) RangeTx(tx stm.Txn, lo, hi uint64) (int, uint64) {
 // SizeTx implements ds.Map.
 func (t *Tree) SizeTx(tx stm.Txn) int {
 	count := 0
-	var stack []uint64
+	stack := make([]uint64, 0, walkStack)
 	if r := tx.Read(&t.root); r != 0 {
 		stack = append(stack, r)
 	}

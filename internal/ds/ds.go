@@ -8,6 +8,7 @@ package ds
 import (
 	"cmp"
 	"slices"
+	"sync"
 
 	"repro/internal/stm"
 )
@@ -69,33 +70,94 @@ func ExportSorted(sys stm.System, m Map) (pairs []KV, ok bool) {
 	return pairs, ok
 }
 
+// op is one wrapper call. It holds the inputs and the results in separate
+// fields: a body reruns from the top after a TM retry, a shard probe or a
+// snapshot re-freeze, so it may write only results and must find its inputs
+// as the wrapper left them. Its five bodies are bound once, when the op is
+// made (internal/shard's Thread.boundBody pattern), and ops are recycled
+// through opPool, so a wrapper call allocates nothing in steady state.
+type op struct {
+	// Inputs.
+	m        Map
+	key, val uint64 // Range: lo, hi
+
+	// Results.
+	hit bool   // inserted, deleted, found
+	n   int    // Range's count, Size's size
+	u   uint64 // Search's value, Range's key sum
+
+	insert, delete, search, rng, size func(stm.Txn)
+}
+
+var opPool = sync.Pool{New: func() any { return newOp() }}
+
+func newOp() *op {
+	o := new(op)
+	o.insert = func(tx stm.Txn) { o.hit = o.m.InsertTx(tx, o.key, o.val) }
+	o.delete = func(tx stm.Txn) { o.hit = o.m.DeleteTx(tx, o.key) }
+	o.search = func(tx stm.Txn) { o.u, o.hit = o.m.SearchTx(tx, o.key) }
+	o.rng = func(tx stm.Txn) { o.n, o.u = o.m.RangeTx(tx, o.key, o.val) }
+	o.size = func(tx stm.Txn) { o.n = o.m.SizeTx(tx) }
+	return o
+}
+
+func getOp(m Map, key, val uint64) *op {
+	o := opPool.Get().(*op)
+	o.m, o.key, o.val = m, key, val
+	return o
+}
+
+// put returns o to the pool; the caller has read its results. The map is
+// cleared so a pooled op does not keep a closed structure reachable, and
+// the results so the next caller cannot see this one's.
+func (o *op) put() {
+	o.m = nil
+	o.hit, o.n, o.u = false, 0, 0
+	opPool.Put(o)
+}
+
 // Insert runs InsertTx in its own update transaction. ok=false means the
 // transaction starved (hit its TM's attempt bound) or was cancelled.
 func Insert(th stm.Thread, m Map, key, val uint64) (inserted, ok bool) {
-	ok = th.Atomic(func(tx stm.Txn) { inserted = m.InsertTx(tx, key, val) })
+	o := getOp(m, key, val)
+	ok = th.Atomic(o.insert)
+	inserted = o.hit
+	o.put()
 	return
 }
 
 // Delete runs DeleteTx in its own update transaction.
 func Delete(th stm.Thread, m Map, key uint64) (deleted, ok bool) {
-	ok = th.Atomic(func(tx stm.Txn) { deleted = m.DeleteTx(tx, key) })
+	o := getOp(m, key, 0)
+	ok = th.Atomic(o.delete)
+	deleted = o.hit
+	o.put()
 	return
 }
 
 // Search runs SearchTx in its own read-only transaction.
 func Search(th stm.Thread, m Map, key uint64) (val uint64, found, ok bool) {
-	ok = th.ReadOnly(func(tx stm.Txn) { val, found = m.SearchTx(tx, key) })
+	o := getOp(m, key, 0)
+	ok = th.ReadOnly(o.search)
+	val, found = o.u, o.hit
+	o.put()
 	return
 }
 
 // Range runs RangeTx in its own read-only transaction.
 func Range(th stm.Thread, m Map, lo, hi uint64) (count int, keySum uint64, ok bool) {
-	ok = th.ReadOnly(func(tx stm.Txn) { count, keySum = m.RangeTx(tx, lo, hi) })
+	o := getOp(m, lo, hi)
+	ok = th.ReadOnly(o.rng)
+	count, keySum = o.n, o.u
+	o.put()
 	return
 }
 
 // Size runs SizeTx in its own read-only transaction.
 func Size(th stm.Thread, m Map) (n int, ok bool) {
-	ok = th.ReadOnly(func(tx stm.Txn) { n = m.SizeTx(tx) })
+	o := getOp(m, 0, 0)
+	ok = th.ReadOnly(o.size)
+	n = o.n
+	o.put()
 	return
 }

@@ -20,6 +20,11 @@ type node struct {
 	right stm.Word
 }
 
+// walkStack sizes RangeTx's and SizeTx's traversal stacks: a walk holds
+// about one entry per level, so 64 keeps the walk of a randomly built tree
+// off the heap (a deeper walk's append moves it there, correctly).
+const walkStack = 64
+
 // Tree is a transactional external BST.
 type Tree struct {
 	root stm.Word // arena index of root; 0 = empty tree
@@ -57,7 +62,7 @@ func (t *Tree) SearchTx(tx stm.Txn, key uint64) (uint64, bool) {
 
 func (t *Tree) alloc(tx stm.Txn, shard int) (uint64, *node) {
 	idx := t.ar.Alloc(shard)
-	tx.OnAbort(func() { t.ar.Release(shard, idx) })
+	tx.OnAbort(t.ar, shard, idx)
 	return idx, t.ar.Get(idx)
 }
 
@@ -142,7 +147,7 @@ func (t *Tree) DeleteTx(tx stm.Txn, key uint64) bool {
 			if parent == nil {
 				// The leaf is the root.
 				tx.Write(&t.root, 0)
-				tx.Free(func() { t.ar.Release(shard, leafIdx) })
+				tx.Free(t.ar, shard, leafIdx)
 				return true
 			}
 			// Splice the sibling into the grandparent; leaf and
@@ -154,11 +159,8 @@ func (t *Tree) DeleteTx(tx stm.Txn, key uint64) bool {
 				sibling = tx.Read(&parent.left)
 			}
 			tx.Write(gpPtr, sibling)
-			pIdx := parentIdx
-			tx.Free(func() {
-				t.ar.Release(shard, leafIdx)
-				t.ar.Release(shard, pIdx)
-			})
+			tx.Free(t.ar, shard, leafIdx)
+			tx.Free(t.ar, shard, parentIdx)
 			return true
 		}
 		gpPtr = ptr
@@ -179,7 +181,7 @@ func (t *Tree) DeleteTx(tx stm.Txn, key uint64) bool {
 // RangeTx implements ds.Map: an in-order traversal pruned to [lo, hi].
 func (t *Tree) RangeTx(tx stm.Txn, lo, hi uint64) (int, uint64) {
 	count, sum := 0, uint64(0)
-	var stack []uint64
+	stack := make([]uint64, 0, walkStack)
 	if r := tx.Read(&t.root); r != 0 {
 		stack = append(stack, r)
 	}
@@ -210,7 +212,7 @@ func (t *Tree) RangeTx(tx stm.Txn, lo, hi uint64) (int, uint64) {
 // SizeTx implements ds.Map.
 func (t *Tree) SizeTx(tx stm.Txn) int {
 	count := 0
-	var stack []uint64
+	stack := make([]uint64, 0, walkStack)
 	if r := tx.Read(&t.root); r != 0 {
 		stack = append(stack, r)
 	}

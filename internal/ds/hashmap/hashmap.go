@@ -60,7 +60,7 @@ func (m *Map) InsertTx(tx stm.Txn, key, val uint64) bool {
 	}
 	shard := int(key)
 	idx := m.ar.Alloc(shard)
-	tx.OnAbort(func() { m.ar.Release(shard, idx) })
+	tx.OnAbort(m.ar, shard, idx)
 	n := m.ar.Get(idx)
 	tx.Write(&n.key, key)
 	tx.Write(&n.val, val)
@@ -78,10 +78,9 @@ func (m *Map) DeleteTx(tx stm.Txn, key uint64) bool {
 		next := tx.Read(&n.next)
 		if tx.Read(&n.key) == key {
 			tx.Write(prev, next)
-			shard := int(key)
 			// Recycle only after a grace period: a doomed reader
 			// may still traverse this node (paper §4.5).
-			tx.Free(func() { m.ar.Release(shard, idx) })
+			tx.Free(m.ar, int(key), idx)
 			return true
 		}
 		prev = &n.next

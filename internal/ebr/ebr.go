@@ -12,6 +12,10 @@
 // frees and hands them to EBR only on commit, so an aborted attempt never
 // retires anything (paper: "when we rollback the effects of an update
 // transaction we also revoke any of its retires").
+//
+// Nothing on the retire path allocates: a freed arena slot travels as a
+// Release value (owner, shard, index) and a pooled object as a Reclaimable
+// threaded through its own intrusive link.
 package ebr
 
 import (
@@ -49,13 +53,30 @@ func (l *RetireLink) SetRetireNext(n Reclaimable) { l.next = n }
 // RetireNext implements Reclaimable.
 func (l *RetireLink) RetireNext() Reclaimable { return l.next }
 
-type limboBucket struct {
-	epoch      uint64
-	fns        []func()
-	head, tail Reclaimable // intrusive closure-free retire list
+// Releaser owns slots a retire hands back; *arena.Arena satisfies it.
+type Releaser interface {
+	Release(shard int, idx uint64)
 }
 
-func (b *limboBucket) empty() bool { return len(b.fns) == 0 && b.head == nil }
+// Release is one deferred slot release, Rel.Release(Shard, Idx), held by
+// value: buffering it in a transaction's hooks or a limbo bucket allocates
+// nothing, where a closure over the same three words would.
+type Release struct {
+	Rel   Releaser
+	Shard int
+	Idx   uint64
+}
+
+// Run performs the release.
+func (r Release) Run() { r.Rel.Release(r.Shard, r.Idx) }
+
+type limboBucket struct {
+	epoch      uint64
+	rels       []Release
+	head, tail Reclaimable // intrusive retire list
+}
+
+func (b *limboBucket) empty() bool { return len(b.rels) == 0 && b.head == nil }
 
 // appendNode links n at the bucket's tail.
 func (b *limboBucket) appendNode(n Reclaimable) {
@@ -130,11 +151,11 @@ func (h *Handle) Unpin() {
 // Pinned reports whether the handle is inside a critical section.
 func (h *Handle) Pinned() bool { return h.pinDepth > 0 }
 
-// Retire schedules fn to run once no pinned thread can still hold a
+// Retire schedules r to run once no pinned thread can still hold a
 // reference acquired before the retire.
-func (h *Handle) Retire(fn func()) {
+func (h *Handle) Retire(r Release) {
 	b := h.bucket()
-	b.fns = append(b.fns, fn)
+	b.rels = append(b.rels, r)
 	h.restamp(b)
 	h.maybeAdvance()
 }
@@ -197,13 +218,13 @@ func (h *Handle) maybeAdvance() {
 // into the current bucket, which may be b itself) never land in the list
 // being walked.
 func (h *Handle) flush(b *limboBucket) {
-	fns := b.fns
-	b.fns = nil
+	rels := b.rels
+	b.rels = nil
 	n := b.head
 	b.head, b.tail = nil, nil
-	runAll(fns)
-	if b.fns == nil {
-		b.fns = fns[:0] // keep the backing array unless a retire re-grew it
+	runAll(rels)
+	if b.rels == nil {
+		b.rels = rels[:0] // keep the backing array unless a retire re-grew it
 	}
 	for n != nil {
 		next := n.RetireNext()
@@ -278,7 +299,7 @@ func (d *Domain) reclaimOrphansLocked(now uint64) {
 	requeue.epoch = now
 	for _, b := range d.orphans {
 		if now >= b.epoch+2 {
-			runAll(b.fns)
+			runAll(b.rels)
 			for n := b.head; n != nil; {
 				next := n.RetireNext()
 				n.SetRetireNext(nil)
@@ -317,8 +338,8 @@ func (d *Domain) Drain() {
 // drainBucket runs everything in b, iterating multi-grace-period reclaims
 // to completion (quiescence makes further grace periods vacuous).
 func drainBucket(b *limboBucket) {
-	runAll(b.fns)
-	b.fns = nil
+	runAll(b.rels)
+	b.rels = nil
 	for n := b.head; n != nil; {
 		next := n.RetireNext()
 		n.SetRetireNext(nil)
@@ -329,8 +350,8 @@ func drainBucket(b *limboBucket) {
 	b.head, b.tail = nil, nil
 }
 
-func runAll(fns []func()) {
-	for _, fn := range fns {
-		fn()
+func runAll(rels []Release) {
+	for _, r := range rels {
+		r.Run()
 	}
 }

@@ -2,23 +2,37 @@ package ebr
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 )
+
+// tally is a Releaser that counts the releases it performs and keeps the
+// last one's slot.
+type tally struct {
+	n     atomic.Int64
+	shard int
+	idx   uint64
+}
+
+func (c *tally) Release(shard int, idx uint64) {
+	c.n.Add(1)
+	c.shard, c.idx = shard, idx
+}
 
 func TestRetireRunsAfterGracePeriod(t *testing.T) {
 	d := NewDomain()
 	h := d.Register()
-	ran := false
-	h.Retire(func() { ran = true })
-	if ran {
+	var c tally
+	h.Retire(Release{&c, 3, 17})
+	if c.n.Load() != 0 {
 		t.Fatal("retire ran immediately")
 	}
 	// Two advances = one grace period.
 	d.Advance()
 	d.Advance()
 	h.Collect()
-	if !ran {
-		t.Fatal("retire did not run after grace period")
+	if c.n.Load() != 1 || c.shard != 3 || c.idx != 17 {
+		t.Fatalf("after grace period: %d releases, last (%d, %d); want 1, (3, 17)", c.n.Load(), c.shard, c.idx)
 	}
 }
 
@@ -51,22 +65,22 @@ func TestPinnedReaderProtectsRetiree(t *testing.T) {
 	writer := d.Register()
 
 	reader.Pin() // reader enters critical section
-	freed := false
-	writer.Retire(func() { freed = true })
+	var c tally
+	writer.Retire(Release{&c, 0, 1})
 	// No matter how hard the writer pushes, the object survives while
 	// the reader stays pinned.
 	for i := 0; i < 100; i++ {
 		d.Advance()
 		writer.Collect()
 	}
-	if freed {
+	if c.n.Load() != 0 {
 		t.Fatal("object freed while a pre-retire reader was pinned")
 	}
 	reader.Unpin()
 	d.Advance()
 	d.Advance()
 	writer.Collect()
-	if !freed {
+	if c.n.Load() != 1 {
 		t.Fatal("object never freed after reader unpinned")
 	}
 }
@@ -89,10 +103,9 @@ func TestNestedPin(t *testing.T) {
 func TestUnregisterAdoptsLimbo(t *testing.T) {
 	d := NewDomain()
 	h := d.Register()
-	var mu sync.Mutex
-	count := 0
+	var c tally
 	for i := 0; i < 5; i++ {
-		h.Retire(func() { mu.Lock(); count++; mu.Unlock() })
+		h.Retire(Release{&c, 0, uint64(i + 1)})
 	}
 	h.Unregister()
 	other := d.Register()
@@ -100,10 +113,7 @@ func TestUnregisterAdoptsLimbo(t *testing.T) {
 		d.Advance()
 	}
 	_ = other
-	mu.Lock()
-	got := count
-	mu.Unlock()
-	if got != 5 {
+	if got := c.n.Load(); got != 5 {
 		t.Fatalf("orphaned retires ran %d/5 times", got)
 	}
 }
@@ -111,13 +121,13 @@ func TestUnregisterAdoptsLimbo(t *testing.T) {
 func TestDrainRunsEverything(t *testing.T) {
 	d := NewDomain()
 	h := d.Register()
-	count := 0
+	var c tally
 	for i := 0; i < 7; i++ {
-		h.Retire(func() { count++ })
+		h.Retire(Release{&c, 0, uint64(i + 1)})
 	}
 	d.Drain()
-	if count != 7 {
-		t.Fatalf("drain ran %d/7 retires", count)
+	if got := c.n.Load(); got != 7 {
+		t.Fatalf("drain ran %d/7 retires", got)
 	}
 }
 
@@ -207,16 +217,16 @@ func TestPinBlocksRetireNode(t *testing.T) {
 func TestRetireNodeOrderAndBatches(t *testing.T) {
 	d := NewDomain()
 	h := d.Register()
-	// More nodes than advanceEvery, interleaved with closures, across
-	// several epochs; everything must reclaim exactly once by Drain.
+	// More nodes than advanceEvery, interleaved with slot releases,
+	// across several epochs; everything must reclaim exactly once by Drain.
 	const n = 3*advanceEvery + 7
 	probes := make([]*reclaimProbe, n)
-	closures := 0
+	var c tally
 	for i := range probes {
 		probes[i] = &reclaimProbe{}
 		h.RetireNode(probes[i])
 		if i%3 == 0 {
-			h.Retire(func() { closures++ })
+			h.Retire(Release{&c, 0, uint64(i + 1)})
 		}
 	}
 	d.Drain()
@@ -225,8 +235,8 @@ func TestRetireNodeOrderAndBatches(t *testing.T) {
 			t.Fatalf("probe %d: done=%v reclaims=%d, want true/1", i, p.done, p.reclaims)
 		}
 	}
-	if want := (n + 2) / 3; closures != want {
-		t.Fatalf("closures ran %d/%d times", closures, want)
+	if want := int64(n+2) / 3; c.n.Load() != want {
+		t.Fatalf("releases ran %d/%d times", c.n.Load(), want)
 	}
 }
 
@@ -251,7 +261,7 @@ func TestConcurrentRetireStress(t *testing.T) {
 	d := NewDomain()
 	const goroutines = 4
 	const perG = 2000
-	var freed [goroutines]int
+	var freed [goroutines]tally
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
@@ -261,7 +271,7 @@ func TestConcurrentRetireStress(t *testing.T) {
 			defer h.Unregister()
 			for i := 0; i < perG; i++ {
 				h.Pin()
-				h.Retire(func() { freed[g]++ })
+				h.Retire(Release{&freed[g], g, uint64(i + 1)})
 				h.Unpin()
 			}
 		}(g)
@@ -269,8 +279,8 @@ func TestConcurrentRetireStress(t *testing.T) {
 	wg.Wait()
 	d.Drain()
 	total := 0
-	for _, f := range freed {
-		total += f
+	for i := range freed {
+		total += int(freed[i].n.Load())
 	}
 	if total != goroutines*perG {
 		t.Fatalf("freed %d/%d", total, goroutines*perG)

@@ -189,6 +189,12 @@ type Replica struct {
 	ctx  context.Context // done: the session is severed, the applier and the feed stop
 	stop context.CancelFunc
 	wg   sync.WaitGroup // the applier, and the feed when Options.Leader is set
+
+	// applyOps' transaction body, bound once (internal/shard's boundBody
+	// pattern): the applier is one goroutine, so the ops it commits are
+	// parked in applying rather than captured by a closure per record.
+	applying  []stm.RedoRec
+	applyBody func(stm.Txn)
 }
 
 // Open starts a follower session tailing opts.Dir — and, when opts.Leader is
@@ -205,6 +211,7 @@ func Open(opts Options) (*Replica, error) {
 		return nil, err
 	}
 	r := &Replica{opts: opts, sys: sys, m: m, reader: wal.OpenShipReader(opts.Dir, opts.FS)}
+	r.applyBody = r.applyParked
 	r.ctx, r.stop = context.WithCancel(context.Background())
 	r.lastProgress.Store(time.Now().UnixNano())
 	if opts.Obs != nil {
@@ -511,22 +518,29 @@ func (r *Replica) applyRecs(th *shard.Thread, recs []wal.ShipRec) error {
 // backend's Atomic is unbounded and this body never cancels, so a false
 // return is a broken backend contract: an error, never a skipped record.
 func (r *Replica) applyOps(th *shard.Thread, ops []stm.RedoRec) error {
-	if !th.Atomic(func(tx stm.Txn) {
-		for _, op := range ops {
-			if op.Op == stm.RedoDelete {
-				r.m.DeleteTx(tx, op.Key)
-				continue
-			}
-			// Redo values are absolute, so replay is an upsert: a key the
-			// follower already holds (a rebase-boundary or seal-suffix
-			// duplicate) is overwritten, never silently kept stale.
-			if !r.m.InsertTx(tx, op.Key, op.Val) {
-				r.m.DeleteTx(tx, op.Key)
-				r.m.InsertTx(tx, op.Key, op.Val)
-			}
-		}
-	}) {
+	r.applying = ops
+	ok := th.Atomic(r.applyBody)
+	r.applying = nil
+	if !ok {
 		return errors.New("replica: apply transaction starved; the session cannot continue without skipping a record")
 	}
 	return nil
+}
+
+// applyParked is applyBody: it applies the parked ops, and only reads them,
+// so a rerun after a retry or the shard probe starts from the same record.
+func (r *Replica) applyParked(tx stm.Txn) {
+	for _, op := range r.applying {
+		if op.Op == stm.RedoDelete {
+			r.m.DeleteTx(tx, op.Key)
+			continue
+		}
+		// Redo values are absolute, so replay is an upsert: a key the
+		// follower already holds (a rebase-boundary or seal-suffix
+		// duplicate) is overwritten, never silently kept stale.
+		if !r.m.InsertTx(tx, op.Key, op.Val) {
+			r.m.DeleteTx(tx, op.Key)
+			r.m.InsertTx(tx, op.Key, op.Val)
+		}
+	}
 }

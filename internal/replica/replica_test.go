@@ -491,3 +491,42 @@ func TestReplicaPromote(t *testing.T) {
 		t.Fatalf("promoted leader ts %d did not advance past applied %d", newMax, maxApplied)
 	}
 }
+
+// TestApplyOpsAllocFree pins the applier's per-record cost: once warm,
+// applying a record allocates nothing — an insert, an upsert over a held
+// key (the delete-then-insert arm) and a delete, each its own record. The
+// session is severed first so that only the calls measured here run.
+func TestApplyOpsAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are pinned race-off")
+	}
+	r, err := Open(Options{Dir: t.TempDir(), Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	r.Sever()
+	th := r.sys.RegisterSharded()
+	defer th.Unregister()
+	ins := []stm.RedoRec{{Op: stm.RedoInsert}}
+	up := []stm.RedoRec{{Op: stm.RedoInsert}}
+	del := []stm.RedoRec{{Op: stm.RedoDelete}}
+	key := uint64(0)
+	apply := func() {
+		key++
+		ins[0].Key, ins[0].Val = key, key
+		up[0].Key, up[0].Val = key, key+1
+		del[0].Key = key
+		for _, ops := range [][]stm.RedoRec{ins, up, del} {
+			if err := r.applyOps(th, ops); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(500, apply); n != 0 {
+		t.Fatalf("applyOps: %v allocs per insert+upsert+delete, want 0", n)
+	}
+	if pairs, ok := ds.ExportSorted(r.sys, r.m); !ok || len(pairs) != 0 {
+		t.Fatalf("after applying and deleting every key: %v (ok=%v), want empty", pairs, ok)
+	}
+}

@@ -51,7 +51,7 @@ func (m *Map) shardTxn(tx stm.Txn) *txn {
 // operation unwinds to bind. In the bound state it verifies the shard
 // matches (escalating a read-only body to snapshot mode, rejecting a
 // cross-shard update). Otherwise the caller runs the operation on x.inner,
-// or — in the snapshot state — as a pinned mini transaction via snapAt.
+// or — in the snapshot state — as a pinned mini transaction (pinnedAt).
 func (m *Map) bindPoint(x *txn, key uint64, op string) (s int, placeholder bool) {
 	s = m.sys.ShardOf(key)
 	switch x.state {
@@ -89,7 +89,7 @@ func (m *Map) bindCross(x *txn, op string) {
 		if !x.readOnly {
 			panic("shard: " + op + " spans shards and must run in a read-only transaction (cross-shard queries are 2PC-free snapshot reads)")
 		}
-		panic(bindSignal{shard: -1})
+		panic(toSnap)
 	case stateBound:
 		if len(m.maps) == 1 {
 			return // bound to the only shard; run natively
@@ -142,9 +142,8 @@ func (m *Map) SearchTx(tx stm.Txn, key uint64) (uint64, bool) {
 	if x.state != stateSnap {
 		return m.maps[s].SearchTx(x.inner, key)
 	}
-	var v uint64
-	var found bool
-	if !x.th.snapAt(s, x.ts, func(in stm.Txn) { v, found = m.maps[s].SearchTx(in, key) }) {
+	v, found, ok := ds.Search(x.th.pinnedAt(s, x.ts), m.maps[s], key)
+	if !ok {
 		stm.AbortAttempt() // re-freeze and rerun the body
 	}
 	return v, found
@@ -168,25 +167,27 @@ func (m *Map) RangeTx(tx stm.Txn, lo, hi uint64) (count int, keySum uint64) {
 		if x.state != stateSnap {
 			return m.maps[s].RangeTx(x.inner, lo, hi)
 		}
-		if !x.th.snapAt(s, x.ts, func(in stm.Txn) { count, keySum = m.maps[s].RangeTx(in, lo, hi) }) {
-			stm.AbortAttempt()
-		}
-		return count, keySum
+		return m.snapRange(x, s, lo, hi)
 	}
 	m.bindCross(x, "RangeTx")
 	if x.state == stateBound { // single-shard system
 		return m.maps[0].RangeTx(x.inner, lo, hi)
 	}
 	for s := range m.maps {
-		var c int
-		var ks uint64
-		if !x.th.snapAt(s, x.ts, func(in stm.Txn) { c, ks = m.maps[s].RangeTx(in, lo, hi) }) {
-			stm.AbortAttempt()
-		}
+		c, ks := m.snapRange(x, s, lo, hi)
 		count += c
 		keySum += ks
 	}
 	return count, keySum
+}
+
+// snapRange runs shard s's part of a range at the body's frozen timestamp.
+func (m *Map) snapRange(x *txn, s int, lo, hi uint64) (int, uint64) {
+	c, ks, ok := ds.Range(x.th.pinnedAt(s, x.ts), m.maps[s], lo, hi)
+	if !ok {
+		stm.AbortAttempt()
+	}
+	return c, ks
 }
 
 // SizeTx implements ds.Map: the sum of every shard's size at the frozen
@@ -198,8 +199,8 @@ func (m *Map) SizeTx(tx stm.Txn) (n int) {
 		return m.maps[0].SizeTx(x.inner)
 	}
 	for s := range m.maps {
-		var c int
-		if !x.th.snapAt(s, x.ts, func(in stm.Txn) { c = m.maps[s].SizeTx(in) }) {
+		c, ok := ds.Size(x.th.pinnedAt(s, x.ts), m.maps[s])
+		if !ok {
 			stm.AbortAttempt()
 		}
 		n += c
@@ -220,7 +221,7 @@ func (m *Map) VisitTx(tx stm.Txn, lo, hi uint64, fn func(key, val uint64)) {
 	}
 	for s := range m.maps {
 		vis := m.visitor(s)
-		if !x.th.snapAt(s, x.ts, func(in stm.Txn) {
+		if !x.th.pinnedAt(s, x.ts).ReadOnly(func(in stm.Txn) {
 			x.visitBuf = x.visitBuf[:0] // the pinned scan may retry internally
 			vis.VisitTx(in, lo, hi, func(k, v uint64) { x.visitBuf = append(x.visitBuf, kv{k, v}) })
 		}) {

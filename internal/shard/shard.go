@@ -79,6 +79,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/ebr"
 	"repro/internal/gclock"
 	"repro/internal/obs"
 	"repro/internal/stm"
@@ -235,6 +236,8 @@ type Thread struct {
 	pendingFn func(stm.Txn)
 	bindShard int
 	boundBody func(stm.Txn)
+
+	pin pinned // snapshot state: the shard thread pinnedAt last handed out
 }
 
 // Atomic implements stm.Thread. The body must confine its writes (and, for
@@ -325,6 +328,11 @@ type kv struct{ k, v uint64 }
 type bindSignal struct {
 	shard int // < 0: snapshot mode
 }
+
+// toSnap is the snapshot-mode bindSignal, boxed once: a shard index fits
+// the runtime's preallocated small-integer boxes, -1 would allocate on
+// every cross-shard query's probe unwind.
+var toSnap any = bindSignal{shard: -1}
 
 // Outcomes of one free (probe or snapshot) run of the body.
 const (
@@ -471,20 +479,36 @@ func (t *Thread) runBound(fn func(stm.Txn), s int, readOnly bool) bool {
 // retire hands a pure or snapshot body's eventual-frees to shard 0's
 // reclamation: an empty committed transaction whose only effect is the
 // grace-period free.
-func (t *Thread) retire(f func()) {
-	t.ths[0].Atomic(func(in stm.Txn) { in.Free(f) })
+func (t *Thread) retire(r ebr.Release) {
+	t.ths[0].Atomic(func(in stm.Txn) { in.Free(r.Rel, r.Shard, r.Idx) })
 }
 
-// snapAt runs fn as a mini read-only transaction on shard s pinned at the
-// frozen timestamp, reporting whether the shard could serve it.
-func (t *Thread) snapAt(s int, ts uint64, fn func(stm.Txn)) bool {
+// pinnedAt returns shard s's thread as a snapshot-state operation sees it:
+// its ReadOnly runs SnapshotAt(ts), a mini read-only transaction that
+// reports false when the shard cannot serve ts any more (the caller then
+// aborts the body's attempt, and the exec loop re-freezes and reruns it). A
+// point read, range or size goes through ds's wrappers on it, with a pooled,
+// pre-bound body, so a cross-shard query allocates nothing.
+func (t *Thread) pinnedAt(s int, ts uint64) stm.Thread {
 	st := t.snaps[s]
 	if st == nil {
 		panic("shard: backend " + t.sys.shards[s].Name() +
 			" does not support snapshot reads (stm.SnapshotThread); cross-shard queries need a snapshot-capable TM")
 	}
-	return st.SnapshotAt(ts, fn)
+	t.pin = pinned{st, ts}
+	return &t.pin
 }
+
+// pinned is a shard thread whose read-only transactions run at one frozen
+// timestamp. It serves the snapshot state's mini transactions only.
+type pinned struct {
+	st stm.SnapshotThread
+	ts uint64
+}
+
+func (p *pinned) ReadOnly(fn func(stm.Txn)) bool { return p.st.SnapshotAt(p.ts, fn) }
+func (p *pinned) Atomic(func(stm.Txn)) bool      { panic("shard: update inside a snapshot view") }
+func (p *pinned) Unregister()                    {}
 
 // escalateTo aborts the current execution plan in favor of a better one:
 // from a probe run it unwinds directly (nothing has executed yet); from a
@@ -493,7 +517,7 @@ func (t *Thread) snapAt(s int, ts uint64, fn func(stm.Txn)) bool {
 // announcements) and flags the exec loop to rerun in snapshot mode.
 func (x *txn) escalateToSnap() {
 	if x.state == stateProbe {
-		panic(bindSignal{shard: -1})
+		panic(toSnap)
 	}
 	x.escalate = true
 	stm.CancelTxn()
@@ -512,12 +536,12 @@ func (x *txn) Write(*stm.Word, uint64) { panic(rawWordMsg) }
 
 // OnAbort implements stm.Txn, delegating to the bound shard transaction
 // when there is one.
-func (x *txn) OnAbort(f func()) {
+func (x *txn) OnAbort(rel ebr.Releaser, shard int, idx uint64) {
 	if x.state == stateBound {
-		x.inner.OnAbort(f)
+		x.inner.OnAbort(rel, shard, idx)
 		return
 	}
-	x.Hooks.OnAbort(f)
+	x.Hooks.OnAbort(rel, shard, idx)
 }
 
 // OnCommit implements stm.Txn.
@@ -530,12 +554,12 @@ func (x *txn) OnCommit(f func()) {
 }
 
 // Free implements stm.Txn.
-func (x *txn) Free(f func()) {
+func (x *txn) Free(rel ebr.Releaser, shard int, idx uint64) {
 	if x.state == stateBound {
-		x.inner.Free(f)
+		x.inner.Free(rel, shard, idx)
 		return
 	}
-	x.Hooks.Free(f)
+	x.Hooks.Free(rel, shard, idx)
 }
 
 // AppendRedo implements stm.RedoLogger. Bound bodies forward to the shard's

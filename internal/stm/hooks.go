@@ -4,12 +4,15 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/ebr"
 	"repro/internal/obs"
 )
 
 // Hooks is the per-attempt side-effect buffer shared by every TM: abort
 // rollbacks, commit actions and revocable eventual-frees (paper §4.5). TM
 // transaction types embed Hooks to satisfy the corresponding Txn methods.
+// Rollbacks and frees are ebr.Release values, so an attempt that allocates
+// or frees a node buffers three words and no closure.
 //
 // Hooks also carries the transaction's tracing context: a caller that
 // sampled the request (the server's worker loop) plants a tracer and trace
@@ -21,9 +24,9 @@ import (
 // Embedding Hooks is also what makes a transaction type a Protocol: it
 // carries the attempt's abort reason (AbortWith) and the default After.
 type Hooks struct {
-	abortFns  []func()
+	aborts    []ebr.Release // run newest-first on abort
 	commitFns []func()
-	freeFns   []func()
+	frees     []ebr.Release
 	redo      []RedoRec
 	reason    obs.AbortReason
 
@@ -85,15 +88,19 @@ func SetTrace(th Thread, tr *obs.Tracer, id uint64) {
 	}
 }
 
-// OnAbort registers f to run (in reverse registration order) if the attempt
-// aborts.
-func (h *Hooks) OnAbort(f func()) { h.abortFns = append(h.abortFns, f) }
+// OnAbort registers rel.Release(shard, idx) to run (in reverse registration
+// order) if the attempt aborts.
+func (h *Hooks) OnAbort(rel ebr.Releaser, shard int, idx uint64) {
+	h.aborts = append(h.aborts, ebr.Release{Rel: rel, Shard: shard, Idx: idx})
+}
 
 // OnCommit registers f to run immediately after commit.
 func (h *Hooks) OnCommit(f func()) { h.commitFns = append(h.commitFns, f) }
 
-// Free registers a revocable eventual-free.
-func (h *Hooks) Free(f func()) { h.freeFns = append(h.freeFns, f) }
+// Free registers a revocable eventual-free of slot idx.
+func (h *Hooks) Free(rel ebr.Releaser, shard int, idx uint64) {
+	h.frees = append(h.frees, ebr.Release{Rel: rel, Shard: shard, Idx: idx})
+}
 
 // AppendRedo implements RedoLogger: it buffers one logical redo record for
 // the attempt. The buffer rides the attempt — cleared by Reset on retry,
@@ -121,9 +128,9 @@ func (h *Hooks) hooks() *Hooks { return h }
 
 // Reset clears the buffers and the abort reason for a fresh attempt.
 func (h *Hooks) Reset() {
-	h.abortFns = h.abortFns[:0]
+	h.aborts = h.aborts[:0]
 	h.commitFns = h.commitFns[:0]
-	h.freeFns = h.freeFns[:0]
+	h.frees = h.frees[:0]
 	h.redo = h.redo[:0]
 	h.reason = obs.ReasonUnknown
 }
@@ -131,20 +138,20 @@ func (h *Hooks) Reset() {
 // RunAbort executes the abort rollbacks (newest first) and drops everything
 // else; the attempt's retires are thereby revoked.
 func (h *Hooks) RunAbort() {
-	for i := len(h.abortFns) - 1; i >= 0; i-- {
-		h.abortFns[i]()
+	for i := len(h.aborts) - 1; i >= 0; i-- {
+		h.aborts[i].Run()
 	}
 	h.Reset()
 }
 
 // RunCommit executes commit actions and hands the eventual-frees to retire
 // (typically ebr.Handle.Retire).
-func (h *Hooks) RunCommit(retire func(func())) {
+func (h *Hooks) RunCommit(retire func(ebr.Release)) {
 	for _, f := range h.commitFns {
 		f()
 	}
-	for _, f := range h.freeFns {
-		retire(f)
+	for _, r := range h.frees {
+		retire(r)
 	}
 	h.Reset()
 }

@@ -20,6 +20,7 @@ package stm
 import (
 	"sync/atomic"
 
+	"repro/internal/ebr"
 	"repro/internal/obs"
 )
 
@@ -54,21 +55,24 @@ type Txn interface {
 	// programming error and panics.
 	Write(w *Word, v uint64)
 
-	// OnAbort registers f to run if this attempt aborts. Used to roll
-	// back buffered allocations (paper §4.5: "all allocations are
-	// buffered such that they can be rolled back").
-	OnAbort(f func())
+	// OnAbort registers rel.Release(shard, idx) to run if this attempt
+	// aborts: the rollback of a node the body allocated (paper §4.5: "all
+	// allocations are buffered such that they can be rolled back").
+	// Rollbacks run newest-first. The entry is a value, not a closure, so
+	// registering one allocates nothing; *arena.Arena is a Releaser.
+	OnAbort(rel ebr.Releaser, shard int, idx uint64)
 
 	// OnCommit registers f to run immediately after this attempt
 	// commits. Dropped if the attempt aborts.
 	OnCommit(f func())
 
-	// Free registers f as an "eventual free": if the transaction
-	// commits, f runs only after a grace period in which no concurrent
-	// transaction can still observe the freed data (epoch-based
-	// reclamation, paper §4.5). If the attempt aborts the retire is
-	// revoked and f never runs.
-	Free(f func())
+	// Free registers an "eventual free" of slot idx: if the transaction
+	// commits, rel.Release(shard, idx) runs only after a grace period in
+	// which no concurrent transaction can still observe the freed node
+	// (epoch-based reclamation, paper §4.5). If the attempt aborts the
+	// retire is revoked and the release never runs. Like OnAbort, the
+	// entry is a value and registering it allocates nothing.
+	Free(rel ebr.Releaser, shard int, idx uint64)
 
 	// Cancel voluntarily aborts the whole transaction (all attempts).
 	// The enclosing Atomic/ReadOnly returns false and the transaction

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/ebr"
 	"repro/internal/obs"
 )
 
@@ -31,6 +32,15 @@ func (f *fakeTxn) Commit()                 { f.step("commit") }
 func (f *fakeTxn) Rollback()               { f.step("rollback") }
 func (f *fakeTxn) After(n int, oc Outcome) { f.step("after", n, ":", oc) }
 
+// Release makes the fake its own ebr.Releaser, so an abort rollback shows
+// up in the step log between the protocol's steps.
+func (f *fakeTxn) Release(_ int, idx uint64) { f.step("release", idx) }
+
+// released is a recording ebr.Releaser: the slots released, in order.
+type released []uint64
+
+func (r *released) Release(_ int, idx uint64) { *r = append(*r, idx) }
+
 func newFake() (*SysBase, *ThreadBase, *fakeTxn) {
 	sys, th, tx := new(SysBase), new(ThreadBase), new(fakeTxn)
 	sys.Init(ObsConfig{})
@@ -43,14 +53,14 @@ func TestDriveOutcomes(t *testing.T) {
 	hook := func(s string) func() { return func() { tx.log = append(tx.log, s) } }
 
 	// A clean run commits on the first attempt.
-	if !Drive(th, func(x Txn) { x.OnCommit(hook("oncommit")); x.OnAbort(hook("onabort")) }, true, Policy{}) {
+	if !Drive(th, func(x Txn) { x.OnCommit(hook("oncommit")); x.OnAbort(tx, 0, 1) }, true, Policy{}) {
 		t.Fatal("clean run did not commit")
 	}
 	// An aborted attempt is rolled back, its abort hooks run, and the body
 	// retries; a bound that is not reached changes nothing.
 	n := 0
 	if !Drive(th, func(x Txn) {
-		x.OnAbort(hook("onabort"))
+		x.OnAbort(tx, 0, 2)
 		if n++; n == 1 {
 			tx.AbortWith(obs.ReasonLockBusy)
 		}
@@ -58,7 +68,7 @@ func TestDriveOutcomes(t *testing.T) {
 		t.Fatal("retried run did not commit")
 	}
 	// A cancel rolls back and does not retry.
-	if Drive(th, func(x Txn) { x.OnAbort(hook("onabort")); x.Cancel() }, false, Policy{}) {
+	if Drive(th, func(x Txn) { x.OnAbort(tx, 0, 3); x.Cancel() }, false, Policy{}) {
 		t.Fatal("cancelled run reported committed")
 	}
 	// An exhausted bound gives up.
@@ -67,8 +77,8 @@ func TestDriveOutcomes(t *testing.T) {
 	}
 	want := []string{
 		"begin1", "commit", "after1:0", "oncommit",
-		"begin1", "rollback", "onabort", "after1:1", "begin2", "commit", "after2:0",
-		"begin1", "rollback", "onabort", "after1:2",
+		"begin1", "rollback", "release2", "after1:1", "begin2", "commit", "after2:0",
+		"begin1", "rollback", "release3", "after1:2",
 		"begin1", "rollback", "after1:1", "begin2", "rollback", "after2:1",
 	}
 	if !reflect.DeepEqual(tx.log, want) {
@@ -95,11 +105,12 @@ func TestDrivePropagatesForeignPanics(t *testing.T) {
 }
 
 // TestDriveCommitPathAllocs: the loop every transaction of every backend
-// crosses allocates nothing, traced or not.
+// crosses allocates nothing, traced or not — a node's abort rollback and
+// its eventual free through EBR included.
 func TestDriveCommitPathAllocs(t *testing.T) {
 	_, th, tx := newFake()
 	tx.quiet = true
-	body := func(x Txn) { x.Read(nil) }
+	body := func(x Txn) { x.Read(nil); x.OnAbort(tx, 0, 1); x.Free(tx, 0, 2) }
 	run := func() { Drive(th, body, false, Policy{Backoff: true}) }
 	if n := testing.AllocsPerRun(100, run); n != 0 {
 		t.Fatalf("untraced commit: %v allocs/txn", n)
@@ -112,12 +123,12 @@ func TestDriveCommitPathAllocs(t *testing.T) {
 
 func TestHooksOrderAndReset(t *testing.T) {
 	var h Hooks
-	var order []int
-	h.OnAbort(func() { order = append(order, 1) })
-	h.OnAbort(func() { order = append(order, 2) })
+	var order released
+	h.OnAbort(&order, 0, 1)
+	h.OnAbort(&order, 0, 2)
 	h.RunAbort()
 	// Abort hooks run newest-first (undo semantics).
-	if len(order) != 2 || order[0] != 2 || order[1] != 1 {
+	if !reflect.DeepEqual(order, released{2, 1}) {
 		t.Fatalf("abort order %v want [2 1]", order)
 	}
 	// Buffers are cleared by RunAbort.
@@ -130,23 +141,31 @@ func TestHooksOrderAndReset(t *testing.T) {
 
 func TestHooksCommitRoutesFreesToRetire(t *testing.T) {
 	var h Hooks
-	committed, freed, retired := false, false, 0
+	var freed released
+	committed, retired := false, 0
 	h.OnCommit(func() { committed = true })
-	h.Free(func() { freed = true })
-	h.RunCommit(func(fn func()) { retired++; fn() })
-	if !committed || !freed || retired != 1 {
+	h.Free(&freed, 4, 7)
+	h.RunCommit(func(r ebr.Release) {
+		if r.Shard != 4 {
+			t.Errorf("retired shard %d, want 4", r.Shard)
+		}
+		retired++
+		r.Run()
+	})
+	if !committed || !reflect.DeepEqual(freed, released{7}) || retired != 1 {
 		t.Fatalf("commit=%v freed=%v retired=%d", committed, freed, retired)
 	}
 }
 
 func TestHooksAbortRevokesFreesAndCommits(t *testing.T) {
 	var h Hooks
+	var freed released
 	ran := false
 	h.OnCommit(func() { ran = true })
-	h.Free(func() { ran = true })
+	h.Free(&freed, 0, 1)
 	h.RunAbort()
-	h.RunCommit(func(fn func()) { fn() })
-	if ran {
+	h.RunCommit(func(r ebr.Release) { r.Run() })
+	if ran || len(freed) != 0 {
 		t.Fatal("aborted attempt's commit hooks or frees executed")
 	}
 }

@@ -1,6 +1,7 @@
 package stmtest
 
 import (
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -80,25 +81,23 @@ func TestCancelHasNoEffect(t *testing.T) {
 			var w stm.Word
 			th.Atomic(func(tx stm.Txn) { tx.Write(&w, 42) })
 
-			var aborted, committed, freed bool
+			var committed bool
+			var rel released
 			ok := th.Atomic(func(tx stm.Txn) {
 				tx.Write(&w, 99)
-				tx.OnAbort(func() { aborted = true })
+				tx.OnAbort(&rel, 0, 1)
 				tx.OnCommit(func() { committed = true })
-				tx.Free(func() { freed = true })
+				tx.Free(&rel, 0, 2)
 				tx.Cancel()
 			})
 			if ok {
 				t.Fatal("cancelled txn reported committed")
 			}
-			if !aborted {
-				t.Error("abort hook did not run")
+			if !reflect.DeepEqual(rel, released{1}) {
+				t.Errorf("released %v on cancel, want the abort rollback [1] only (no eventual free)", rel)
 			}
 			if committed {
 				t.Error("commit hook ran on cancel")
-			}
-			if freed {
-				t.Error("eventual free ran on cancel")
 			}
 			th.ReadOnly(func(tx stm.Txn) {
 				if got := tx.Read(&w); got != 42 {

@@ -9,6 +9,11 @@ import (
 	"repro/internal/stm"
 )
 
+// released is a recording ebr.Releaser: the slots released, in order.
+type released []uint64
+
+func (r *released) Release(_ int, idx uint64) { *r = append(*r, idx) }
+
 // TestDriverContract pins what stm.Drive promises identically for every
 // backend: the accounting, spans and events around a transaction's attempts.
 // A deterministic conflict is forced by having a second thread commit a
@@ -51,17 +56,17 @@ func TestDriverContract(t *testing.T) {
 
 			// A cancelled transaction: hooks newest-first, no effect, no
 			// lock left behind.
-			var order []int
+			var order released
 			ok = victim.Atomic(func(tx stm.Txn) {
 				runs = append(runs, 1)
 				order = order[:0]
-				tx.OnAbort(func() { order = append(order, 1) })
-				tx.OnAbort(func() { order = append(order, 2) })
+				tx.OnAbort(&order, 0, 1)
+				tx.OnAbort(&order, 0, 2)
 				tx.OnCommit(func() { t.Error("OnCommit hook ran for a cancelled transaction") })
 				tx.Write(&w, 9)
 				tx.Cancel()
 			})
-			if ok || !reflect.DeepEqual(order, []int{2, 1}) || w.Load() != conflicts+100 {
+			if ok || !reflect.DeepEqual(order, released{2, 1}) || w.Load() != conflicts+100 {
 				t.Fatalf("cancel: ok=%v hooks=%v w=%d want false [2 1] %d", ok, order, w.Load(), conflicts+100)
 			}
 			if !other.Atomic(func(o stm.Txn) { otherRuns++; o.Write(&w, 0) }) {

@@ -116,11 +116,11 @@ func TestReclamationRaceWithEBR(t *testing.T) {
 						}
 						sn := ar.Get(second)
 						tx.Write(&fn.next, tx.Read(&sn.next))
-						tx.Free(func() { ar.Release(0, second) })
+						tx.Free(ar, 0, second)
 					})
 					th.Atomic(func(tx stm.Txn) {
 						n := ar.Alloc(0)
-						tx.OnAbort(func() { ar.Release(0, n) })
+						tx.OnAbort(ar, 0, n)
 						node := ar.Get(n)
 						tx.Write(&node.key, 300)
 						first := tx.Read(head)

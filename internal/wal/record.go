@@ -117,14 +117,17 @@ func validSegHeader(data []byte) bool {
 // decodeRecordsAt parses records starting at byte offset off — which must be
 // a record boundary of an already-validated segment image — letting a tailer
 // resume where its last poll stopped instead of re-decoding the whole file.
+// The records' ops share one growing backing array, so a follower's poll
+// allocates per batch, not per record.
 func decodeRecordsAt(data []byte, off int) (recs []record, validLen int, torn bool) {
+	var ops []stm.RedoRec
 	for {
 		payload, next, ok := frame.Next(data, off, maxRecordPayload)
 		if !ok {
 			return recs, off, off != len(data)
 		}
-		rec, ok := parseRecord(payload)
-		if !ok {
+		var rec record
+		if rec, ops, ok = parseRecord(payload, ops); !ok {
 			return recs, off, true
 		}
 		recs = append(recs, rec)
@@ -132,12 +135,14 @@ func decodeRecordsAt(data []byte, off int) (recs []record, validLen int, torn bo
 	}
 }
 
-// parseRecord decodes one record payload; a payload the checksum vouches
-// for but that is not a record (short, op count disagreeing with its
-// length, unknown op) is as torn as a bad checksum.
-func parseRecord(payload []byte) (record, bool) {
+// parseRecord decodes one record payload, appending its ops to ops; the
+// record's redo is that appended run, capped so that an append to it cannot
+// overwrite the next record's. A payload the checksum vouches for but that
+// is not a record (short, op count disagreeing with its length, unknown op)
+// is as torn as a bad checksum.
+func parseRecord(payload []byte, ops []stm.RedoRec) (record, []stm.RedoRec, bool) {
 	if len(payload) < recFixedSize {
-		return record{}, false
+		return record{}, ops, false
 	}
 	rec := record{
 		ts:    binary.LittleEndian.Uint64(payload),
@@ -145,21 +150,22 @@ func parseRecord(payload []byte) (record, bool) {
 	}
 	n := int(binary.LittleEndian.Uint32(payload[16:]))
 	if recFixedSize+opSize*n != len(payload) {
-		return record{}, false
+		return record{}, ops, false
 	}
-	rec.redo = make([]stm.RedoRec, n)
+	start := len(ops)
 	for i, p := 0, recFixedSize; i < n; i, p = i+1, p+opSize {
 		op := stm.RedoOp(payload[p])
 		if op != stm.RedoInsert && op != stm.RedoDelete {
-			return record{}, false
+			return record{}, ops[:start], false
 		}
-		rec.redo[i] = stm.RedoRec{
+		ops = append(ops, stm.RedoRec{
 			Op:  op,
 			Key: binary.LittleEndian.Uint64(payload[p+1:]),
 			Val: binary.LittleEndian.Uint64(payload[p+9:]),
-		}
+		})
 	}
-	return rec, true
+	rec.redo = ops[start:len(ops):len(ops)]
+	return rec, ops, true
 }
 
 // Checkpoint encoding, in the order Checkpoint drives it: beginCheckpoint

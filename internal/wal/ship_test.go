@@ -134,6 +134,7 @@ func TestShipReaderCheckpointTruncationRace(t *testing.T) {
 
 			var wg sync.WaitGroup
 			stop := make(chan struct{})
+			ckptDone := make(chan struct{})
 			wg.Add(1)
 			go func() { // writer: sustained churn over a small key space
 				defer wg.Done()
@@ -141,8 +142,15 @@ func TestShipReaderCheckpointTruncationRace(t *testing.T) {
 				defer th.Unregister()
 				rng := workload.NewRng(23)
 				for {
+					// The churn lasts as long as the truncations it races.
+					// An unthrottled writer left running beside the tail
+					// outgrows it: with 2 KiB segments a Poll re-lists the
+					// directory per segment it advances through, and a
+					// backlog of thousands keeps one Poll from returning.
 					select {
 					case <-stop:
+						return
+					case <-ckptDone:
 						return
 					default:
 					}
@@ -158,6 +166,7 @@ func TestShipReaderCheckpointTruncationRace(t *testing.T) {
 			ckpts := 0
 			go func() { // checkpointer: delete segments under the tail
 				defer wg.Done()
+				defer close(ckptDone)
 				for i := 0; i < 8; i++ {
 					select {
 					case <-stop:

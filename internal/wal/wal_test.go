@@ -405,6 +405,19 @@ func TestSegmentEncodingRoundTrip(t *testing.T) {
 			}
 		}
 	}
+	// A decode's records share one backing array of ops: growing one
+	// record's ops must not write into the next record's.
+	many := appendSegHeader(nil, 3)
+	for k := uint64(1); k <= 8; k++ {
+		many = appendRecord(many, k, 0, []stm.RedoRec{{Op: stm.RedoInsert, Key: k, Val: k}})
+	}
+	shared, _, _ := decodeRecords(many)
+	for i := 0; i+1 < len(shared); i++ {
+		_ = append(shared[i].redo, stm.RedoRec{Op: stm.RedoDelete, Key: 99})
+		if next := shared[i+1].redo[0]; next.Key != uint64(i+2) || next.Op != stm.RedoInsert {
+			t.Fatalf("an append to record %d's ops overwrote record %d's: %+v", i, i+1, next)
+		}
+	}
 	// Torn tail: every truncation point beyond the header decodes to a
 	// record-boundary prefix; only cuts exactly on a boundary are clean.
 	boundaries := map[int]bool{}
